@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidInputError, TheoremViolationError
@@ -52,11 +52,22 @@ def _vec_strs(v) -> list[str]:
     return [frac_str(Fraction(c)) for c in v]
 
 
+def _check_config(config: RunConfig) -> None:
+    """Reject count and cap settings outside their range before any work."""
+    for flag, value, least in (("--numeric-seeds", config.numeric_seeds, 1),
+                               ("--numeric-faces", config.numeric_faces, 0),
+                               ("--orbit-cap", config.hull_cap, 0),
+                               ("--weyl-cap", config.weyl_cap, 0)):
+        if value < least:
+            raise InvalidInputError("%s must be at least %d, got %d" % (flag, least, value))
+
+
 def build_report(config: RunConfig) -> dict:
     """Run the pipeline for one configuration and assemble the report dict.
 
     Field order is part of the contract; do not reorder keys.
     """
+    _check_config(config)
     rs = build_root_system(config.type_label, config.rank)
     try:
         coords = [Fraction(c) for c in config.point]
@@ -73,9 +84,7 @@ def build_report(config: RunConfig) -> dict:
     if config.command == "polytope":
         from .polytope import hull
         orbit = weyl_orbit(group, x)
-        poly = hull(orbit, gram=rs.killing_ambient_gram(),
-                    origin_note="%s, x = (%s)" % (rs.name, ",".join(report["point"])),
-                    cap=config.hull_cap)
+        poly = hull(orbit, gram=rs.killing_ambient_gram(), cap=config.hull_cap)
         report["polytope"] = {
             "n_vertices": len(poly.vertices),
             "f_vector": list(poly.f_vector()),
@@ -234,8 +243,11 @@ def run(config: RunConfig) -> tuple[int, str]:
     except InvalidInputError as exc:
         return 1, "error: %s\n" % exc
     if config.out:
-        with open(config.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(config.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            return 1, "error: cannot write the report to %s: %s\n" % (config.out, exc.strerror)
         return 0, ""
     return 0, text
 
@@ -276,7 +288,11 @@ def parse_config(argv) -> RunConfig:
     args = _build_parser().parse_args(argv)
     weyl_cap = args.weyl_cap
     if weyl_cap is None:
-        weyl_cap = int(os.environ.get("ORBITOPE_CAP", DEFAULT_WEYL_CAP))
+        env_cap = os.environ.get("ORBITOPE_CAP", str(DEFAULT_WEYL_CAP))
+        try:
+            weyl_cap = int(env_cap)
+        except ValueError:
+            raise InvalidInputError("ORBITOPE_CAP must be an integer, got %r" % env_cap) from None
     return RunConfig(
         command=args.command, type_label=args.type_label, rank=args.rank,
         point=tuple(s.strip() for s in args.point.split(",")),

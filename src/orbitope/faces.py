@@ -144,8 +144,7 @@ def classify_faces(rs: RootSystem, group: WeylGroup, x: ChamberPoint,
     if x.root_system is not rs:
         raise InvalidInputError("chamber point belongs to a different root system")
     orbit = weyl_orbit(group, x)
-    note = "%s, x = (%s)" % (rs.name, ",".join(str(c) for c in x.coords))
-    poly = hull(orbit, gram=rs.killing_ambient_gram(), origin_note=note, cap=hull_cap)
+    poly = hull(orbit, gram=rs.killing_ambient_gram(), cap=hull_cap)
     if poly.vertices != orbit:
         raise TheoremViolationError(
             "Kostant polytope vertices differ from the Weyl orbit (ext P = W.x failed)")

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .errors import InvalidInputError
 from .faces import FaceDescriptor
-from .linalg import Vector, dot, project_onto_span, solve, vadd, vscale, zero_vec
+from .linalg import Vector, dot, lincomb, project_onto_span, solve, vscale
 from .roots import ChamberPoint, RootSystem
 
 
@@ -86,10 +86,7 @@ def induce_face_weight(rs: RootSystem, x: ChamberPoint, d: FaceDescriptor) -> Fa
     pairing_f = sub_killing(rs, d.sub_roots_I)
     gram = tuple(tuple(pairing_f(bi, bj) for bj in basis) for bi in basis)
     rhs = tuple(rs.killing(x1, b) for b in basis)
-    coeffs = solve(gram, rhs)
-    x1p = zero_vec(rs.ambient_dim)
-    for c, b in zip(coeffs, basis):
-        x1p = vadd(x1p, vscale(c, b))
+    x1p = lincomb(solve(gram, rhs), basis)
 
     rows = []
     for k in d.sub_roots_I:

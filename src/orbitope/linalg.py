@@ -7,7 +7,7 @@ is pure and deterministic; no floats anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -44,6 +44,17 @@ def vsub(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
 
 def vscale(c: Fraction, u: Sequence[Fraction]) -> Vector:
     return tuple(c * a for a in u)
+
+
+def int_dot(u: Sequence[int], v: Sequence[int]) -> int:
+    """Dot product of integer vectors, without the Fraction coercion of `dot`."""
+    return sum(a * b for a, b in zip(u, v))
+
+
+def lincomb(coeffs: Sequence[Fraction], vectors: Sequence[Vector]) -> Vector:
+    """The combination sum_i coeffs[i] * vectors[i] of a nonempty vector list."""
+    return tuple(sum((c * v[j] for c, v in zip(coeffs, vectors)), Fraction(0))
+                 for j in range(len(vectors[0])))
 
 
 def is_zero(u: Sequence[Fraction]) -> bool:
@@ -95,6 +106,34 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[Matrix, tuple[int, ...]]:
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return len(rref(rows)[1])
+
+
+def int_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of an integer matrix by fraction-free elimination.
+
+    Each row is reduced against the echelon rows kept so far by integer
+    cross-multiplication, then divided by its content so entries stay small;
+    the scan stops as soon as the rank reaches the column count.
+    """
+    echelon: list[tuple[int, list[int]]] = []
+    n_cols = len(rows[0]) if rows else 0
+    for row in rows:
+        v = list(row)
+        for c, b in echelon:
+            f = v[c]
+            if f:
+                p = b[c]
+                v = [p * x - f * y for x, y in zip(v, b)]
+        c = next((j for j, x in enumerate(v) if x), None)
+        if c is None:
+            continue
+        g = 0
+        for x in v:
+            g = gcd(g, x)
+        echelon.append((c, [x // g for x in v]))
+        if len(echelon) == n_cols:
+            break
+    return len(echelon)
 
 
 def solve(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Vector:
@@ -158,20 +197,13 @@ def project_onto_span(basis: Sequence[Vector], v: Vector, pairing=dot) -> Vector
         return zero_vec(len(v))
     g = gram_matrix(basis, pairing)
     rhs = tuple(pairing(b, v) for b in basis)
-    coeffs = solve(g, rhs)
-    out = zero_vec(len(v))
-    for c, b in zip(coeffs, basis):
-        out = vadd(out, vscale(c, b))
-    return out
+    return lincomb(solve(g, rhs), basis)
 
 
 def primitive(v: Sequence[Fraction]) -> tuple[int, ...]:
     """Scale a nonzero rational vector by a positive rational to a primitive
     integer vector (gcd 1); the direction is preserved exactly."""
-    denoms = [f.denominator for f in v]
-    scale = 1
-    for d in denoms:
-        scale = scale * d // gcd(scale, d)
+    scale = common_denominator(v)
     ints = [int(f * scale) for f in v]
     g = 0
     for x in ints:
@@ -179,6 +211,11 @@ def primitive(v: Sequence[Fraction]) -> tuple[int, ...]:
     if g == 0:
         raise ValueError("zero vector has no primitive form")
     return tuple(x // g for x in ints)
+
+
+def common_denominator(entries: Iterable[Fraction]) -> int:
+    """Least positive integer that makes every entry integral."""
+    return lcm(*(f.denominator for f in entries))
 
 
 def frac_str(x: Fraction) -> str:

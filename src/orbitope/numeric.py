@@ -252,6 +252,8 @@ def verify_face_numeric(classification: FaceClassification, d: FaceDescriptor,
         raise InvalidInputError("numeric verification is realized for type A only")
     if d.improper:
         raise InvalidInputError("the improper descriptor has no exposing vector")
+    if seeds < 1:
+        raise InvalidInputError("numeric verification needs at least one seed, got %d" % seeds)
     poly = classification.polytope
     n = rs.rank + 1
     factor = rs.killing_ratio

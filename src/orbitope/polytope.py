@@ -1,10 +1,16 @@
 """Exact convex geometry over the rationals.
 
 Hulls are computed from the V-representation by double description on the
-lifted cone, entirely in integer arithmetic; the face lattice is the closure
-of the facet/vertex incidences under intersection.  This module is the
-independent oracle the combinatorial face classification is checked against,
-so there is no floating point anywhere.
+lifted cone.  The points are taken in coordinates of their affine hull and
+lifted to primitive integer rows, so the double description, the facet tight
+and cut tests, the vertex test, the facet values and the grading of the face
+lattice all run on Python ints; only the reported facet normals and offsets
+are turned back into exact fractions.  The face lattice is the closure of the
+facet/vertex incidences under intersection, graded by the fraction-free rank
+of each face's active facet rows.  A face's direction and orthogonal bases
+and the lattice's parent/child maps are built on first access only.  This
+module is the independent oracle the combinatorial face classification is
+checked against, so there is no floating point anywhere.
 
 A polytope may carry a nonstandard inner product (the Killing pairing of a
 root system, given by its ambient Gram matrix).  Support sets, facet normal
@@ -13,33 +19,90 @@ vectors and orthogonal complements are all taken with respect to it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import CapExceededError, InvalidInputError, TheoremViolationError
-from .linalg import (Matrix, Vector, dot, inverse, mat_vec, nullspace,
-                     primitive, rank, row_space_basis, solve, transpose, vadd,
-                     vec, vscale, vsub, zero_vec)
+from .linalg import (Matrix, Vector, common_denominator, dot, identity,
+                     int_dot, int_rank, inverse, lincomb, mat_mul, mat_vec,
+                     nullspace, primitive, rref, transpose, vadd, vec, vscale,
+                     vsub, zero_vec)
 from .weyl import WeylElement, WeylGroup, vertex_permutations
 
 #: desk-scale guard on hull input size
 DEFAULT_HULL_CAP = 200
 
 
+class _FaceGeometry:
+    """What a face needs to build its bases on demand.
+
+    `facet_rows[k]` is a positive multiple of facet k's functional on
+    direction-basis coordinates, `facet_masks[k]` its vertex bitmask and
+    `vertex_facets[i]` the bitmask of the facets through vertex i.
+    """
+
+    def __init__(self, dir_basis: tuple[Vector, ...], pair_gram: Matrix,
+                 facet_rows: Sequence[tuple[int, ...]], facet_masks: Sequence[int],
+                 n_vertices: int):
+        self.dir_basis = dir_basis
+        self.pair_gram = pair_gram
+        self.facet_rows = facet_rows
+        self.facet_masks = facet_masks
+        self.vertex_facets = [0] * n_vertices
+        for k, fm in enumerate(facet_masks):
+            for i in _bits(fm):
+                self.vertex_facets[i] |= 1 << k
+
+    def active_rows(self, vertex_indices: Sequence[int]) -> list[tuple[int, ...]]:
+        """Rows of the facets containing every one of the (nonempty) vertices."""
+        act = self.vertex_facets[vertex_indices[0]]
+        for i in vertex_indices[1:]:
+            act &= self.vertex_facets[i]
+        return [self.facet_rows[k] for k in _bits(act)]
+
+    def bases(self, face: PolytopeFace) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
+        # A face's affine hull is the intersection of its active facet
+        # hyperplanes, so its direction is the joint kernel of their rows.
+        d = len(self.dir_basis)
+        act_rows = self.active_rows(face.vertex_indices)
+        dir_coords = nullspace(act_rows) if act_rows else identity(d)
+        perp_rows = [mat_vec(self.pair_gram, c) for c in dir_coords]
+        perp_coords = nullspace(perp_rows) if perp_rows else identity(d)
+        if len(dir_coords) != face.dim or len(dir_coords) + len(perp_coords) != d:
+            raise TheoremViolationError("face dimension bookkeeping failed (bug)")
+        return (tuple(lincomb(c, self.dir_basis) for c in dir_coords),
+                tuple(lincomb(c, self.dir_basis) for c in perp_coords))
+
+
 @dataclass(frozen=True)
 class PolytopeFace:
-    """A face, stored by its sorted vertex-index set.
+    """A face, stored by its sorted vertex-index set and graded by dimension.
 
     `direction_basis` spans the direction of aff(face); `perp_basis` spans its
     orthogonal complement (w.r.t. the polytope pairing) inside the direction
     space of the whole polytope, so the two dimensions add up to affine_dim.
+    Both are exact and computed on first access, from the active facets.
     """
 
     vertex_indices: tuple[int, ...]
     dim: int
-    direction_basis: tuple[Vector, ...]
-    perp_basis: tuple[Vector, ...]
+    _geometry: _FaceGeometry | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def _bases(self) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
+        if self._geometry is None:
+            return (), ()
+        return self._geometry.bases(self)
+
+    @property
+    def direction_basis(self) -> tuple[Vector, ...]:
+        return self._bases[0]
+
+    @property
+    def perp_basis(self) -> tuple[Vector, ...]:
+        return self._bases[1]
 
 
 @dataclass(frozen=True)
@@ -65,27 +128,41 @@ class ExactPolytope:
 
     def __init__(self, vertices: tuple[Vector, ...], ambient_dim: int, affine_dim: int,
                  gram: Matrix | None, facets: tuple[Facet, ...],
-                 face_lattice: dict[int, tuple[PolytopeFace, ...]], origin_note: str):
+                 face_lattice: dict[int, tuple[PolytopeFace, ...]]):
         self.vertices = vertices
         self.ambient_dim = ambient_dim
         self.affine_dim = affine_dim
         self.gram = gram
         self.facets = facets
         self.face_lattice = face_lattice
-        self.origin_note = origin_note
         self._by_vertices = {f.vertex_indices: f for fs in face_lattice.values() for f in fs}
-        self._perm_cache: dict[int, dict] = {}
-        self.parents: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
-        children: dict[tuple[int, ...], list[tuple[int, ...]]] = {
-            f.vertex_indices: [] for f in self._by_vertices.values()}
-        for d in sorted(face_lattice):
-            for f in face_lattice[d]:
-                ups = tuple(g.vertex_indices for g in face_lattice.get(d + 1, ())
-                            if set(f.vertex_indices) <= set(g.vertex_indices))
-                self.parents[f.vertex_indices] = ups
-                for up in ups:
-                    children[up].append(f.vertex_indices)
-        self.children = {k: tuple(sorted(v)) for k, v in children.items()}
+        self._perm_cache: dict[WeylGroup, dict] = {}
+
+    @cached_property
+    def parents(self) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """Each face's faces one dimension up that contain it."""
+        out = {}
+        for d, faces in self.face_lattice.items():
+            ups = [(_mask(g.vertex_indices), g.vertex_indices)
+                   for g in self.face_lattice.get(d + 1, ())]
+            for f in faces:
+                m = _mask(f.vertex_indices)
+                out[f.vertex_indices] = tuple(g for gm, g in ups if m & gm == m)
+        return out
+
+    @cached_property
+    def children(self) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """Each face's faces one dimension down that it contains."""
+        out: dict[tuple[int, ...], list[tuple[int, ...]]] = {k: [] for k in self._by_vertices}
+        for child, ups in self.parents.items():
+            for up in ups:
+                out[up].append(child)
+        return {k: tuple(sorted(v)) for k, v in out.items()}
+
+    @cached_property
+    def _integral_vertices(self) -> tuple[list[tuple[int, ...]], int]:
+        """The vertices times their common denominator, and that denominator."""
+        return _integral(self.vertices)
 
     # -- basic queries ------------------------------------------------------
 
@@ -128,14 +205,15 @@ class ExactPolytope:
         return tuple(out)
 
     def _permutations(self, group: WeylGroup) -> dict:
-        key = id(group)
-        if key not in self._perm_cache:
-            self._perm_cache[key] = vertex_permutations(group, self.vertices)
-        return self._perm_cache[key]
+        # Keyed by the group itself: the cache holds a reference, so a key
+        # cannot be recycled for another group as an id() could.
+        if group not in self._perm_cache:
+            self._perm_cache[group] = vertex_permutations(group, self.vertices)
+        return self._perm_cache[group]
 
 
 def hull(points: Sequence[Sequence], gram: Matrix | None = None,
-         origin_note: str = "", cap: int = DEFAULT_HULL_CAP) -> ExactPolytope:
+         cap: int = DEFAULT_HULL_CAP) -> ExactPolytope:
     """Exact convex hull with complete face lattice.
 
     Points are deduplicated; the polytope is processed inside its affine hull,
@@ -159,80 +237,99 @@ def hull(points: Sequence[Sequence], gram: Matrix | None = None,
         raise InvalidInputError("points have mixed dimensions")
 
     base = pts[0]
-    diffs = [vsub(p, base) for p in pts[1:]]
-    dir_basis = row_space_basis(diffs)
+    red, pivots = rref([vsub(p, base) for p in pts[1:]])
+    dir_basis = red[:len(pivots)]
     d = len(dir_basis)
 
     if d == 0:
-        face = PolytopeFace(vertex_indices=(0,), dim=0, direction_basis=(), perp_basis=())
+        face = PolytopeFace(vertex_indices=(0,), dim=0)
         return ExactPolytope(vertices=(pts[0],), ambient_dim=ambient_dim, affine_dim=0,
-                             gram=gram, facets=(), face_lattice={0: (face,)},
-                             origin_note=origin_note)
+                             gram=gram, facets=(), face_lattice={0: (face,)})
 
-    # Affine coordinates of every point w.r.t. the direction basis.
-    bbt = tuple(tuple(dot(bi, bj) for bj in dir_basis) for bi in dir_basis)
-    coords = []
-    for p in pts:
-        rhs = tuple(dot(bi, vsub(p, base)) for bi in dir_basis)
-        coords.append(solve(bbt, rhs))
-
-    rows = [primitive((Fraction(1),) + q) for q in coords]
+    # The reduced basis is the identity on its pivot columns, so a point's
+    # affine coordinates are its offset from the base point read there.  Each
+    # lifted row is a positive integer multiple of (1, coordinates).
+    rows = [primitive((Fraction(1),) + tuple(p[c] - base[c] for c in pivots)) for p in pts]
     rays = _dd_rays(rows, d + 1)
 
     # Each extreme ray (a0, a) of the lifted dual cone is a valid inequality
-    # a0 + a.q >= 0 on the coordinates, i.e. the facet (-a).q <= a0.
+    # a0 + a.q >= 0 on the coordinates, i.e. the facet (-a).q <= a0; its sign
+    # at a point is that of the integer product with the point's row.
     facet_data = []
     for ray in rays:
-        a0, a = ray[0], ray[1:]
-        tight = tuple(i for i, q in enumerate(coords)
-                      if a0 + sum(ai * qi for ai, qi in zip(a, q)) == 0)
-        if any(a0 + sum(ai * qi for ai, qi in zip(a, q)) < 0 for q in coords):
+        values = [int_dot(row, ray) for row in rows]
+        if min(values) < 0:
             raise TheoremViolationError("double description produced a cut inequality (bug)")
-        facet_data.append((tuple(-x for x in a), Fraction(a0), tight))
+        facet_data.append((ray[1:], tuple(i for i, val in enumerate(values) if val == 0)))
 
     # A point is a vertex iff its active facet functionals span the space.
-    active_per_point: dict[int, list[int]] = {i: [] for i in range(len(pts))}
-    for k, (_, _, tight) in enumerate(facet_data):
+    active_per_point: dict[int, list[tuple[int, ...]]] = {i: [] for i in range(len(pts))}
+    for a, tight in facet_data:
         for i in tight:
-            active_per_point[i].append(k)
-    vertex_ids = [i for i in range(len(pts))
-                  if rank([vec(facet_data[k][0]) for k in active_per_point[i]]) == d]
-    vertex_pts = sorted(pts[i] for i in vertex_ids)
-    new_index = {v: i for i, v in enumerate(vertex_pts)}
-    old_to_new = {i: new_index[pts[i]] for i in vertex_ids}
+            active_per_point[i].append(a)
+    vertex_ids = [i for i in range(len(pts)) if int_rank(active_per_point[i]) == d]
+    vertex_ids.sort(key=lambda i: pts[i])
+    vertex_pts = [pts[i] for i in vertex_ids]
+    old_to_new = {old: new for new, old in enumerate(vertex_ids)}
 
-    def pair(u, v):
-        return dot(u, v) if gram is None else dot(u, mat_vec(gram, v))
-
-    pair_gram = tuple(tuple(pair(bi, bj) for bj in dir_basis) for bi in dir_basis)
-
-    def functional_to_vector(n_aff: Sequence[Fraction]) -> Vector:
-        ts = solve(pair_gram, tuple(Fraction(x) for x in n_aff))
-        out = zero_vec(ambient_dim)
-        for t, b in zip(ts, dir_basis):
-            out = vadd(out, vscale(t, b))
-        return out
+    # Facet normal n = B^T (B G B^T)^-1 (-a) for the direction basis B: the
+    # pairing vector of the functional -a on coordinates.  Its primitive form
+    # comes from one integer matrix per hull; the values <n, v> are integer
+    # dot products of n^T G and the vertices, both scaled to integers.
+    pair_gram = mat_mul(dir_basis, transpose(dir_basis) if gram is None
+                        else mat_mul(gram, transpose(dir_basis)))
+    to_normal = _integral(mat_mul(transpose(dir_basis), inverse(pair_gram)))[0]
+    gram_t, gram_scale = _integral(transpose(gram)) if gram is not None else (None, 1)
+    vertex_ints, vertex_scale = _integral(vertex_pts)
+    value_scale = gram_scale * vertex_scale
 
     facets = []
-    for n_aff, _, tight in facet_data:
-        normal = vec(primitive(functional_to_vector(n_aff)))
+    for a, tight in facet_data:
+        normal = primitive([-int_dot(row, a) for row in to_normal])
+        paired = normal if gram_t is None else [int_dot(col, normal) for col in gram_t]
         vidx = tuple(sorted(old_to_new[i] for i in tight if i in old_to_new))
-        offset = pair(normal, vertex_pts[vidx[0]])
-        values = [pair(normal, v) for v in vertex_pts]
-        if any(val > offset for val in values):
+        values = [int_dot(paired, v) for v in vertex_ints]
+        top = values[vidx[0]]
+        if max(values) > top:
             raise TheoremViolationError("facet normal conversion failed (bug)")
-        if tuple(i for i, val in enumerate(values) if val == offset) != vidx:
+        if tuple(i for i, val in enumerate(values) if val == top) != vidx:
             raise TheoremViolationError("facet tight set mismatch (bug)")
-        facets.append(Facet(normal=normal, offset=offset, vertex_indices=vidx))
-    facets.sort(key=lambda f: (f.vertex_indices, f.normal))
+        facets.append((Facet(normal=vec(normal), offset=Fraction(top, value_scale),
+                             vertex_indices=vidx), a))
+    facets.sort(key=lambda fa: (fa[0].vertex_indices, fa[0].normal))
 
-    lattice = _face_lattice(vertex_pts, tuple(facets), dir_basis, pair_gram, d)
+    lifted = [rows[i] for i in vertex_ids]
+    masks = [_mask(f.vertex_indices) for f, _ in facets]
+    geometry = _FaceGeometry(dir_basis, pair_gram, [a for _, a in facets], masks, len(vertex_ids))
+    lattice = _face_lattice(lifted, geometry, d)
     poly = ExactPolytope(vertices=tuple(vertex_pts), ambient_dim=ambient_dim, affine_dim=d,
-                         gram=gram, facets=tuple(facets), face_lattice=lattice,
-                         origin_note=origin_note)
+                         gram=gram, facets=tuple(f for f, _ in facets), face_lattice=lattice)
     if tuple(f.vertex_indices for f in lattice[0]) != tuple((i,) for i in range(len(vertex_pts))):
         raise TheoremViolationError("0-faces do not match the vertex set (bug)")
     return poly
+
+
+def _mask(indices: Iterable[int]) -> int:
+    m = 0
+    for i in indices:
+        m |= 1 << i
+    return m
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    """The set bits of a nonnegative mask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def _integral(m: Sequence[Sequence[Fraction]]) -> tuple[list[tuple[int, ...]], int]:
+    """The rows of s*m for the least positive integer s making it integral, and s."""
+    scale = common_denominator(x for row in m for x in row)
+    return [tuple(int(x * scale) for x in row) for row in m], scale
 
 
 def _dd_rays(rows: Sequence[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
@@ -242,11 +339,8 @@ def _dd_rays(rows: Sequence[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
     everything stays in primitive integer vectors.
     """
     chosen: list[int] = []
-    basis_rows: list[Vector] = []
     for i, r in enumerate(rows):
-        cand = basis_rows + [vec(r)]
-        if rank(cand) > len(basis_rows):
-            basis_rows = cand
+        if int_rank([rows[k] for k in chosen] + [r]) > len(chosen):
             chosen.append(i)
         if len(chosen) == n:
             break
@@ -258,9 +352,6 @@ def _dd_rays(rows: Sequence[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
 
     order = chosen + [i for i in range(len(rows)) if i not in chosen]
     active = [0 for _ in rays]
-
-    def int_dot(a, b):
-        return sum(x * y for x, y in zip(a, b))
 
     for step, ri in enumerate(order):
         row = rows[ri]
@@ -274,6 +365,9 @@ def _dd_rays(rows: Sequence[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
             for p in pos:
                 for q in neg:
                     z = active[p] & active[q]
+                    # Adjacent rays of a cone in R^n share n - 2 tight rows.
+                    if z.bit_count() < n - 2:
+                        continue
                     if any(k not in (p, q) and (z & active[k]) == z for k in range(len(rays))):
                         continue
                     combo = tuple(vals[p] * rn - vals[q] * rp
@@ -287,63 +381,34 @@ def _dd_rays(rows: Sequence[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
     return sorted(rays)
 
 
-def _face_lattice(vertices: Sequence[Vector], facets: tuple[Facet, ...],
-                  dir_basis: tuple[Vector, ...], pair_gram: Matrix,
+def _face_lattice(lifted: Sequence[tuple[int, ...]], geometry: _FaceGeometry,
                   d: int) -> dict[int, tuple[PolytopeFace, ...]]:
-    """Close facet/vertex incidences under intersection and grade by dimension."""
-    nv = len(vertices)
-    full = (1 << nv) - 1
-    facet_masks = []
-    for f in facets:
-        m = 0
-        for i in f.vertex_indices:
-            m |= 1 << i
-        facet_masks.append(m)
+    """Close facet/vertex incidences under intersection and grade by dimension.
+
+    A face's dimension is d minus the integer rank of its active facet rows;
+    it is checked against the affine rank of its own lifted vertex rows.
+    """
+    full = (1 << len(lifted)) - 1
     seen = {full}
     queue = [full]
     while queue:
         cur = queue.pop()
-        for fm in facet_masks:
+        for fm in geometry.facet_masks:
             nm = cur & fm
             if nm and nm not in seen:
                 seen.add(nm)
                 queue.append(nm)
 
-    # The functional <normal, .> of each facet, as a row on direction-basis
-    # coordinates; a face's affine hull is the intersection of its active
-    # facet hyperplanes, so its direction is the joint kernel of these rows.
-    bbt = tuple(tuple(dot(bi, bj) for bj in dir_basis) for bi in dir_basis)
-    facet_rows = []
-    for f in facets:
-        ts = solve(bbt, tuple(dot(f.normal, b) for b in dir_basis))
-        facet_rows.append(mat_vec(pair_gram, ts))
-    identity_coords = tuple(tuple(Fraction(1 if i == j else 0) for j in range(d))
-                            for i in range(d))
-
     levels: dict[int, list[PolytopeFace]] = {}
     for mask in seen:
-        vidx = tuple(i for i in range(nv) if mask & (1 << i))
-        act_rows = [facet_rows[k] for k, fm in enumerate(facet_masks) if (mask & fm) == mask]
-        dir_coords = nullspace(act_rows) if act_rows else identity_coords
-        direction = tuple(_from_coords(c, dir_basis) for c in dir_coords)
-        dim = len(direction)
-        perp_rows = [mat_vec(pair_gram, c) for c in dir_coords]
-        perp_coords = nullspace(perp_rows) if perp_rows else identity_coords
-        perp = tuple(_from_coords(c, dir_basis) for c in perp_coords)
-        if dim + len(perp) != d:
-            raise TheoremViolationError("face dimension bookkeeping failed (bug)")
-        face = PolytopeFace(vertex_indices=vidx, dim=dim,
-                            direction_basis=direction, perp_basis=perp)
-        levels.setdefault(dim, []).append(face)
+        vidx = _bits(mask)
+        dim = d - int_rank(geometry.active_rows(vidx))
+        if int_rank([lifted[i] for i in vidx]) != dim + 1:
+            raise TheoremViolationError("face dimension disagrees with its vertex rank (bug)")
+        levels.setdefault(dim, []).append(
+            PolytopeFace(vertex_indices=vidx, dim=dim, _geometry=geometry))
     return {dim: tuple(sorted(fs, key=lambda f: f.vertex_indices))
             for dim, fs in sorted(levels.items())}
-
-
-def _from_coords(coords: Sequence[Fraction], dir_basis: tuple[Vector, ...]) -> Vector:
-    out = zero_vec(len(dir_basis[0]))
-    for c, b in zip(coords, dir_basis):
-        out = vadd(out, vscale(c, b))
-    return out
 
 
 def support_set(p: ExactPolytope, u: Sequence) -> tuple[PolytopeFace, Fraction]:
@@ -352,12 +417,14 @@ def support_set(p: ExactPolytope, u: Sequence) -> tuple[PolytopeFace, Fraction]:
     if all(x == 0 for x in uv):
         raise InvalidInputError("exposed faces require nonzero u")
     gu = uv if p.gram is None else mat_vec(p.gram, uv)
-    values = [dot(v, gu) for v in p.vertices]
+    (gu_ints,), gu_scale = _integral([gu])
+    vertex_ints, vertex_scale = p._integral_vertices
+    values = [int_dot(v, gu_ints) for v in vertex_ints]
     h = max(values)
     vidx = tuple(i for i, val in enumerate(values) if val == h)
     if not p.has_face(vidx):
         raise TheoremViolationError("support set %s is not a lattice face (bug)" % (vidx,))
-    return p.face(vidx), h
+    return p.face(vidx), Fraction(h, gu_scale * vertex_scale)
 
 
 def act_on_faces(group: WeylGroup, p: ExactPolytope,

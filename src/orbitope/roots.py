@@ -17,8 +17,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InvalidInputError
-from .linalg import (Matrix, Vector, dot, inverse, mat_vec, solve, transpose,
-                     vadd, vec, vscale, vsub, zero_vec)
+from .linalg import (Matrix, Vector, dot, inverse, lincomb, mat_vec, solve,
+                     transpose, vadd, vec, vscale, vsub)
 
 #: admissible ranks per Cartan letter (rank 8 is the desk-scale ceiling)
 VALID_RANKS = {
@@ -296,9 +296,9 @@ def build_root_system(type_label: str, rank: int) -> RootSystem:
     for i in range(rank):
         unit = tuple(Fraction(1 if j == i else 0) for j in range(rank))
         wc = mat_vec(inv_ct, unit)
-        weights.append(_combine(simples, wc))
+        weights.append(lincomb(wc, simples))
         cc = mat_vec(inv_c, unit)
-        coweights.append(_combine(coroots, cc))
+        coweights.append(lincomb(cc, coroots))
 
     rs = RootSystem(
         type_label=type_label,
@@ -325,13 +325,6 @@ def build_root_system(type_label: str, rank: int) -> RootSystem:
 def killing_pairing(rs: RootSystem, h1: Vector, h2: Vector) -> Fraction:
     """Functional form of the Killing pairing on t (see RootSystem.killing)."""
     return rs.killing(vec(h1), vec(h2))
-
-
-def _combine(vectors: Sequence[Vector], coeffs: Sequence[Fraction]) -> Vector:
-    out = zero_vec(len(vectors[0]))
-    for c, v in zip(coeffs, vectors):
-        out = vadd(out, vscale(c, v))
-    return out
 
 
 @dataclass(frozen=True)
@@ -378,10 +371,8 @@ def chamber_point(rs: RootSystem, coords: Sequence) -> ChamberPoint:
                 "point is not full: the simple factor on {%s} acts trivially "
                 "(reduce to the other factors first)"
                 % ",".join(rs.root_label(i) for i in comp))
-    x = zero_vec(rs.ambient_dim)
-    for c, w in zip(cs, rs.fundamental_weights):
-        x = vadd(x, vscale(c, w))
-    pt = ChamberPoint(root_system=rs, coords=cs, vector=x, singular_set=singular)
+    pt = ChamberPoint(root_system=rs, coords=cs, vector=lincomb(cs, rs.fundamental_weights),
+                      singular_set=singular)
     for i, a in enumerate(rs.simple_roots):
         expected_zero = (i in singular)
         if (pt.evaluate_root(a) == 0) != expected_zero:

@@ -135,3 +135,48 @@ def test_main_exit_codes(capsys):
     assert main(["faces", "--type", "G", "--rank", "3", "--point", "1,1,1"]) == 1
     assert main(["faces", "--type", "A", "--rank", "2"]) == 1  # missing --point
     capsys.readouterr()
+
+
+def _exits_1_with_one_error_line(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    return lines[0]
+
+
+_A2 = ["verify-all", "--type", "A", "--rank", "2", "--point", "1,1"]
+
+
+def test_zero_numeric_seeds_exits_1(capsys):
+    line = _exits_1_with_one_error_line(capsys, _A2 + ["--numeric-seeds", "0"])
+    assert "--numeric-seeds" in line
+
+
+def test_negative_orbit_cap_exits_1(capsys):
+    line = _exits_1_with_one_error_line(capsys, _A2 + ["--orbit-cap", "-1"])
+    assert "--orbit-cap" in line
+
+
+def test_negative_weyl_cap_exits_1(capsys):
+    line = _exits_1_with_one_error_line(capsys, _A2 + ["--weyl-cap", "-5"])
+    assert "--weyl-cap" in line
+
+
+def test_negative_numeric_faces_exits_1(capsys):
+    line = _exits_1_with_one_error_line(capsys, _A2 + ["--numeric-faces", "-1"])
+    assert "--numeric-faces" in line
+
+
+def test_non_integer_orbitope_cap_env_exits_1(capsys, monkeypatch):
+    monkeypatch.setenv("ORBITOPE_CAP", "abc")
+    line = _exits_1_with_one_error_line(capsys, _A2)
+    assert "ORBITOPE_CAP" in line
+
+
+def test_out_into_missing_directory_exits_1(capsys, tmp_path):
+    path = tmp_path / "missing" / "report.json"
+    line = _exits_1_with_one_error_line(capsys, _A2 + ["--out", str(path)])
+    assert str(path) in line
+    assert not path.exists()

@@ -81,3 +81,24 @@ def test_gram_matrix_symmetric():
 def test_frac_str():
     assert frac_str(Q(3)) == "3"
     assert frac_str(Q(-5, 2)) == "-5/2"
+
+
+def test_int_rank_matches_fraction_rank():
+    """Fraction-free elimination agrees with Gauss-Jordan over Q, including
+    zero columns, repeated rows and row swaps."""
+    from orbitope.linalg import int_rank
+    rng = random.Random(11)
+    for _ in range(300):
+        n_rows, n_cols = rng.randint(0, 7), rng.randint(1, 6)
+        rows = [[rng.choice((0, 0, 1, -1, rng.randint(-9, 9))) for _ in range(n_cols)]
+                for _ in range(n_rows)]
+        if rows and rng.random() < 0.3:
+            rows.append(list(rows[0]))
+        assert int_rank(rows) == rank(rows)
+
+
+def test_lincomb_and_common_denominator():
+    from orbitope.linalg import common_denominator, lincomb
+    assert lincomb((Q(1, 2), Q(-3)), (vec([2, 4]), vec([1, Q(1, 3)]))) == vec([-2, 1])
+    assert common_denominator((Q(1, 6), Q(3, 4), Q(2))) == 12
+    assert common_denominator(()) == 1

@@ -144,3 +144,9 @@ def test_verify_face_numeric_detects_wrong_tolerance():
     with pytest.raises(TheoremViolationError):
         verify_face_numeric(cl, cl.proper_descriptors[0], seeds=2, crit_tol=1e-18,
                             grad_tol=1e-19)
+
+
+def test_verify_face_numeric_rejects_zero_seeds():
+    cl = get_classification("A", 2, (1, 1))
+    with pytest.raises(InvalidInputError):
+        verify_face_numeric(cl, cl.proper_descriptors[0], seeds=0)

@@ -5,13 +5,14 @@ from __future__ import annotations
 import random
 from fractions import Fraction as Q
 
+import numpy as np
 import pytest
 
 from conftest import get_group, get_point, get_rs
 from orbitope import (CapExceededError, InvalidInputError, act_on_faces,
                       face_stabilizer, fixed_vector_in_cone, hull,
                       support_set, weyl_orbit)
-from orbitope.linalg import vec
+from orbitope.linalg import mat, vec
 
 
 def _orbit_polytope(label, rank, coords):
@@ -226,3 +227,90 @@ def test_normal_cone_convexity_small():
 def test_d4_regular_hull_f_vector():
     _, _, p = _orbit_polytope("D", 4, (1, 1, 1, 1))
     assert p.f_vector() == (192, 384, 240, 48, 1)
+
+
+def test_permutation_cache_keeps_distinct_groups_apart():
+    """The vertex-permutation cache is keyed by the group object, not by id()."""
+    from orbitope import build_weyl_group
+    rs, group, p = _orbit_polytope("A", 2, (1, 1))
+    other = build_weyl_group(rs)
+    first = p._permutations(group)
+    second = p._permutations(other)
+    assert set(map(id, p._perm_cache)) == {id(group), id(other)}
+    assert p._perm_cache[group] is first and p._perm_cache[other] is second
+    assert p._permutations(group) is first
+
+
+# Hulls whose points are not integral, so the integer core has to scale the
+# lifted rows, the facet values and the offsets by common denominators.
+_SQUARE_IN_THIRDS = [(Q(1, 3), Q(-2, 3)), (Q(5, 3), Q(-2, 3)), (Q(1, 3), Q(1, 3)),
+                     (Q(5, 3), Q(1, 3)), (1, Q(-2, 3)), (Q(2, 3), 0)]
+_NON_INTEGRAL_HULLS = {
+    "B3 1/2,0,1": lambda: _orbit_polytope("B", 3, (Q(1, 2), 0, 1))[2],
+    "G2 3/2,1": lambda: _orbit_polytope("G", 2, (Q(3, 2), 1))[2],
+    "square in thirds": lambda: hull(_SQUARE_IN_THIRDS),
+    # a pairing that is no multiple of the dot product, with a fractional gram
+    "square in thirds, skew gram": lambda: hull(_SQUARE_IN_THIRDS,
+                                                gram=mat(((2, Q(1, 2)), (Q(1, 2), 1)))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NON_INTEGRAL_HULLS))
+def test_non_integral_facets_are_tight_exactly_on_their_vertices(name):
+    p = _NON_INTEGRAL_HULLS[name]()
+    assert any(c.denominator > 1 for v in p.vertices for c in v)
+    for f in p.facets:
+        values = [p.pair(f.normal, v) for v in p.vertices]
+        assert max(values) <= f.offset
+        assert tuple(i for i, val in enumerate(values) if val == f.offset) == f.vertex_indices
+
+
+@pytest.mark.parametrize("name", sorted(_NON_INTEGRAL_HULLS))
+def test_non_integral_facet_count_matches_qhull(name):
+    from scipy.spatial import ConvexHull
+    p = _NON_INTEGRAL_HULLS[name]()
+    pts = np.array([[float(c) for c in v] for v in p.vertices])
+    centered = pts - pts.mean(axis=0)
+    _, sing, vt = np.linalg.svd(centered)
+    dim = int((sing > 1e-9 * sing.max()).sum())
+    assert dim == p.affine_dim
+    proj = centered @ vt[:dim].T
+    qh = ConvexHull(proj)
+    tight_sets = {tuple(np.flatnonzero(np.abs(proj @ eq[:-1] + eq[-1]) < 1e-7))
+                  for eq in qh.equations}
+    assert len(tight_sets) == len(p.facets)
+    assert sorted(qh.vertices) == list(range(len(p.vertices)))
+
+
+@pytest.mark.parametrize("name", sorted(_NON_INTEGRAL_HULLS))
+def test_non_integral_lazy_bases(name):
+    """Rank-nullity and orthogonality of the bases built on first access."""
+    from orbitope.linalg import rank, vsub
+    p = _NON_INTEGRAL_HULLS[name]()
+    for faces in p.face_lattice.values():
+        for f in faces:
+            direction, perp = f.direction_basis, f.perp_basis
+            assert len(direction) == rank(direction) == f.dim
+            assert len(direction) + len(perp) == p.affine_dim
+            assert rank(direction + perp) == p.affine_dim
+            vs = [p.vertices[i] for i in f.vertex_indices]
+            diffs = [vsub(v, vs[0]) for v in vs[1:]]
+            assert rank(list(direction) + diffs) == len(direction)
+            for b in direction:
+                for q in perp:
+                    assert p.pair(b, q) == 0
+
+
+@pytest.mark.parametrize("name", sorted(_NON_INTEGRAL_HULLS))
+def test_non_integral_support_values(name):
+    """Support values computed on scaled integers equal the exact maxima."""
+    p = _NON_INTEGRAL_HULLS[name]()
+    rng = random.Random(8)
+    for _ in range(20):
+        u = tuple(Q(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(p.ambient_dim))
+        if all(c == 0 for c in u):
+            continue
+        face, h = support_set(p, u)
+        values = [p.pair(v, u) for v in p.vertices]
+        assert h == max(values)
+        assert face.vertex_indices == tuple(i for i, val in enumerate(values) if val == h)
