@@ -21,7 +21,7 @@ from .faces import classify_faces, parabolic_report
 from .integrality import check_integral, induce_face_weight
 from .linalg import frac_str
 from .numeric import verify_face_numeric
-from .polytope import DEFAULT_HULL_CAP
+from .polytope import DEFAULT_HULL_CAP, hull
 from .roots import build_root_system, chamber_point
 from .strata import build_poset
 from .weyl import DEFAULT_WEYL_CAP, build_weyl_group, weyl_orbit
@@ -82,26 +82,19 @@ def build_report(config: RunConfig) -> dict:
     }
 
     if config.command == "polytope":
-        from .polytope import hull
-        orbit = weyl_orbit(group, x)
-        poly = hull(orbit, gram=rs.killing_ambient_gram(), cap=config.hull_cap)
-        report["polytope"] = {
-            "n_vertices": len(poly.vertices),
-            "f_vector": list(poly.f_vector()),
-            "vertices": [_vec_strs(v) for v in poly.vertices],
-        }
-        return report
-
-    classification = classify_faces(rs, group, x, hull_cap=config.hull_cap)
-    poly = classification.polytope
-    poset = build_poset(classification)
-    point_weight = check_integral(rs, x)
-
+        poly = hull(weyl_orbit(group, x), gram=rs.killing_ambient_gram(), cap=config.hull_cap)
+    else:
+        classification = classify_faces(rs, group, x, hull_cap=config.hull_cap)
+        poly = classification.polytope
     report["polytope"] = {
         "n_vertices": len(poly.vertices),
         "f_vector": list(poly.f_vector()),
         "vertices": [_vec_strs(v) for v in poly.vertices],
     }
+    if config.command == "polytope":
+        return report
+    poset = build_poset(classification)
+    point_weight = check_integral(rs, x)
 
     face_rows = []
     face_weights = {}
@@ -155,10 +148,10 @@ def build_report(config: RunConfig) -> dict:
         }
 
     if config.command == "verify-all" and point_weight.is_integral:
-        for d in classification.proper_descriptors:
-            if d.I and not induce_face_weight(rs, x, d).is_integral:
+        for idx, fw in face_weights.items():
+            if not classification.descriptors[idx].improper and not fw.is_integral:
                 raise TheoremViolationError(
-                    "integrality descent failed on face I=%s" % (d.I,))
+                    "integrality descent failed on face I=%s" % (fw.I,))
 
     if config.command == "verify-numeric" or \
             (config.command == "verify-all" and rs.type_label == "A"):

@@ -17,7 +17,7 @@ from typing import Sequence
 from .errors import InvalidInputError, TheoremViolationError
 from .linalg import Vector, dot, vadd, zero_vec
 from .polytope import (DEFAULT_HULL_CAP, ExactPolytope, FaceOrbit,
-                       PolytopeFace, act_on_faces, hull, support_set)
+                       PolytopeFace, act_on_faces, face_orbit, hull, support_set)
 from .roots import ChamberPoint, RootSystem
 from .weyl import WeylGroup, weyl_orbit
 
@@ -237,17 +237,11 @@ def psi_of_polytope_face(classification: FaceClassification,
     """
     rs = classification.root_system
     poly = classification.polytope
-    group = classification.group
     if sigma.vertex_indices == poly.top.vertex_indices:
         raise InvalidInputError("psi is defined on proper faces only")
     by_sigma = {d.sigma.vertex_indices: d for d in classification.proper_descriptors}
-    perms = poly._permutations(group)
-    found = None
-    for e in group.elements:
-        image = tuple(sorted(perms[e.matrix][i] for i in sigma.vertex_indices))
-        if image in by_sigma:
-            found = by_sigma[image]
-            break
+    found = next((by_sigma[m] for m in face_orbit(poly._permutations(classification.group),
+                                                  sigma.vertex_indices) if m in by_sigma), None)
     if found is None:
         raise TheoremViolationError(
             "no Weyl conjugate of the face matches a descriptor "
@@ -289,13 +283,13 @@ def parabolic_report(classification: FaceClassification, d: FaceDescriptor) -> d
         levi_parts = "%s+T%d" % (levi_parts, torus_rank) if levi_parts else "T%d" % torus_rank
     ext_components = []
     for comp in rs.components(d.I):
-        ctype = rs.component_type(comp)
-        order = rs._path_order(comp, {i: sum(1 for j in comp if rs.adjacent(i, j))
-                                      for i in comp}) if len(comp) > 1 else list(comp)
-        if len(order) != len(comp):
-            order = sorted(comp)
+        degrees = {i: sum(1 for j in comp if rs.adjacent(i, j)) for i in comp}
+        # Chains are numbered from their smaller end; branched (D, E) components
+        # by simple-root index, which here is Bourbaki's numbering on D_k in D_n
+        # and on E_k in E_n.
+        order = sorted(comp) if max(degrees.values()) > 2 else rs._path_order(comp, degrees)
         marks = tuple(order.index(i) + 1 for i in d.marked if i in comp)
-        ext_components.append({"type": ctype, "marked_nodes": sorted(marks)})
+        ext_components.append({"type": rs.component_type(comp), "marked_nodes": sorted(marks)})
     return {
         "E": [rs.root_label(i) for i in d.J],
         "levi_type": levi_parts,

@@ -17,8 +17,8 @@ from fractions import Fraction
 
 from .errors import InvalidInputError
 from .faces import FaceDescriptor
-from .linalg import Vector, dot, lincomb, project_onto_span, solve, vscale
-from .roots import ChamberPoint, RootSystem
+from .linalg import Vector, lincomb, project_onto_span, solve, vscale
+from .roots import ChamberPoint, RootSystem, killing_sum
 
 
 @dataclass(frozen=True)
@@ -63,11 +63,7 @@ def check_integral(rs: RootSystem, x: ChamberPoint) -> WeightData:
 def sub_killing(rs: RootSystem, root_indices: tuple[int, ...]):
     """The Killing pairing of the subalgebra spanned by a root subsystem."""
     roots = [rs.positive_roots[k] for k in root_indices]
-
-    def pairing(u: Vector, v: Vector) -> Fraction:
-        return 2 * sum((dot(a, u) * dot(a, v) for a in roots), Fraction(0))
-
-    return pairing
+    return lambda u, v: killing_sum(roots, u, v)
 
 
 def induce_face_weight(rs: RootSystem, x: ChamberPoint, d: FaceDescriptor) -> FaceWeight:

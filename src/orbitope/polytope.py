@@ -136,7 +136,7 @@ class ExactPolytope:
         self.facets = facets
         self.face_lattice = face_lattice
         self._by_vertices = {f.vertex_indices: f for fs in face_lattice.values() for f in fs}
-        self._perm_cache: dict[WeylGroup, dict] = {}
+        self._perm_cache: dict[WeylGroup, tuple[tuple[int, ...], ...]] = {}
 
     @cached_property
     def parents(self) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
@@ -204,7 +204,7 @@ class ExactPolytope:
             out.append((f, fct.offset))
         return tuple(out)
 
-    def _permutations(self, group: WeylGroup) -> dict:
+    def _permutations(self, group: WeylGroup) -> tuple[tuple[int, ...], ...]:
         # Keyed by the group itself: the cache holds a reference, so a key
         # cannot be recycled for another group as an id() could.
         if group not in self._perm_cache:
@@ -427,42 +427,62 @@ def support_set(p: ExactPolytope, u: Sequence) -> tuple[PolytopeFace, Fraction]:
     return p.face(vidx), Fraction(h, gu_scale * vertex_scale)
 
 
-def act_on_faces(group: WeylGroup, p: ExactPolytope,
-                 elements: Sequence[WeylElement] | None = None) -> dict[int, tuple[FaceOrbit, ...]]:
+def face_orbit(perms: Sequence[Sequence[int]],
+               vertex_indices: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+    """The sorted orbit of a vertex set under the group the permutations generate."""
+    start = tuple(sorted(vertex_indices))
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        face = frontier.pop()
+        for perm in perms:
+            image = tuple(sorted(perm[i] for i in face))
+            if image not in seen:
+                seen.add(image)
+                frontier.append(image)
+    return tuple(sorted(seen))
+
+
+def act_on_faces(group: WeylGroup, p: ExactPolytope) -> dict[int, tuple[FaceOrbit, ...]]:
     """Partition every lattice level into orbits of the group action.
 
-    `elements` may restrict the action to a subgroup (it must be closed under
-    composition); the polytope's vertex set has to be stable under it.
+    Each orbit is the closure of a face under the simple reflections; the
+    polytope's vertex set has to be stable under the group.
     """
     perms = p._permutations(group)
-    acting = tuple(elements) if elements is not None else group.elements
     out: dict[int, tuple[FaceOrbit, ...]] = {}
     for dim in sorted(p.face_lattice):
         assigned: set[tuple[int, ...]] = set()
         orbits = []
+        # Levels are sorted, so each orbit is met first at its least member.
         for f in p.face_lattice[dim]:
             if f.vertex_indices in assigned:
                 continue
-            members = sorted({tuple(sorted(perms[e.matrix][i] for i in f.vertex_indices))
-                              for e in acting})
-            for m in members:
-                if not p.has_face(m):
-                    raise TheoremViolationError("group action left the face lattice (bug)")
+            members = face_orbit(perms, f.vertex_indices)
+            if not all(p.has_face(m) for m in members):
+                raise TheoremViolationError("group action left the face lattice (bug)")
             assigned.update(members)
-            orbits.append(FaceOrbit(dim=dim, representative=min(members),
-                                    members=tuple(members)))
-        out[dim] = tuple(sorted(orbits, key=lambda o: o.representative))
+            orbits.append(FaceOrbit(dim=dim, representative=members[0], members=members))
+        out[dim] = tuple(orbits)
     return out
 
 
 def face_stabilizer(group: WeylGroup, p: ExactPolytope,
                     face: PolytopeFace) -> tuple[tuple[WeylElement, ...], tuple[Vector, ...]]:
-    """The subgroup G_sigma = {g : g(sigma) = sigma} and its fixed subspace of t."""
+    """The subgroup G_sigma = {g : g(sigma) = sigma} and its fixed subspace of t.
+
+    Each element acts along its reduced word through the generator permutations.
+    """
     perms = p._permutations(group)
     target = face.vertex_indices
-    stab = tuple(e for e in group.elements
-                 if tuple(sorted(perms[e.matrix][i] for i in target)) == target)
-    return stab, group.fixed_subspace(stab)
+    stab = []
+    for e in group.elements:
+        image = target
+        for i in reversed(e.word):
+            image = [perms[i][j] for j in image]
+        if tuple(sorted(image)) == target:
+            stab.append(e)
+    return tuple(stab), group.fixed_subspace(stab)
 
 
 def fixed_vector_in_cone(group: WeylGroup, p: ExactPolytope, face: PolytopeFace) -> Vector:

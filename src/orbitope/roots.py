@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, TheoremViolationError
 from .linalg import (Matrix, Vector, dot, inverse, lincomb, mat_vec, solve,
                      transpose, vadd, vec, vscale, vsub)
 
@@ -81,6 +81,12 @@ def _simple_root_realization(type_label: str, rank: int) -> tuple[int, tuple[Vec
     return m, ((a1, a2) + chain)[:rank]
 
 
+def killing_sum(roots: Sequence[Vector], u: Vector, v: Vector) -> Fraction:
+    """2 * Sum d(a,u)*d(a,v) over the positive roots given: the Killing pairing
+    of the (sub)algebra whose positive roots they are."""
+    return 2 * sum((dot(a, u) * dot(a, v) for a in roots), Fraction(0))
+
+
 @dataclass(frozen=True)
 class RootSystem:
     """Exact root data for one simple type at a fixed rank."""
@@ -118,16 +124,18 @@ class RootSystem:
     def all_roots(self) -> tuple[Vector, ...]:
         return self.positive_roots + tuple(vscale(Fraction(-1), a) for a in self.positive_roots)
 
-    def coroot(self, alpha: Vector) -> Vector:
+    @staticmethod
+    def coroot(alpha: Vector) -> Vector:
         return vscale(Fraction(2) / dot(alpha, alpha), alpha)
 
-    def reflect(self, alpha: Vector, v: Vector) -> Vector:
+    @staticmethod
+    def reflect(alpha: Vector, v: Vector) -> Vector:
         c = Fraction(2) * dot(alpha, v) / dot(alpha, alpha)
         return tuple(x - c * a for x, a in zip(v, alpha))
 
     def killing(self, u: Vector, v: Vector) -> Fraction:
         """The pairing <u,v> = -B(u,v) as a sum over the full root set."""
-        return 2 * sum((dot(a, u) * dot(a, v) for a in self.positive_roots), Fraction(0))
+        return killing_sum(self.positive_roots, u, v)
 
     def killing_ambient_gram(self) -> Matrix:
         """Ambient Gram matrix of the Killing pairing (PSD; definite on the span)."""
@@ -243,16 +251,12 @@ def build_root_system(type_label: str, rank: int) -> RootSystem:
 
     # Close the simple roots under simple reflections; for an irreducible
     # system this BFS reaches the whole root set.
-    def reflect(alpha: Vector, v: Vector) -> Vector:
-        c = Fraction(2) * dot(alpha, v) / dot(alpha, alpha)
-        return tuple(x - c * a for x, a in zip(v, alpha))
-
     roots = set(simples)
     frontier = list(simples)
     while frontier:
         v = frontier.pop()
         for a in simples:
-            w = reflect(a, v)
+            w = RootSystem.reflect(a, v)
             if w not in roots:
                 roots.add(w)
                 frontier.append(w)
@@ -264,27 +268,23 @@ def build_root_system(type_label: str, rank: int) -> RootSystem:
         coeffs = solve(basis_t, v)
         ints = tuple(int(c) for c in coeffs)
         if any(Fraction(i) != c for i, c in zip(ints, coeffs)):
-            raise InvalidInputError("non-integral root expansion (bug in realization)")
+            raise TheoremViolationError("non-integral root expansion (bug in realization)")
         if all(c >= 0 for c in ints) and any(ints):
             positives.append((ints, v))
         elif not all(c <= 0 for c in ints):
-            raise InvalidInputError("root with mixed-sign expansion (bug in realization)")
+            raise TheoremViolationError("root with mixed-sign expansion (bug in realization)")
     positives.sort(key=lambda p: (sum(p[0]), p[0]))
     expected = _POSITIVE_COUNTS[type_label](rank)
     if len(positives) != expected:
-        raise InvalidInputError("positive root count %d != classical %d for %s%d"
+        raise TheoremViolationError("positive root count %d != classical %d for %s%d (bug)"
                                 % (len(positives), expected, type_label, rank))
 
     cartan = tuple(tuple(int(2 * dot(a, b) / dot(b, b)) for b in simples) for a in simples)
 
     pos_roots = tuple(v for _, v in positives)
-
-    def killing(u: Vector, v: Vector) -> Fraction:
-        return 2 * sum((dot(a, u) * dot(a, v) for a in pos_roots), Fraction(0))
-
-    coroots = tuple(vscale(Fraction(2) / dot(a, a), a) for a in simples)
-    killing_gram = tuple(tuple(killing(bi, bj) for bj in coroots) for bi in coroots)
-    ratio = killing(simples[0], simples[0]) / dot(simples[0], simples[0])
+    coroots = tuple(RootSystem.coroot(a) for a in simples)
+    killing_gram = tuple(tuple(killing_sum(pos_roots, bi, bj) for bj in coroots) for bi in coroots)
+    ratio = killing_sum(pos_roots, simples[0], simples[0]) / dot(simples[0], simples[0])
 
     # Fundamental weights (dual to simple coroots) and coweights (dual to
     # simple roots), both inside the root span.
@@ -316,9 +316,9 @@ def build_root_system(type_label: str, rank: int) -> RootSystem:
     for i in range(rank):
         for j in range(rank):
             if dot(rs.fundamental_weights[i], rs.coroot(simples[j])) != (1 if i == j else 0):
-                raise InvalidInputError("fundamental weight duality failed (bug)")
+                raise TheoremViolationError("fundamental weight duality failed (bug)")
         if rs.killing_gram[i][i] <= 0:
-            raise InvalidInputError("killing gram not positive definite (bug)")
+            raise TheoremViolationError("killing gram not positive definite (bug)")
     return rs
 
 
@@ -376,5 +376,5 @@ def chamber_point(rs: RootSystem, coords: Sequence) -> ChamberPoint:
     for i, a in enumerate(rs.simple_roots):
         expected_zero = (i in singular)
         if (pt.evaluate_root(a) == 0) != expected_zero:
-            raise InvalidInputError("singular set inconsistent with realization (bug)")
+            raise TheoremViolationError("singular set inconsistent with realization (bug)")
     return pt

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import InvalidInputError, TheoremViolationError
-from .faces import FaceClassification, FaceDescriptor
+from .faces import FaceClassification, FaceDescriptor, phi_of_descriptor
 from .roots import RootSystem
 
 
@@ -56,26 +56,10 @@ def build_poset(classification: FaceClassification) -> StratumPoset:
     """Order the face types through the polytope lattice and check the
     stratification dimension inequalities."""
     rs = classification.root_system
-    group = classification.group
-    poly = classification.polytope
     nodes = classification.descriptors
-    perms = poly._permutations(group)
-
-    masks = []
-    for d in nodes:
-        m = 0
-        for i in d.sigma.vertex_indices:
-            m |= 1 << i
-        masks.append(m)
-    images = []
-    for d in nodes:
-        imgs = set()
-        for e in group.elements:
-            m = 0
-            for i in d.sigma.vertex_indices:
-                m |= 1 << perms[e.matrix][i]
-            imgs.add(m)
-        images.append(imgs)
+    masks = [sum(1 << i for i in d.sigma.vertex_indices) for d in nodes]
+    images = [{sum(1 << i for i in m) for m in phi_of_descriptor(classification, d).members}
+              for d in nodes]
 
     n = len(nodes)
     rel = [[False] * n for _ in range(n)]

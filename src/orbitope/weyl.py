@@ -1,19 +1,26 @@
-"""Weyl groups as explicit finite matrix groups over the rationals.
+"""Weyl groups given by their simple reflections, over the rationals.
 
-Elements act on simple-coroot coordinates by integer matrices (exact and
-hashable); the ambient action on the realization of t is recovered through
-the coroot basis.  Enumeration is a breadth-first closure over the simple
-reflections, so every stored word is reduced and the ordering is
-deterministic: by word length, then word, then matrix entries.
+A group holds the r simple-reflection matrices, which act on simple-coroot
+coordinates by integers (exact and hashable); the ambient action on the
+realization of t is recovered through the coroot basis.  The order |W| is
+the product of the degrees, read off the root heights (Kostant), so nothing
+on the CLI path enumerates W.  The full element list is a breadth-first
+closure over the simple reflections, built only when read (by
+`face_stabilizer`, and by the tests as an oracle): every stored word is
+reduced and the ordering is deterministic, by word length, then word, then
+matrix entries.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import prod
 from typing import Iterable, Sequence
 
-from .errors import CapExceededError, InvalidInputError
+from .errors import CapExceededError, InvalidInputError, TheoremViolationError
 from .linalg import Vector, dot, inverse, mat_mul, mat_vec, nullspace, transpose
 from .roots import ChamberPoint, RootSystem
 
@@ -30,41 +37,55 @@ class WeylElement:
     matrix: IntMatrix
     word: tuple[int, ...]
 
-    @property
-    def length(self) -> int:
-        return len(self.word)
-
 
 class WeylGroup:
-    """The full Weyl group of a root system, explicitly enumerated."""
+    """The Weyl group of a root system, given by its simple reflections."""
 
-    def __init__(self, root_system: RootSystem, elements: tuple[WeylElement, ...]):
+    def __init__(self, root_system: RootSystem):
         self.root_system = root_system
-        self.elements = elements
-        self.word_index = {e.matrix: e.word for e in elements}
-        self.generators = tuple(e for e in elements if e.length == 1)
         r = root_system.rank
+        self.generators = tuple(WeylElement(matrix=_generator_matrix(root_system, i), word=(i,))
+                                for i in range(r))
+        # The exponents are the partition dual to the numbers of positive
+        # roots of each height; |W| is the product of the degrees 1 + m.
+        heights = Counter(sum(c) for c in root_system.positive_coords).values()
+        self.order = prod(1 + sum(1 for n in heights if n >= j) for j in range(1, r + 1))
         coroots = [root_system.coroot(a) for a in root_system.simple_roots]
         #: ambient coroot-basis matrix (columns are simple coroots)
         self._basis = transpose(tuple(coroots))
         bt = tuple(coroots)
         gram = tuple(tuple(dot(u, v) for v in coroots) for u in coroots)
         self._left_inv = mat_mul(inverse(gram), bt)
-        self._identity = tuple(tuple(1 if i == j else 0 for j in range(r)) for i in range(r))
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return self.order
 
-    def __iter__(self):
-        return iter(self.elements)
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
+    @cached_property
+    def elements(self) -> tuple[WeylElement, ...]:
+        """Every element, by closing the simple reflections breadth first."""
+        identity = self.identity.matrix
+        words: dict[IntMatrix, tuple[int, ...]] = {identity: ()}
+        layer = [identity]
+        while layer:
+            next_layer = []
+            for m in sorted(layer):
+                for gen in self.generators:
+                    nm = _int_mat_mul(gen.matrix, m)
+                    if nm not in words:
+                        words[nm] = gen.word + words[m]
+                        next_layer.append(nm)
+            layer = next_layer
+        if len(words) != self.order:
+            raise TheoremViolationError("enumerated %d Weyl group elements of %s, expected %d (bug)"
+                                        % (len(words), self.root_system.name, self.order))
+        return tuple(WeylElement(matrix=m, word=w)
+                     for m, w in sorted(words.items(), key=lambda kv: (len(kv[1]), kv[1], kv[0])))
 
     @property
     def identity(self) -> WeylElement:
-        return self.elements[0]
+        r = self.root_system.rank
+        return WeylElement(matrix=tuple(tuple(int(i == j) for j in range(r)) for i in range(r)),
+                           word=())
 
     def apply(self, element: WeylElement, v: Vector) -> Vector:
         """Action on an ambient vector of the root span."""
@@ -106,35 +127,19 @@ def _int_mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 
 
 def build_weyl_group(rs: RootSystem, cap: int = DEFAULT_WEYL_CAP) -> WeylGroup:
-    """Enumerate the Weyl group by closing the simple reflections.
+    """The Weyl group of a root system, from its simple reflections.
 
-    Rejects groups larger than `cap` (desk-scale guard).
+    Rejects groups larger than `cap` (desk-scale guard: |W| bounds the orbit
+    closure, which runs before the hull cap is checked).
     """
-    r = rs.rank
-    gens = [_generator_matrix(rs, i) for i in range(r)]
-    identity = tuple(tuple(1 if i == j else 0 for j in range(r)) for i in range(r))
-    words: dict[IntMatrix, tuple[int, ...]] = {identity: ()}
-    layer = [identity]
-    while layer:
-        next_layer = []
-        for m in sorted(layer):
-            for i in range(r):
-                nm = _int_mat_mul(gens[i], m)
-                if nm not in words:
-                    words[nm] = (i,) + words[m]
-                    next_layer.append(nm)
-                    if len(words) > cap:
-                        raise CapExceededError(
-                            "Weyl group of %s has more than %d elements; "
-                            "raise the cap to proceed" % (rs.name, cap))
-        layer = next_layer
-    elements = tuple(WeylElement(matrix=m, word=w)
-                     for m, w in sorted(words.items(), key=lambda kv: (len(kv[1]), kv[1], kv[0])))
-    group = WeylGroup(rs, elements)
-    for i, gen in enumerate(group.generators):
+    group = WeylGroup(rs)
+    if group.order > cap:
+        raise CapExceededError("Weyl group of %s has more than %d elements; "
+                               "raise the cap to proceed" % (rs.name, cap))
+    for gen, alpha in zip(group.generators, rs.simple_roots):
         for a in rs.simple_roots:
-            if group.apply(gen, a) != rs.reflect(rs.simple_roots[gen.word[0]], a):
-                raise InvalidInputError("generator action mismatch (bug)")
+            if group.apply(gen, a) != rs.reflect(alpha, a):
+                raise TheoremViolationError("generator action mismatch (bug)")
     return group
 
 
@@ -159,33 +164,23 @@ def weyl_orbit(group: WeylGroup, x: ChamberPoint | Vector,
                 frontier.append(w)
     orbit = tuple(sorted(seen))
     if generator_indices is None and group.order % len(orbit) != 0:
-        raise InvalidInputError("orbit size %d does not divide |W| = %d (bug)"
-                                % (len(orbit), group.order))
+        raise TheoremViolationError("orbit size %d does not divide |W| = %d (bug)"
+                                    % (len(orbit), group.order))
     return orbit
 
 
-def vertex_permutations(group: WeylGroup, vectors: Sequence[Vector]) -> dict[IntMatrix, tuple[int, ...]]:
-    """Permutation action of every element on a W-stable list of vectors.
+def vertex_permutations(group: WeylGroup, vectors: Sequence[Vector]) -> tuple[tuple[int, ...], ...]:
+    """Permutation action of each simple reflection on a W-stable list of vectors.
 
-    Raises InvalidInputError if the list is not stable under the group.
+    Entry i sends the index of v to the index of s_i(v).  Raises
+    InvalidInputError if the list is not stable under the group.
     """
     rs = group.root_system
     index = {v: i for i, v in enumerate(vectors)}
-    gen_perms: dict[int, tuple[int, ...]] = {}
-    for gen in group.generators:
-        i = gen.word[0]
-        images = []
-        for v in vectors:
-            w = rs.reflect(rs.simple_roots[i], v)
-            if w not in index:
-                raise InvalidInputError("vertex set is not stable under the Weyl group")
-            images.append(index[w])
-        gen_perms[i] = tuple(images)
-    perms: dict[tuple[int, ...], tuple[int, ...]] = {(): tuple(range(len(vectors)))}
-    for e in sorted(group.elements, key=lambda e: (e.length, e.word)):
-        if e.word in perms:
-            continue
-        parent = perms[e.word[1:]]
-        head = gen_perms[e.word[0]]
-        perms[e.word] = tuple(head[j] for j in parent)
-    return {e.matrix: perms[e.word] for e in group.elements}
+    perms = []
+    for alpha in rs.simple_roots:
+        images = tuple(index.get(rs.reflect(alpha, v)) for v in vectors)
+        if None in images:
+            raise InvalidInputError("vertex set is not stable under the Weyl group")
+        perms.append(images)
+    return tuple(perms)

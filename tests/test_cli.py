@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from orbitope.cli import RunConfig, main, parse_config, run
 
 
@@ -180,3 +182,42 @@ def test_out_into_missing_directory_exits_1(capsys, tmp_path):
     line = _exits_1_with_one_error_line(capsys, _A2 + ["--out", str(path)])
     assert str(path) in line
     assert not path.exists()
+
+
+@pytest.mark.parametrize("type_label,rank,point,weyl_cap", [
+    ("D", 5, "0,1,0,0,1", 2000), ("E", 6, "1,0,0,0,0,0", 60000)])
+def test_branched_diagrams_verify(type_label, rank, point, weyl_cap):
+    """Faces whose I has a D or E component number their marked nodes by index."""
+    code, text = run(_cfg(command="verify-all", type_label=type_label, rank=rank,
+                          point=tuple(point.split(",")), weyl_cap=weyl_cap))
+    assert code == 0, text
+    report = json.loads(text)
+    assert report["bijection_verified"] is True
+    branched = [c for f in report["faces"] if f["parabolic"]
+                for c in f["parabolic"]["ext_type"]["components"] if c["type"][0] in "DE"]
+    assert branched
+
+
+def test_corrupted_generator_exits_2(monkeypatch):
+    """An internal cross-check failure in the group exits 2, not 1."""
+    from orbitope import weyl
+    original = weyl._generator_matrix
+    monkeypatch.setattr(weyl, "_generator_matrix",
+                        lambda rs, i: original(rs, (i + 1) % rs.rank))
+    code, text = run(_cfg())
+    assert code == 2
+    assert "generator action mismatch" in text
+
+
+def test_verify_all_never_enumerates_the_group(monkeypatch):
+    from orbitope.weyl import WeylGroup
+
+    def fail(self):
+        raise AssertionError("the CLI path enumerated W")
+
+    monkeypatch.setattr(WeylGroup, "elements", property(fail))
+    for type_label, rank, point in (("A", 3, "1,1,1"), ("D", 4, "1,1,1,1")):
+        code, text = run(_cfg(command="verify-all", type_label=type_label, rank=rank,
+                              point=tuple(point.split(","))))
+        assert code == 0, text
+        assert json.loads(text)["bijection_verified"] is True

@@ -157,11 +157,21 @@ def test_act_on_faces_orbit_counts():
     assert [len(orbits2[d]) for d in (0, 1, 2)] == [1, 1, 1]
 
 
-def test_act_on_faces_identity_only():
-    _, group, hexa = _orbit_polytope("A", 2, (1, 1))
-    orbits = act_on_faces(group, hexa, elements=(group.identity,))
-    for d, faces in hexa.face_lattice.items():
-        assert len(orbits[d]) == len(faces)
+def test_act_on_faces_matches_enumerated_group():
+    """Orbits closed under the simple reflections equal the images of each
+    face under every enumerated element, applied to its vertices."""
+    for args in [("A", 2, (1, 1)), ("B", 3, (1, 0, 1)), ("G", 2, (1, 1)),
+                 ("D", 4, (0, 1, 0, 0))]:
+        _, group, p = _orbit_polytope(*args)
+        index = {v: i for i, v in enumerate(p.vertices)}
+        images = [tuple(index[group.apply(e, v)] for v in p.vertices) for e in group.elements]
+        for dim, orbits in act_on_faces(group, p).items():
+            assert sorted(m for o in orbits for m in o.members) == \
+                [f.vertex_indices for f in p.face_lattice[dim]]
+            for o in orbits:
+                assert o.representative == o.members[0]
+                assert set(o.members) == {tuple(sorted(img[i] for i in o.representative))
+                                          for img in images}
 
 
 def test_act_on_faces_rejects_unstable_vertices():

@@ -1,4 +1,4 @@
-"""Weyl group enumeration, words, orbits, caps."""
+"""Weyl group order, enumeration, words, orbits, caps."""
 
 from __future__ import annotations
 
@@ -7,7 +7,8 @@ from fractions import Fraction as Q
 import pytest
 
 from conftest import get_group, get_point, get_rs
-from orbitope import CapExceededError, build_weyl_group, weyl_orbit
+from orbitope import (CapExceededError, TheoremViolationError, build_weyl_group,
+                      weyl_orbit)
 from orbitope.weyl import vertex_permutations
 
 ORDERS = [("A", 1, 2), ("A", 2, 6), ("A", 3, 24), ("B", 2, 8), ("B", 3, 48),
@@ -16,7 +17,24 @@ ORDERS = [("A", 1, 2), ("A", 2, 6), ("A", 3, 24), ("B", 2, 8), ("B", 3, 48),
 
 @pytest.mark.parametrize("label,rank,order", ORDERS)
 def test_group_orders(label, rank, order):
-    assert get_group(label, rank).order == order
+    group = get_group(label, rank)
+    assert group.order == order
+    assert len(group.elements) == order
+
+
+@pytest.mark.parametrize("rank,order", [(6, 51840), (7, 2903040), (8, 696729600)])
+def test_type_e_orders_without_enumeration(rank, order):
+    """|W| is the product of the degrees; nothing is enumerated to get it."""
+    group = build_weyl_group(get_rs("E", rank), cap=10 ** 9)
+    assert group.order == len(group) == order
+    assert "elements" not in vars(group)
+
+
+def test_enumeration_checks_the_order(monkeypatch):
+    group = build_weyl_group(get_rs("A", 2))
+    monkeypatch.setattr(group, "order", 5)
+    with pytest.raises(TheoremViolationError):
+        group.elements
 
 
 def test_generators_square_to_identity():
@@ -113,9 +131,15 @@ def test_enumeration_is_deterministic():
 
 
 def test_vertex_permutations_compose_correctly():
+    """The generator permutations, composed along each reduced word, act as
+    the element's matrix does."""
     group = get_group("A", 2)
     orbit = weyl_orbit(group, get_point("A", 2, (1, 1)))
     perms = vertex_permutations(group, orbit)
+    assert len(perms) == group.root_system.rank
     for e in group.elements:
         for i, v in enumerate(orbit):
-            assert orbit[perms[e.matrix][i]] == group.apply(e, v)
+            j = i
+            for k in reversed(e.word):
+                j = perms[k][j]
+            assert orbit[j] == group.apply(e, v)
