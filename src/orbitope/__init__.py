@@ -19,8 +19,7 @@ from .numeric import (AscentResult, HessianReport, MatrixOrbitPoint, ascend,
 from .polytope import (ExactPolytope, FaceOrbit, Facet, PolytopeFace,
                        act_on_faces, face_stabilizer, fixed_vector_in_cone,
                        hull, support_set)
-from .roots import (ChamberPoint, RootSystem, build_root_system,
-                    chamber_point, killing_pairing)
+from .roots import ChamberPoint, RootSystem, build_root_system, chamber_point
 from .strata import StratumDims, StratumPoset, build_poset, stratum_dim
 from .weyl import WeylElement, WeylGroup, build_weyl_group, weyl_orbit
 
@@ -36,7 +35,7 @@ __all__ = [
     "build_weyl_group", "chamber_point", "check_integral", "classify_faces",
     "face_stabilizer", "fixed_vector_in_cone", "full_weight_data",
     "hessian_signature", "hull",
-    "induce_face_weight", "killing_pairing", "matrix_orbit_point", "parabolic_report",
+    "induce_face_weight", "matrix_orbit_point", "parabolic_report",
     "phi_of_descriptor", "psi_of_polytope_face", "saturate", "stratum_dim",
     "support_set", "verify_face_numeric", "weyl_orbit", "x_connected_subsets",
 ]

@@ -18,7 +18,7 @@ from fractions import Fraction
 from .errors import InvalidInputError
 from .faces import FaceDescriptor
 from .linalg import Vector, lincomb, project_onto_span, solve, vscale
-from .roots import ChamberPoint, RootSystem, killing_sum
+from .roots import ChamberPoint, KillingForm, RootSystem
 
 
 @dataclass(frozen=True)
@@ -60,10 +60,9 @@ def check_integral(rs: RootSystem, x: ChamberPoint) -> WeightData:
                       pairings=tuple(rows))
 
 
-def sub_killing(rs: RootSystem, root_indices: tuple[int, ...]):
+def sub_killing(rs: RootSystem, root_indices: tuple[int, ...]) -> KillingForm:
     """The Killing pairing of the subalgebra spanned by a root subsystem."""
-    roots = [rs.positive_roots[k] for k in root_indices]
-    return lambda u, v: killing_sum(roots, u, v)
+    return KillingForm.of([rs.positive_roots[k] for k in root_indices], rs.ambient_dim)
 
 
 def induce_face_weight(rs: RootSystem, x: ChamberPoint, d: FaceDescriptor) -> FaceWeight:

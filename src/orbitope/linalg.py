@@ -218,6 +218,12 @@ def common_denominator(entries: Iterable[Fraction]) -> int:
     return lcm(*(f.denominator for f in entries))
 
 
+def integral_rows(m: Sequence[Sequence[Fraction]]) -> tuple[list[tuple[int, ...]], int]:
+    """The rows of s*m for the least positive integer s making it integral, and s."""
+    scale = common_denominator(x for row in m for x in row)
+    return [tuple(x.numerator * (scale // x.denominator) for x in row) for row in m], scale
+
+
 def frac_str(x: Fraction) -> str:
     """Compact 'p' or 'p/q' rendering used in all reports."""
     return str(x.numerator) if x.denominator == 1 else "%d/%d" % (x.numerator, x.denominator)

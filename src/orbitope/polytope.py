@@ -25,8 +25,8 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import CapExceededError, InvalidInputError, TheoremViolationError
-from .linalg import (Matrix, Vector, common_denominator, dot, identity,
-                     int_dot, int_rank, inverse, lincomb, mat_mul, mat_vec,
+from .linalg import (Matrix, Vector, dot, identity, int_dot, int_rank,
+                     integral_rows, inverse, lincomb, mat_mul, mat_vec,
                      nullspace, primitive, rref, transpose, vadd, vec, vscale,
                      vsub, zero_vec)
 from .weyl import WeylElement, WeylGroup, vertex_permutations
@@ -162,7 +162,7 @@ class ExactPolytope:
     @cached_property
     def _integral_vertices(self) -> tuple[list[tuple[int, ...]], int]:
         """The vertices times their common denominator, and that denominator."""
-        return _integral(self.vertices)
+        return integral_rows(self.vertices)
 
     # -- basic queries ------------------------------------------------------
 
@@ -278,9 +278,9 @@ def hull(points: Sequence[Sequence], gram: Matrix | None = None,
     # dot products of n^T G and the vertices, both scaled to integers.
     pair_gram = mat_mul(dir_basis, transpose(dir_basis) if gram is None
                         else mat_mul(gram, transpose(dir_basis)))
-    to_normal = _integral(mat_mul(transpose(dir_basis), inverse(pair_gram)))[0]
-    gram_t, gram_scale = _integral(transpose(gram)) if gram is not None else (None, 1)
-    vertex_ints, vertex_scale = _integral(vertex_pts)
+    to_normal = integral_rows(mat_mul(transpose(dir_basis), inverse(pair_gram)))[0]
+    gram_t, gram_scale = integral_rows(transpose(gram)) if gram is not None else (None, 1)
+    vertex_ints, vertex_scale = integral_rows(vertex_pts)
     value_scale = gram_scale * vertex_scale
 
     facets = []
@@ -324,12 +324,6 @@ def _bits(mask: int) -> tuple[int, ...]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return tuple(out)
-
-
-def _integral(m: Sequence[Sequence[Fraction]]) -> tuple[list[tuple[int, ...]], int]:
-    """The rows of s*m for the least positive integer s making it integral, and s."""
-    scale = common_denominator(x for row in m for x in row)
-    return [tuple(int(x * scale) for x in row) for row in m], scale
 
 
 def _dd_rays(rows: Sequence[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
@@ -417,7 +411,7 @@ def support_set(p: ExactPolytope, u: Sequence) -> tuple[PolytopeFace, Fraction]:
     if all(x == 0 for x in uv):
         raise InvalidInputError("exposed faces require nonzero u")
     gu = uv if p.gram is None else mat_vec(p.gram, uv)
-    (gu_ints,), gu_scale = _integral([gu])
+    (gu_ints,), gu_scale = integral_rows([gu])
     vertex_ints, vertex_scale = p._integral_vertices
     values = [int_dot(v, gu_ints) for v in vertex_ints]
     h = max(values)

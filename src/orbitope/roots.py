@@ -7,18 +7,25 @@ the Cartan subalgebra t is represented by the ambient vector X with
 in these real coordinates the complexified chamber condition -i*alpha(v) > 0
 reads d(alpha, v) > 0.  The Killing pairing is the literal trace-form sum
 Sum_{alpha in Delta} d(alpha,u)*d(alpha,v), i.e. the honest -B restricted to t
-under that dictionary, not a short-root normalization.
+under that dictionary, not a short-root normalization.  It is held as the Gram
+matrix of that sum, computed once per root list and kept as integers over a
+common denominator, so every pairing equals the sum exactly.
+
+The root system is closed in simple-root coordinates, which are integers: the
+simple reflection s_i sends b to b - (Sum_j b_j C[j][i]) e_i, C the Cartan
+matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .errors import InvalidInputError, TheoremViolationError
-from .linalg import (Matrix, Vector, dot, inverse, lincomb, mat_vec, solve,
-                     transpose, vadd, vec, vscale, vsub)
+from .linalg import (Matrix, Vector, dot, int_dot, integral_rows, inverse,
+                     lincomb, mat_vec, transpose, vadd, vec, vscale, vsub)
 
 #: admissible ranks per Cartan letter (rank 8 is the desk-scale ceiling)
 VALID_RANKS = {
@@ -81,10 +88,37 @@ def _simple_root_realization(type_label: str, rank: int) -> tuple[int, tuple[Vec
     return m, ((a1, a2) + chain)[:rank]
 
 
-def killing_sum(roots: Sequence[Vector], u: Vector, v: Vector) -> Fraction:
-    """2 * Sum d(a,u)*d(a,v) over the positive roots given: the Killing pairing
-    of the (sub)algebra whose positive roots they are."""
-    return 2 * sum((dot(a, u) * dot(a, v) for a in roots), Fraction(0))
+@dataclass(frozen=True)
+class KillingForm:
+    """The pairing 2 * Sum d(a,u)*d(a,v) over a list of positive roots a: the
+    Killing pairing of the (sub)algebra whose positive roots they are.
+
+    With the roots scaled to integers a' = d*a, the sum is u^T N v / d^2 for
+    N = 2 * Sum a' a'^T, so the form is held as the integer matrix N over d^2.
+    """
+
+    matrix: tuple[tuple[int, ...], ...]
+    denominator: int
+
+    @classmethod
+    def of(cls, roots: Sequence[Vector], dim: int) -> "KillingForm":
+        scaled, d = integral_rows(roots)
+        matrix = tuple(tuple(2 * sum(a[i] * a[j] for a in scaled) for j in range(dim))
+                       for i in range(dim))
+        return cls(matrix=matrix, denominator=d * d)
+
+    def __call__(self, u: Vector, v: Vector) -> Fraction:
+        if not len(u) == len(v) == len(self.matrix):
+            raise ValueError("dimension mismatch: %d, %d vs %d"
+                             % (len(u), len(v), len(self.matrix)))
+        (iu,), du = integral_rows([u])
+        (iv,), dv = integral_rows([v])
+        total = sum(c * int_dot(row, iv) for c, row in zip(iu, self.matrix) if c)
+        return Fraction(total, self.denominator * du * dv)
+
+    def gram(self) -> Matrix:
+        """The form's matrix in the ambient unit basis, as exact fractions."""
+        return tuple(tuple(Fraction(n, self.denominator) for n in row) for row in self.matrix)
 
 
 @dataclass(frozen=True)
@@ -133,15 +167,18 @@ class RootSystem:
         c = Fraction(2) * dot(alpha, v) / dot(alpha, alpha)
         return tuple(x - c * a for x, a in zip(v, alpha))
 
+    @cached_property
+    def killing_form(self) -> KillingForm:
+        """The Killing pairing of the positive roots, built once per system."""
+        return KillingForm.of(self.positive_roots, self.ambient_dim)
+
     def killing(self, u: Vector, v: Vector) -> Fraction:
-        """The pairing <u,v> = -B(u,v) as a sum over the full root set."""
-        return killing_sum(self.positive_roots, u, v)
+        """The pairing <u,v> = -B(u,v), the sum over the full root set."""
+        return self.killing_form(u, v)
 
     def killing_ambient_gram(self) -> Matrix:
         """Ambient Gram matrix of the Killing pairing (PSD; definite on the span)."""
-        m = self.ambient_dim
-        units = [_unit(m, i) for i in range(m)]
-        return tuple(tuple(self.killing(units[i], units[j]) for j in range(m)) for i in range(m))
+        return self.killing_form.gram()
 
     def root_label(self, i: int) -> str:
         return "a%d" % (i + 1)
@@ -149,7 +186,7 @@ class RootSystem:
     # -- Dynkin diagram combinatorics --------------------------------------
 
     def adjacent(self, i: int, j: int) -> bool:
-        return i != j and dot(self.simple_roots[i], self.simple_roots[j]) != 0
+        return i != j and self.cartan_matrix[i][j] != 0
 
     def components(self, subset: Sequence[int]) -> tuple[tuple[int, ...], ...]:
         """Connected components of a simple-root subset, ordered by least index."""
@@ -249,46 +286,51 @@ def build_root_system(type_label: str, rank: int) -> RootSystem:
             (type_label, rank, type_label, list(VALID_RANKS[type_label])))
     ambient_dim, simples = _simple_root_realization(type_label, rank)
 
-    # Close the simple roots under simple reflections; for an irreducible
-    # system this BFS reaches the whole root set.
-    roots = set(simples)
-    frontier = list(simples)
+    cartan_q = tuple(tuple(2 * dot(a, b) / dot(b, b) for b in simples) for a in simples)
+    if any(c.denominator != 1 for row in cartan_q for c in row):
+        raise TheoremViolationError("non-integral Cartan entry (bug in realization)")
+    cartan = tuple(tuple(int(c) for c in row) for row in cartan_q)
+
+    # Close the simple roots under the simple reflections in simple-root
+    # coordinates; for an irreducible system this BFS reaches the whole root
+    # set, which has twice as many roots as the classical positive count.
+    expected = _POSITIVE_COUNTS[type_label](rank)
+    units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    roots = set(units)
+    frontier = list(units)
     while frontier:
-        v = frontier.pop()
-        for a in simples:
-            w = RootSystem.reflect(a, v)
+        b = frontier.pop()
+        for i in range(rank):
+            pairing = sum(bj * cartan[j][i] for j, bj in enumerate(b))
+            w = b[:i] + (b[i] - pairing,) + b[i + 1:]
             if w not in roots:
                 roots.add(w)
                 frontier.append(w)
+        if len(roots) > 2 * expected:
+            raise TheoremViolationError(
+                "root closure exceeds %d roots: the Cartan matrix of %s%d is not of "
+                "finite type (bug in realization)" % (2 * expected, type_label, rank))
 
-    # Expand each root on the simple basis; keep the nonnegative ones.
-    basis_t = transpose(simples)
-    positives: list[tuple[tuple[int, ...], Vector]] = []
-    for v in roots:
-        coeffs = solve(basis_t, v)
-        ints = tuple(int(c) for c in coeffs)
-        if any(Fraction(i) != c for i, c in zip(ints, coeffs)):
-            raise TheoremViolationError("non-integral root expansion (bug in realization)")
-        if all(c >= 0 for c in ints) and any(ints):
-            positives.append((ints, v))
-        elif not all(c <= 0 for c in ints):
+    # Keep the nonnegative coordinate vectors; each root is one sign.
+    coords: list[tuple[int, ...]] = []
+    for b in roots:
+        if all(c >= 0 for c in b):
+            coords.append(b)
+        elif not all(c <= 0 for c in b):
             raise TheoremViolationError("root with mixed-sign expansion (bug in realization)")
-    positives.sort(key=lambda p: (sum(p[0]), p[0]))
-    expected = _POSITIVE_COUNTS[type_label](rank)
-    if len(positives) != expected:
+    coords.sort(key=lambda b: (sum(b), b))
+    if len(coords) != expected:
         raise TheoremViolationError("positive root count %d != classical %d for %s%d (bug)"
-                                % (len(positives), expected, type_label, rank))
+                                    % (len(coords), expected, type_label, rank))
 
-    cartan = tuple(tuple(int(2 * dot(a, b) / dot(b, b)) for b in simples) for a in simples)
-
-    pos_roots = tuple(v for _, v in positives)
+    pos_roots = tuple(lincomb(b, simples) for b in coords)
     coroots = tuple(RootSystem.coroot(a) for a in simples)
-    killing_gram = tuple(tuple(killing_sum(pos_roots, bi, bj) for bj in coroots) for bi in coroots)
-    ratio = killing_sum(pos_roots, simples[0], simples[0]) / dot(simples[0], simples[0])
+    form = KillingForm.of(pos_roots, ambient_dim)
+    killing_gram = tuple(tuple(form(bi, bj) for bj in coroots) for bi in coroots)
+    ratio = form(simples[0], simples[0]) / dot(simples[0], simples[0])
 
     # Fundamental weights (dual to simple coroots) and coweights (dual to
     # simple roots), both inside the root span.
-    cartan_q = tuple(tuple(Fraction(x) for x in row) for row in cartan)
     inv_ct = inverse(transpose(cartan_q))
     inv_c = inverse(cartan_q)
     weights = []
@@ -306,13 +348,14 @@ def build_root_system(type_label: str, rank: int) -> RootSystem:
         ambient_dim=ambient_dim,
         simple_roots=simples,
         positive_roots=pos_roots,
-        positive_coords=tuple(c for c, _ in positives),
+        positive_coords=tuple(coords),
         cartan_matrix=cartan,
         killing_gram=killing_gram,
         fundamental_weights=tuple(weights),
         fundamental_coweights=tuple(coweights),
         killing_ratio=ratio,
     )
+    rs.__dict__["killing_form"] = form  # the cache of the killing_form property
     for i in range(rank):
         for j in range(rank):
             if dot(rs.fundamental_weights[i], rs.coroot(simples[j])) != (1 if i == j else 0):
@@ -320,11 +363,6 @@ def build_root_system(type_label: str, rank: int) -> RootSystem:
         if rs.killing_gram[i][i] <= 0:
             raise TheoremViolationError("killing gram not positive definite (bug)")
     return rs
-
-
-def killing_pairing(rs: RootSystem, h1: Vector, h2: Vector) -> Fraction:
-    """Functional form of the Killing pairing on t (see RootSystem.killing)."""
-    return rs.killing(vec(h1), vec(h2))
 
 
 @dataclass(frozen=True)

@@ -209,6 +209,18 @@ def test_corrupted_generator_exits_2(monkeypatch):
     assert "generator action mismatch" in text
 
 
+def test_non_finite_cartan_matrix_exits_2(monkeypatch):
+    """Simples with the affine Cartan matrix [[2,-2],[-2,2]] generate infinitely
+    many reflection images: the root closure stops and exits 2, not hangs."""
+    from orbitope import roots
+    from orbitope.linalg import vec
+    monkeypatch.setattr(roots, "_simple_root_realization",
+                        lambda type_label, rank: (2, (vec([1, 0]), vec([-1, 0]))))
+    code, text = run(_cfg())
+    assert code == 2
+    assert "not of finite type" in text
+
+
 def test_verify_all_never_enumerates_the_group(monkeypatch):
     from orbitope.weyl import WeylGroup
 

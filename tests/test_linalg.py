@@ -102,3 +102,10 @@ def test_lincomb_and_common_denominator():
     assert lincomb((Q(1, 2), Q(-3)), (vec([2, 4]), vec([1, Q(1, 3)]))) == vec([-2, 1])
     assert common_denominator((Q(1, 6), Q(3, 4), Q(2))) == 12
     assert common_denominator(()) == 1
+
+
+def test_integral_rows_share_the_least_scale():
+    from orbitope.linalg import integral_rows
+    assert integral_rows([vec([Q(1, 2), 1]), vec([Q(-2, 3), 0])]) == ([(3, 6), (-4, 0)], 6)
+    assert integral_rows([vec([1, -2])]) == ([(1, -2)], 1)
+    assert integral_rows([]) == ([], 1)

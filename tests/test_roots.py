@@ -5,11 +5,17 @@ from __future__ import annotations
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from conftest import get_group, get_point, get_rs
-from orbitope import InvalidInputError, build_root_system, chamber_point, killing_pairing
-from orbitope.linalg import dot, vadd, vscale, zero_vec
+from orbitope import InvalidInputError, build_root_system, chamber_point
+from orbitope.integrality import sub_killing
+from orbitope.linalg import dot, solve, transpose, vadd, vec, vscale, zero_vec
+from orbitope.roots import VALID_RANKS
 from orbitope.weyl import weyl_orbit
+
+PAIRS = [(t, r) for t in sorted(VALID_RANKS) for r in VALID_RANKS[t]]
 
 POSITIVE_COUNTS = [
     ("A", 2, 3), ("G", 2, 6), ("B", 3, 9), ("A", 1, 1), ("A", 4, 10),
@@ -72,7 +78,7 @@ def test_killing_pairing_a1_coroot_by_defining_sum():
     alpha = rs.simple_roots[0]
     h = rs.coroot(alpha)
     expected = sum(dot(g, h) * dot(g, h) for g in (alpha, vscale(Q(-1), alpha)))
-    assert killing_pairing(rs, h, h) == expected == 8
+    assert rs.killing(vec(h), vec(h)) == expected == 8
 
 
 def test_killing_gram_a2_offdiagonal_by_defining_sum():
@@ -92,7 +98,7 @@ def test_killing_gram_a2_offdiagonal_by_defining_sum():
 def test_killing_is_bilinear_and_vanishes_at_zero():
     rs = get_rs("B", 2)
     h = rs.fundamental_weights[0]
-    assert killing_pairing(rs, zero_vec(rs.ambient_dim), h) == 0
+    assert rs.killing(vec(zero_vec(rs.ambient_dim)), vec(h)) == 0
 
 
 def test_killing_weyl_invariance():
@@ -151,3 +157,73 @@ def test_fundamental_weight_coweight_duality():
     for i, w in enumerate(rs.fundamental_coweights):
         for j, a in enumerate(rs.simple_roots):
             assert dot(w, a) == (1 if i == j else 0)
+
+
+def _defining_sum(roots, u, v):
+    """Oracle: the Killing pairing 2 * Sum d(a,u)*d(a,v) over the positive roots given."""
+    return 2 * sum((dot(a, u) * dot(a, v) for a in roots), Q(0))
+
+
+@pytest.mark.parametrize("label,rank", PAIRS)
+def test_killing_ambient_gram_equals_defining_sum(label, rank):
+    rs = get_rs(label, rank)
+    m = rs.ambient_dim
+    # the defining sum at unit vectors e_i, e_j, where d(a, e_i) = a[i]
+    assert rs.killing_ambient_gram() == tuple(
+        tuple(2 * sum((a[i] * a[j] for a in rs.positive_roots), Q(0)) for j in range(m))
+        for i in range(m))
+
+
+#: small rationals in the largest ambient dimension (9, for A8); each pair reads a prefix
+_VECTORS = st.lists(st.builds(Q, st.integers(-6, 6), st.integers(1, 4)), min_size=9, max_size=9)
+
+
+# no shrinking: each example runs every pair, so a shrink would take minutes
+@settings(derandomize=True, deadline=None, database=None, max_examples=15,
+          phases=(Phase.explicit, Phase.generate))
+@given(u=_VECTORS, v=_VECTORS, subset=st.sets(st.integers(0, 7)))
+def test_killing_form_equals_defining_sum(u, v, subset):
+    """On every admitted pair, the Killing form and the form of the subsystem
+    on a simple-root subset agree exactly with the sum over the roots."""
+    for label, rank in PAIRS:
+        rs = get_rs(label, rank)
+        uu, vv = tuple(u[:rs.ambient_dim]), tuple(v[:rs.ambient_dim])
+        assert rs.killing(uu, vv) == _defining_sum(rs.positive_roots, uu, vv), rs.name
+        idx = rs.subsystem_positive([i for i in subset if i < rank])
+        roots = [rs.positive_roots[k] for k in idx]
+        assert sub_killing(rs, idx)(uu, vv) == _defining_sum(roots, uu, vv), rs.name
+
+
+def _closure_oracle(simples):
+    """Oracle: close the simple roots under their reflections as Fraction
+    vectors and expand each root on the simple basis by an exact solve."""
+    def reflect(a, v):
+        c = 2 * dot(a, v) / dot(a, a)
+        return tuple(x - c * y for x, y in zip(v, a))
+
+    roots = set(simples)
+    frontier = list(simples)
+    while frontier:
+        v = frontier.pop()
+        for a in simples:
+            w = reflect(a, v)
+            if w not in roots:
+                roots.add(w)
+                frontier.append(w)
+    basis_t = transpose(simples)
+    positives = []
+    for v in roots:
+        coeffs = solve(basis_t, v)
+        assert all(c.denominator == 1 for c in coeffs)
+        if all(c >= 0 for c in coeffs):
+            positives.append((tuple(int(c) for c in coeffs), v))
+    positives.sort(key=lambda p: (sum(p[0]), p[0]))
+    return tuple(v for _, v in positives), tuple(c for c, _ in positives)
+
+
+@pytest.mark.parametrize("label,rank", PAIRS)
+def test_root_closure_matches_fraction_oracle(label, rank):
+    """The integer closure in simple-root coordinates gives the roots of the
+    Fraction reflection closure, in the same order."""
+    rs = get_rs(label, rank)
+    assert (rs.positive_roots, rs.positive_coords) == _closure_oracle(rs.simple_roots)
