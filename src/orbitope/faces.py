@@ -7,6 +7,11 @@ conv(W . x); all cross-checks (exposedness, the bijection with W-classes of
 polytope faces, containment order) run against that shadow in exact rational
 arithmetic.  Extreme sets in the Lie algebra are never materialized: they are
 infinite orbits and the pair (I, J) determines them.
+
+Each combinatorial fact is derived once.  W_J.x is the closure of x's vertex
+index under the generator permutations of J, the same permutations that
+partition every lattice level into W-classes (`act_on_faces`); psi and phi
+read that partition instead of closing orbits again.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InvalidInputError, TheoremViolationError
-from .linalg import Vector, dot, vadd, zero_vec
+from .linalg import Vector, dot, lincomb
 from .polytope import (DEFAULT_HULL_CAP, ExactPolytope, FaceOrbit,
                        PolytopeFace, act_on_faces, face_orbit, hull, support_set)
 from .roots import ChamberPoint, RootSystem
@@ -148,7 +153,8 @@ def classify_faces(rs: RootSystem, group: WeylGroup, x: ChamberPoint,
     if poly.vertices != orbit:
         raise TheoremViolationError(
             "Kostant polytope vertices differ from the Weyl orbit (ext P = W.x failed)")
-    vertex_index = {v: i for i, v in enumerate(poly.vertices)}
+    perms = poly._permutations(group)
+    x_vertex = (poly.vertices.index(x.vector),)
 
     descriptors = []
     for I in x_connected_subsets(rs, x):
@@ -159,8 +165,7 @@ def classify_faces(rs: RootSystem, group: WeylGroup, x: ChamberPoint,
         if sorted(sub_i + sub_ip) != sorted(sub_j):
             raise TheoremViolationError("Delta_J does not split as Delta_I + Delta_I'")
         improper = len(J) == rs.rank
-        sigma_vertices = tuple(sorted(vertex_index[v]
-                                      for v in weyl_orbit(group, x, generator_indices=J)))
+        sigma_vertices = tuple(v for (v,) in face_orbit([perms[j] for j in J], x_vertex))
         if not poly.has_face(sigma_vertices):
             raise TheoremViolationError(
                 "conv(W_J.x) is not a face of the Kostant polytope for I=%s" % (I,))
@@ -169,10 +174,7 @@ def classify_faces(rs: RootSystem, group: WeylGroup, x: ChamberPoint,
             raise TheoremViolationError("dim sigma = %d but |I| = %d" % (sigma.dim, len(I)))
         exposing_u = None
         if not improper:
-            u = zero_vec(rs.ambient_dim)
-            for i in range(rs.rank):
-                if i not in J:
-                    u = vadd(u, rs.fundamental_coweights[i])
+            u = lincomb([int(i not in J) for i in range(rs.rank)], rs.fundamental_coweights)
             exposed, _ = support_set(poly, u)
             if exposed.vertex_indices != sigma_vertices:
                 raise TheoremViolationError(
@@ -229,26 +231,27 @@ def classify_faces(rs: RootSystem, group: WeylGroup, x: ChamberPoint,
 
 def psi_of_polytope_face(classification: FaceClassification,
                          sigma: PolytopeFace) -> FaceDescriptor:
-    """Map a proper polytope face to its descriptor: conjugate into the
-    fundamental position and read (I, J) off the root data.
+    """Map a proper polytope face to its descriptor: find its W-class among
+    the classified orbits, and the descriptor that phi sends to that class.
 
-    Also re-derives J from the roots vanishing on the conjugated face's
-    orthogonal complement and cross-checks it against the descriptor.
+    Also re-derives (I, J) from the roots vanishing on the orthogonal
+    complement of the descriptor's face and cross-checks it.
     """
     rs = classification.root_system
     poly = classification.polytope
+    sigma = poly.face(sigma.vertex_indices)  # InvalidInputError unless a face of poly
     if sigma.vertex_indices == poly.top.vertex_indices:
         raise InvalidInputError("psi is defined on proper faces only")
-    by_sigma = {d.sigma.vertex_indices: d for d in classification.proper_descriptors}
-    found = next((by_sigma[m] for m in face_orbit(poly._permutations(classification.group),
-                                                  sigma.vertex_indices) if m in by_sigma), None)
+    rep = next((o.representative for o in classification.orbits[sigma.dim]
+                if sigma.vertex_indices in o.members), None)
+    found = next((d for d in classification.proper_descriptors
+                  if classification.matching[d.I] == rep), None)
     if found is None:
         raise TheoremViolationError(
             "no Weyl conjugate of the face matches a descriptor "
             "(every face class must arise from an x-connected subset)")
-    conj = poly.face(found.sigma.vertex_indices)
     E = tuple(i for i in range(rs.rank)
-              if all(dot(rs.simple_roots[i], v) == 0 for v in conj.perp_basis))
+              if all(dot(rs.simple_roots[i], v) == 0 for v in found.sigma.perp_basis))
     I = largest_x_connected_subset(rs, classification.x, E)
     _, J = saturate(rs, classification.x, I)
     if I != found.I or J != found.J:
@@ -262,10 +265,9 @@ def phi_of_descriptor(classification: FaceClassification,
     """The W-class of sigma = conv(W_J.x); the improper descriptor yields the
     top face's singleton class (callers must respect the improper flag)."""
     rep = d.sigma.vertex_indices if d.improper else classification.matching[d.I]
-    for orbs in classification.orbits.values():
-        for o in orbs:
-            if o.representative == rep:
-                return o
+    for o in classification.orbits.get(d.sigma.dim, ()):
+        if o.representative == rep:
+            return o
     raise TheoremViolationError("descriptor's face class is missing from the orbits")
 
 

@@ -7,6 +7,8 @@ Riemannian ascent with a Cayley-transform retraction (no eigendecomposition
 per step, the orbit is preserved up to rounding).  The trace form equals the
 Killing pairing divided by the known factor 2n, recorded once per run; exact
 support values from the polytope module are rescaled by it for comparison.
+numpy is imported inside the functions that use it, so importing the package
+(and every run that never reaches the numeric check) does not load it.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
-
-import numpy as np
 
 from .errors import InvalidInputError, TheoremViolationError
 from .faces import FaceClassification, FaceDescriptor
@@ -26,6 +26,7 @@ _HERM_TOL = 1e-10
 
 def su_from_cartan(v: Sequence) -> np.ndarray:
     """The diagonal skew-Hermitian matrix i*diag(v) for a realization vector."""
+    import numpy as np
     a = np.array([float(Fraction(c)) if isinstance(c, str) else float(c) for c in v],
                  dtype=float)
     if abs(a.sum()) > 1e-9:
@@ -35,16 +36,19 @@ def su_from_cartan(v: Sequence) -> np.ndarray:
 
 def mu_height(p: np.ndarray, u: np.ndarray) -> float:
     """mu_u(p) = <p, u> = -Re tr(p u), the trace-form height."""
+    import numpy as np
     return float(-np.real(np.trace(p @ u)))
 
 
 def sorted_spectrum(p: np.ndarray) -> np.ndarray:
     """Eigenvalues of -i*p (real for skew-Hermitian p), ascending."""
+    import numpy as np
     return np.linalg.eigvalsh(-1j * p)
 
 
 def random_special_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed element of SU(n) via QR with phase fixing."""
+    import numpy as np
     z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     ph = np.diag(r).copy()
@@ -65,6 +69,7 @@ class MatrixOrbitPoint:
 
 
 def matrix_orbit_point(x0: np.ndarray, g: np.ndarray) -> MatrixOrbitPoint:
+    import numpy as np
     p = g @ x0 @ g.conj().T
     if np.abs(p + p.conj().T).max() > _HERM_TOL:
         raise InvalidInputError("orbit point is not skew-Hermitian")
@@ -96,6 +101,7 @@ def ascend(x0: np.ndarray, u: np.ndarray, seed: int = 0,
     The update p <- Q p Q* with Q = (I - tau/2 Z)^{-1}(I + tau/2 Z) stays on
     the orbit exactly up to rounding, and tau is chosen by backtracking.
     """
+    import numpy as np
     n = x0.shape[0]
     if np.abs(u - np.diag(np.diag(u))).max() > 0 or np.abs(np.diag(u)).max() == 0:
         raise InvalidInputError("u must be a nonzero diagonal matrix")
@@ -173,6 +179,7 @@ class HessianReport:
 
 
 def _cartan_vec(x) -> np.ndarray:
+    import numpy as np
     arr = np.asarray(x)
     if arr.ndim == 2:
         return np.imag(np.diag(arr)).astype(float)
@@ -183,6 +190,7 @@ def hessian_signature(x_crit, u, fd_check: bool = True,
                       fd_step: float = 1e-3, zero_tol: float = 1e-12) -> HessianReport:
     """Per-root-plane Hessian signs at a diagonal critical point, plus a
     finite-difference cross-check of the block eigenvalues."""
+    import numpy as np
     a = _cartan_vec(x_crit)
     b = _cartan_vec(u)
     n = len(a)
@@ -247,6 +255,7 @@ def verify_face_numeric(classification: FaceClassification, d: FaceDescriptor,
     and the Hessian block signs.  Any mismatch raises TheoremViolationError
     with a counterexample summary.
     """
+    import numpy as np
     rs = classification.root_system
     if rs.type_label != "A":
         raise InvalidInputError("numeric verification is realized for type A only")

@@ -13,7 +13,9 @@ common denominator, so every pairing equals the sum exactly.
 
 The root system is closed in simple-root coordinates, which are integers: the
 simple reflection s_i sends b to b - (Sum_j b_j C[j][i]) e_i, C the Cartan
-matrix.
+matrix.  A connected simple-root subset is labelled by (r, n, s), its rank, its
+number of positive roots and how many of those are short, which tell the
+Cartan types apart (Bourbaki, Lie Groups and Lie Algebras, Ch. VI, Plates).
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ _POSITIVE_COUNTS = {
     "B": lambda n: n * n,
     "C": lambda n: n * n,
     "D": lambda n: n * (n - 1),
-    "E": lambda n: {6: 36, 7: 63, 8: 120}[n],
+    "E": lambda n: {6: 36, 7: 63, 8: 120}.get(n),
     "F": lambda n: 24,
     "G": lambda n: 6,
 }
@@ -212,45 +214,29 @@ class RootSystem:
                      if all(c == 0 or i in s for i, c in enumerate(coeffs)))
 
     def component_type(self, comp: Sequence[int]) -> str:
-        """Cartan label ('A3', 'B2', ...) of one connected simple-root subset."""
-        comp = tuple(comp)
+        """Cartan label ('A3', 'B2', ...) of one connected simple-root subset.
+
+        The label is read off (r, n, s): the rank, the number of positive roots
+        and how many of those are short (s = 0 when all have one length).
+        """
         r = len(comp)
-        if r == 1:
-            return "A1"
-        c = self.cartan_matrix
-        mult = {(i, j): c[i][j] * c[j][i] for i in comp for j in comp
-                if i < j and self.adjacent(i, j)}
-        degrees = {i: sum(1 for j in comp if self.adjacent(i, j)) for i in comp}
-        if any(m == 3 for m in mult.values()):
-            if r != 2:
-                raise InvalidInputError("triple bond outside G2")
-            return "G2"
-        if any(m == 2 for m in mult.values()):
-            if r == 2:
-                return "B2"
-            path = self._path_order(comp, degrees)
-            (i, j), = [k for k, m in mult.items() if m == 2]
-            pos = sorted((path.index(i), path.index(j)))
-            if pos == [0, 1] or pos == [r - 2, r - 1]:
-                end = path[0] if pos == [0, 1] else path[-1]
-                end_sq = dot(self.simple_roots[end], self.simple_roots[end])
-                other = path[1] if pos == [0, 1] else path[-2]
-                other_sq = dot(self.simple_roots[other], self.simple_roots[other])
-                return ("B%d" if end_sq < other_sq else "C%d") % r
-            if r != 4:
-                raise InvalidInputError("interior double bond outside F4")
-            return "F4"
-        branch = [i for i, dg in degrees.items() if dg == 3]
-        if not branch:
-            return "A%d" % r
-        if len(branch) > 1:
-            raise InvalidInputError("unrecognized simply-laced diagram")
-        arms = sorted(self._arm_lengths(comp, branch[0]))
-        if arms[0] == 1 and arms[1] == 1:
-            return "D%d" % r
-        if arms[:2] == [1, 2] and arms[2] in (2, 3, 4):
-            return {2: "E6", 3: "E7", 4: "E8"}[arms[2]]
-        raise InvalidInputError("unrecognized simply-laced diagram")
+        lengths = [dot(a, a) for a in
+                   (self.positive_roots[k] for k in self.subsystem_positive(comp))]
+        n, longest = len(lengths), max(lengths, default=0)
+        s = sum(1 for length in lengths if length < longest)
+        if s == 0:
+            # A before D: a three-node fork of D has the count of A3.
+            letter = "A" if n == r * (r + 1) // 2 else "D" if n == r * (r - 1) else "E"
+        elif r == 2:
+            letter = "G" if n == 6 else "B"
+        elif r == 4 and n == 24:
+            letter = "F"
+        else:
+            letter = "B" if s == r else "C"
+        if n != _POSITIVE_COUNTS[letter](r):
+            raise TheoremViolationError("component %s has %d positive roots, %d short: "
+                                        "no Cartan type of rank %d (bug)" % (tuple(comp), n, s, r))
+        return "%s%d" % (letter, r)
 
     def _path_order(self, comp: tuple[int, ...], degrees: dict[int, int]) -> list[int]:
         """Walk a chain component end-to-end, starting at the smaller endpoint."""
@@ -260,19 +246,6 @@ class RootSystem:
             nxt = [j for j in comp if j not in order and self.adjacent(order[-1], j)]
             order.append(nxt[0])
         return order
-
-    def _arm_lengths(self, comp: tuple[int, ...], center: int) -> list[int]:
-        lengths = []
-        for start in (j for j in comp if self.adjacent(center, j)):
-            n, prev, cur = 1, center, start
-            while True:
-                nxt = [j for j in comp if j not in (prev, cur) and self.adjacent(cur, j)]
-                if not nxt:
-                    break
-                prev, cur = cur, nxt[0]
-                n += 1
-            lengths.append(n)
-        return lengths
 
 
 def build_root_system(type_label: str, rank: int) -> RootSystem:

@@ -68,13 +68,8 @@ def build_poset(classification: FaceClassification) -> StratumPoset:
             if i == j:
                 continue
             rel[i][j] = any((im & masks[j]) == im for im in images[i])
-    # reflexive-transitive closure of the strict part
-    for k in range(n):
-        for i in range(n):
-            if rel[i][k]:
-                for j in range(n):
-                    if rel[k][j]:
-                        rel[i][j] = True
+    # Transitive as it stands: images are whole W-classes, and g.s_i <= s_j,
+    # h.s_j <= s_k give hg.s_i <= s_k.  So no closure is taken.
     for i in range(n):
         for j in range(i + 1, n):
             if rel[i][j] and rel[j][i]:

@@ -8,7 +8,9 @@ on the CLI path enumerates W.  The full element list is a breadth-first
 closure over the simple reflections, built only when read (by
 `face_stabilizer`, and by the tests as an oracle): every stored word is
 reduced and the ordering is deterministic, by word length, then word, then
-matrix entries.
+matrix entries.  `weyl_orbit` closes only the full orbit W.x; orbits of
+parabolic subgroups W_J are closed on vertex indices, through the generator
+permutations that `vertex_permutations` returns.
 """
 
 from __future__ import annotations
@@ -143,27 +145,25 @@ def build_weyl_group(rs: RootSystem, cap: int = DEFAULT_WEYL_CAP) -> WeylGroup:
     return group
 
 
-def weyl_orbit(group: WeylGroup, x: ChamberPoint | Vector,
-               generator_indices: Sequence[int] | None = None) -> tuple[Vector, ...]:
-    """Orbit of a point of t under the group (or a standard parabolic subgroup).
+def weyl_orbit(group: WeylGroup, x: ChamberPoint | Vector) -> tuple[Vector, ...]:
+    """Orbit of a point of t under the group, closed under the simple reflections.
 
     Returns deduplicated vectors in lexicographic order; the orbit size always
     divides the group order.
     """
     rs = group.root_system
     start = x.vector if isinstance(x, ChamberPoint) else tuple(x)
-    gens = range(rs.rank) if generator_indices is None else tuple(generator_indices)
     seen = {start}
     frontier = [start]
     while frontier:
         v = frontier.pop()
-        for i in gens:
-            w = rs.reflect(rs.simple_roots[i], v)
+        for alpha in rs.simple_roots:
+            w = rs.reflect(alpha, v)
             if w not in seen:
                 seen.add(w)
                 frontier.append(w)
     orbit = tuple(sorted(seen))
-    if generator_indices is None and group.order % len(orbit) != 0:
+    if group.order % len(orbit) != 0:
         raise TheoremViolationError("orbit size %d does not divide |W| = %d (bug)"
                                     % (len(orbit), group.order))
     return orbit

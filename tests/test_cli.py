@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -233,3 +237,15 @@ def test_verify_all_never_enumerates_the_group(monkeypatch):
                               point=tuple(point.split(","))))
         assert code == 0, text
         assert json.loads(text)["bijection_verified"] is True
+
+
+def test_runs_without_the_numeric_check_do_not_import_numpy():
+    """Only the su(n) cross-check needs numpy; a type B run never loads it."""
+    script = ("import sys\n"
+              "from orbitope.cli import main\n"
+              "code = main(['verify-all', '--type', 'B', '--rank', '2', '--point', '1,1'])\n"
+              "print(code, 'numpy' in sys.modules, file=sys.stderr)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.stderr.split()[-2:] == ["0", "False"], proc.stderr

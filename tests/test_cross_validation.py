@@ -115,6 +115,15 @@ def test_component_types_of_full_diagrams():
                         ("G", 2), ("E", 6), ("E", 7), ("E", 8)]:
         rs = get_rs(label, rank)
         assert rs.component_type(tuple(range(rank))) == "%s%d" % (label, rank)
+    # named sub-diagrams, in the simple-root numbering of the realization
+    for label, rank, comp, expected in [
+            ("F", 4, (1, 2), "B2"), ("F", 4, (0, 1, 2), "B3"), ("F", 4, (1, 2, 3), "C3"),
+            ("D", 5, (2, 3, 4), "A3"), ("D", 5, (1, 2, 3, 4), "D4"),
+            ("E", 6, (1, 2, 3, 4), "D4"), ("E", 6, (0, 1, 2, 3, 4), "D5"),
+            ("E", 7, (0, 1, 2, 3, 4, 5), "E6"), ("E", 8, (0, 1, 2, 3, 4, 5, 6), "E7"),
+            ("B", 4, (1, 2, 3), "B3"), ("C", 4, (1, 2, 3), "C3"), ("C", 4, (2, 3), "B2"),
+            ("G", 2, (1,), "A1")]:
+        assert get_rs(label, rank).component_type(comp) == expected, (label, rank, comp)
 
 
 def test_random_rational_points_bijection_property():

@@ -170,6 +170,16 @@ def test_psi_rejects_top():
         psi_of_polytope_face(cl, cl.polytope.top)
 
 
+def test_psi_rejects_a_face_of_another_polytope():
+    """An edge of the B3 orbitope's polytope is no face of the A2 hexagon."""
+    cl = get_classification("A", 2, (1, 1))
+    foreign = get_classification("B", 3, (1, 1, 1)).polytope
+    edge = next(e for e in foreign.face_lattice[1]
+                if not cl.polytope.has_face(e.vertex_indices))
+    with pytest.raises(InvalidInputError):
+        psi_of_polytope_face(cl, edge)
+
+
 def test_phi_psi_inverse_on_all_classes():
     for args in [("A", 2, (1, 1)), ("B", 2, (0, 1)), ("A", 3, (1, 1, 1))]:
         cl = get_classification(*args)

@@ -83,6 +83,8 @@ def test_strict_monotonicity_along_the_order():
             assert poset.nodes[i].dim_face < poset.nodes[j].dim_face
             if i in poset.stratum_dims and j in poset.stratum_dims:
                 assert poset.stratum_dims[i] < poset.stratum_dims[j]
+            assert all((i, k) in poset.order for k in range(len(poset.nodes))
+                       if (j, k) in poset.order), (args, i, j)
 
 
 def test_inclusion_of_i_sets_implies_order():

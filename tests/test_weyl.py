@@ -9,6 +9,7 @@ import pytest
 from conftest import get_group, get_point, get_rs
 from orbitope import (CapExceededError, TheoremViolationError, build_weyl_group,
                       weyl_orbit)
+from orbitope.polytope import face_orbit
 from orbitope.weyl import vertex_permutations
 
 ORDERS = [("A", 1, 2), ("A", 2, 6), ("A", 3, 24), ("B", 2, 8), ("B", 3, 48),
@@ -109,10 +110,14 @@ def test_orbit_stable_under_every_generator():
 
 
 def test_parabolic_subgroup_orbit():
+    """W_J.x is the closure of x's vertex index under the permutations of J."""
     group = get_group("A", 2)
     x = get_point("A", 2, (1, 1))
-    assert len(weyl_orbit(group, x, generator_indices=(0,))) == 2
-    assert len(weyl_orbit(group, x, generator_indices=())) == 1
+    orbit = weyl_orbit(group, x)
+    perms = vertex_permutations(group, orbit)
+    start = (orbit.index(x.vector),)
+    assert len(face_orbit([perms[j] for j in (0,)], start)) == 2
+    assert len(face_orbit([perms[j] for j in ()], start)) == 1
 
 
 def test_weyl_cap():
