@@ -17,11 +17,10 @@ from .integrality import (FaceWeight, WeightData, check_integral,
 from .numeric import (AscentResult, HessianReport, MatrixOrbitPoint, ascend,
                       hessian_signature, matrix_orbit_point, verify_face_numeric)
 from .polytope import (ExactPolytope, FaceOrbit, Facet, PolytopeFace,
-                       act_on_faces, face_stabilizer, fixed_vector_in_cone,
-                       hull, support_set)
+                       act_on_faces, fixed_vector_in_cone, hull, support_set)
 from .roots import ChamberPoint, RootSystem, build_root_system, chamber_point
 from .strata import StratumDims, StratumPoset, build_poset, stratum_dim
-from .weyl import WeylElement, WeylGroup, build_weyl_group, weyl_orbit
+from .weyl import WeylGroup, build_weyl_group, weyl_orbit
 
 __version__ = "0.1.0"
 
@@ -30,11 +29,10 @@ __all__ = [
     "FaceClassification", "FaceDescriptor", "FaceOrbit", "FaceWeight", "Facet",
     "HessianReport", "InvalidInputError", "MatrixOrbitPoint", "OrbitopeError",
     "PolytopeFace", "RootSystem", "StratumDims", "StratumPoset",
-    "TheoremViolationError", "WeightData", "WeylElement", "WeylGroup",
+    "TheoremViolationError", "WeightData", "WeylGroup",
     "act_on_faces", "ascend", "build_poset", "build_root_system",
     "build_weyl_group", "chamber_point", "check_integral", "classify_faces",
-    "face_stabilizer", "fixed_vector_in_cone", "full_weight_data",
-    "hessian_signature", "hull",
+    "fixed_vector_in_cone", "full_weight_data", "hessian_signature", "hull",
     "induce_face_weight", "matrix_orbit_point", "parabolic_report",
     "phi_of_descriptor", "psi_of_polytope_face", "saturate", "stratum_dim",
     "support_set", "verify_face_numeric", "weyl_orbit", "x_connected_subsets",

@@ -82,7 +82,8 @@ def build_report(config: RunConfig) -> dict:
     }
 
     if config.command == "polytope":
-        poly = hull(weyl_orbit(group, x), gram=rs.killing_ambient_gram(), cap=config.hull_cap)
+        orbit = weyl_orbit(group, x, cap=config.hull_cap)
+        poly = hull(orbit, gram=rs.killing_ambient_gram(), cap=config.hull_cap)
     else:
         classification = classify_faces(rs, group, x, hull_cap=config.hull_cap)
         poly = classification.polytope

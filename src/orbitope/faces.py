@@ -49,10 +49,6 @@ class FaceDescriptor:
     improper: bool
 
     @property
-    def parabolic_E(self) -> tuple[int, ...]:
-        return self.J
-
-    @property
     def proper(self) -> bool:
         return not self.improper
 
@@ -148,7 +144,7 @@ def classify_faces(rs: RootSystem, group: WeylGroup, x: ChamberPoint,
     """
     if x.root_system is not rs:
         raise InvalidInputError("chamber point belongs to a different root system")
-    orbit = weyl_orbit(group, x)
+    orbit = weyl_orbit(group, x, cap=hull_cap)
     poly = hull(orbit, gram=rs.killing_ambient_gram(), cap=hull_cap)
     if poly.vertices != orbit:
         raise TheoremViolationError(

@@ -19,10 +19,6 @@ def vec(entries: Iterable) -> Vector:
     return tuple(Fraction(e) for e in entries)
 
 
-def mat(rows: Iterable[Iterable]) -> Matrix:
-    return tuple(vec(r) for r in rows)
-
-
 def zero_vec(n: int) -> Vector:
     return (Fraction(0),) * n
 
@@ -55,10 +51,6 @@ def lincomb(coeffs: Sequence[Fraction], vectors: Sequence[Vector]) -> Vector:
     """The combination sum_i coeffs[i] * vectors[i] of a nonempty vector list."""
     return tuple(sum((c * v[j] for c, v in zip(coeffs, vectors)), Fraction(0))
                  for j in range(len(vectors[0])))
-
-
-def is_zero(u: Sequence[Fraction]) -> bool:
-    return all(a == 0 for a in u)
 
 
 def identity(n: int) -> Matrix:
@@ -178,12 +170,6 @@ def nullspace(rows: Sequence[Sequence[Fraction]]) -> tuple[Vector, ...]:
             v[c] = -red[r][f]
         basis.append(tuple(v))
     return tuple(basis)
-
-
-def row_space_basis(rows: Sequence[Sequence[Fraction]]) -> tuple[Vector, ...]:
-    """Deterministic basis of the row span (nonzero rows of the rref)."""
-    red, pivots = rref(rows)
-    return tuple(red[i] for i in range(len(pivots)))
 
 
 def gram_matrix(vectors: Sequence[Sequence[Fraction]],

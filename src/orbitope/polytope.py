@@ -12,6 +12,12 @@ and the lattice's parent/child maps are built on first access only.  This
 module is the independent oracle the combinatorial face classification is
 checked against, so there is no floating point anywhere.
 
+The Weyl group reaches a polytope only through the r simple-reflection
+permutations of its vertices (`act_on_faces`, `face_orbit`).  An exposing
+vector fixed by a face's stabilizer is a sum of facet normals, each divided
+by offset - <normal, b> for the vertex barycenter b, so it needs no group
+element at all.
+
 A polytope may carry a nonstandard inner product (the Killing pairing of a
 root system, given by its ambient Gram matrix).  Support sets, facet normal
 vectors and orthogonal complements are all taken with respect to it.
@@ -29,7 +35,7 @@ from .linalg import (Matrix, Vector, dot, identity, int_dot, int_rank,
                      integral_rows, inverse, lincomb, mat_mul, mat_vec,
                      nullspace, primitive, rref, transpose, vadd, vec, vscale,
                      vsub, zero_vec)
-from .weyl import WeylElement, WeylGroup, vertex_permutations
+from .weyl import WeylGroup, vertex_permutations
 
 #: desk-scale guard on hull input size
 DEFAULT_HULL_CAP = 200
@@ -461,42 +467,23 @@ def act_on_faces(group: WeylGroup, p: ExactPolytope) -> dict[int, tuple[FaceOrbi
     return out
 
 
-def face_stabilizer(group: WeylGroup, p: ExactPolytope,
-                    face: PolytopeFace) -> tuple[tuple[WeylElement, ...], tuple[Vector, ...]]:
-    """The subgroup G_sigma = {g : g(sigma) = sigma} and its fixed subspace of t.
+def fixed_vector_in_cone(p: ExactPolytope, face: PolytopeFace) -> Vector:
+    """A vector exposing exactly the given proper face, fixed by its stabilizer.
 
-    Each element acts along its reduced word through the generator permutations.
-    """
-    perms = p._permutations(group)
-    target = face.vertex_indices
-    stab = []
-    for e in group.elements:
-        image = target
-        for i in reversed(e.word):
-            image = [perms[i][j] for j in image]
-        if tuple(sorted(image)) == target:
-            stab.append(e)
-    return tuple(stab), group.fixed_subspace(stab)
-
-
-def fixed_vector_in_cone(group: WeylGroup, p: ExactPolytope, face: PolytopeFace) -> Vector:
-    """A G_sigma-fixed vector exposing exactly the given proper face.
-
-    Sums the outward normals of the facets containing the face and averages
-    the result over the stabilizer, exactly as in the convex-cone argument.
+    Sums the outward normals of the facets containing the face, each scaled
+    by 1 / (offset - <normal, b>) for the barycenter b of the vertices.  That
+    scaling does not depend on the normal's length, and every symmetry of P
+    preserving the pairing fixes b and permutes the facets through the face
+    among themselves, so the sum is fixed by the face's stabilizer.
     """
     if face.vertex_indices == p.top.vertex_indices:
         raise InvalidInputError("the whole polytope has no exposing vector")
+    barycenter = vscale(Fraction(1, len(p.vertices)), lincomb([1] * len(p.vertices), p.vertices))
     u = zero_vec(p.ambient_dim)
     for f in p.facets:
         if set(face.vertex_indices) <= set(f.vertex_indices):
-            u = vadd(u, f.normal)
-    stab, _ = face_stabilizer(group, p, face)
-    avg = zero_vec(p.ambient_dim)
-    for e in stab:
-        avg = vadd(avg, group.apply(e, u))
-    avg = vscale(Fraction(1, len(stab)), avg)
-    exposed, _ = support_set(p, avg)
+            u = vadd(u, vscale(1 / (f.offset - p.pair(f.normal, barycenter)), f.normal))
+    exposed, _ = support_set(p, u)
     if exposed.vertex_indices != face.vertex_indices:
-        raise TheoremViolationError("averaged normal does not expose the face (bug)")
-    return avg
+        raise TheoremViolationError("scaled normal sum does not expose the face (bug)")
+    return u

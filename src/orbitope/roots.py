@@ -170,6 +170,11 @@ class RootSystem:
         return tuple(x - c * a for x, a in zip(v, alpha))
 
     @cached_property
+    def root_lengths(self) -> tuple[Fraction, ...]:
+        """d(a, a) of each positive root, computed once per system."""
+        return tuple(dot(a, a) for a in self.positive_roots)
+
+    @cached_property
     def killing_form(self) -> KillingForm:
         """The Killing pairing of the positive roots, built once per system."""
         return KillingForm.of(self.positive_roots, self.ambient_dim)
@@ -220,8 +225,7 @@ class RootSystem:
         and how many of those are short (s = 0 when all have one length).
         """
         r = len(comp)
-        lengths = [dot(a, a) for a in
-                   (self.positive_roots[k] for k in self.subsystem_positive(comp))]
+        lengths = [self.root_lengths[k] for k in self.subsystem_positive(comp)]
         n, longest = len(lengths), max(lengths, default=0)
         s = sum(1 for length in lengths if length < longest)
         if s == 0:

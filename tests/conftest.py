@@ -10,6 +10,7 @@ from functools import lru_cache
 
 from orbitope import (build_root_system, build_weyl_group, chamber_point,
                       classify_faces)
+from weyl_oracle import WeylOracle
 
 
 @lru_cache(maxsize=None)
@@ -20,6 +21,11 @@ def get_rs(type_label: str, rank: int):
 @lru_cache(maxsize=None)
 def get_group(type_label: str, rank: int):
     return build_weyl_group(get_rs(type_label, rank))
+
+
+@lru_cache(maxsize=None)
+def get_oracle(type_label: str, rank: int):
+    return WeylOracle(get_rs(type_label, rank))
 
 
 @lru_cache(maxsize=None)

@@ -158,7 +158,7 @@ def test_criterion_7_normal_cone_convexity():
         cl = get_classification(label, rank, coords)
         for d in cl.proper_descriptors:
             u1 = d.exposing_u
-            u2 = fixed_vector_in_cone(cl.group, cl.polytope, d.sigma)
+            u2 = fixed_vector_in_cone(cl.polytope, d.sigma)
             for _ in range(100):
                 l1 = Q(rng.randint(0, 12), rng.randint(1, 4))
                 l2 = Q(rng.randint(0, 12), rng.randint(1, 4))

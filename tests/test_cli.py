@@ -203,14 +203,34 @@ def test_branched_diagrams_verify(type_label, rank, point, weyl_cap):
 
 
 def test_corrupted_generator_exits_2(monkeypatch):
-    """An internal cross-check failure in the group exits 2, not 1."""
+    """A label step that disagrees with the ambient reflection on a
+    fundamental weight is an internal cross-check failure: exit 2, not 1."""
     from orbitope import weyl
-    original = weyl._generator_matrix
-    monkeypatch.setattr(weyl, "_generator_matrix",
-                        lambda rs, i: original(rs, (i + 1) % rs.rank))
+    original = weyl._reflect_labels
+    monkeypatch.setattr(weyl, "_reflect_labels",
+                        lambda cartan, i, labels: original(cartan, (i + 1) % len(labels), labels))
     code, text = run(_cfg())
     assert code == 2
     assert "generator action mismatch" in text
+
+
+def test_orbit_count_mismatch_exits_2(monkeypatch):
+    """An orbit closure whose size is not |W| / |W_S| is a bug: exit 2."""
+    from orbitope.weyl import WeylGroup
+    original = WeylGroup.orbit_size
+    monkeypatch.setattr(WeylGroup, "orbit_size", lambda self, x: original(self, x) + 1)
+    code, text = run(_cfg(command="verify-all"))
+    assert code == 2
+    assert text == "theorem violation: orbit closure has 6 points, |W|/|W_S| = 7 (bug)\n"
+
+
+def test_orbit_cap_exits_1_before_the_orbit_is_closed(capsys):
+    """The closed-form |W.x| = 4032 is compared with --orbit-cap first, with
+    the hull's message."""
+    code = main(["verify-all", "--type", "E", "--rank", "7", "--point", "1,1,0,0,0,0,0",
+                 "--weyl-cap", "1000000000"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: hull input has 4032 points, cap is 200\n"
 
 
 def test_non_finite_cartan_matrix_exits_2(monkeypatch):
@@ -226,17 +246,26 @@ def test_non_finite_cartan_matrix_exits_2(monkeypatch):
 
 
 def test_verify_all_never_enumerates_the_group(monkeypatch):
+    """W acts only on Dynkin labels: the ambient reflection runs r * r times,
+    in the group's check on the fundamental weights, never per orbit point."""
+    from orbitope.roots import RootSystem
     from orbitope.weyl import WeylGroup
+    assert not hasattr(WeylGroup, "elements")
+    calls = []
+    original = RootSystem.reflect
 
-    def fail(self):
-        raise AssertionError("the CLI path enumerated W")
+    def counted(alpha, v):
+        calls.append(v)
+        return original(alpha, v)
 
-    monkeypatch.setattr(WeylGroup, "elements", property(fail))
+    monkeypatch.setattr(RootSystem, "reflect", staticmethod(counted))
     for type_label, rank, point in (("A", 3, "1,1,1"), ("D", 4, "1,1,1,1")):
+        calls.clear()
         code, text = run(_cfg(command="verify-all", type_label=type_label, rank=rank,
                               point=tuple(point.split(","))))
         assert code == 0, text
         assert json.loads(text)["bijection_verified"] is True
+        assert len(calls) == rank * rank
 
 
 def test_runs_without_the_numeric_check_do_not_import_numpy():

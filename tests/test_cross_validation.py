@@ -14,7 +14,7 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
-from conftest import get_classification, get_group, get_point, get_rs
+from conftest import get_classification, get_group, get_oracle, get_point, get_rs
 from orbitope import (CapExceededError, build_poset, build_weyl_group,
                       chamber_point, check_integral, classify_faces, hull,
                       induce_face_weight, parabolic_report, weyl_orbit)
@@ -151,7 +151,8 @@ def test_orbit_size_times_stabilizer_is_group_order():
         group = get_group(label, rank)
         x = get_point(label, rank, coords)
         orbit = weyl_orbit(group, x)
-        stab = sum(1 for e in group.elements if group.apply(e, x.vector) == x.vector)
+        oracle = get_oracle(label, rank)
+        stab = sum(1 for w in oracle.words if oracle.apply(w, x.vector) == x.vector)
         assert len(orbit) * stab == group.order
 
 

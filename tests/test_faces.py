@@ -234,16 +234,16 @@ def test_kostant_vertices_equal_orbit():
 
 
 def test_exposing_vs_canonical_cone_vector_shadow():
-    """If u exposes sigma and v is the averaged stabilizer-fixed exposing
-    vector, then alpha(u) = 0 forces alpha(v) = 0 and alpha(u) > 0 forces
-    alpha(v) >= 0, for positive roots alpha."""
+    """If u exposes sigma and v is the stabilizer-fixed exposing vector (the
+    scaled facet-normal sum), then alpha(u) = 0 forces alpha(v) = 0 and
+    alpha(u) > 0 forces alpha(v) >= 0, for positive roots alpha."""
     from orbitope import fixed_vector_in_cone
     for args in [("A", 2, (1, 1)), ("B", 2, (1, 0)), ("A", 3, (1, 0, 1))]:
         cl = get_classification(*args)
         rs = cl.root_system
         for d in cl.proper_descriptors:
             u = d.exposing_u
-            v = fixed_vector_in_cone(cl.group, cl.polytope, d.sigma)
+            v = fixed_vector_in_cone(cl.polytope, d.sigma)
             for a in rs.positive_roots:
                 au, av = dot(a, u), dot(a, v)
                 if au == 0:

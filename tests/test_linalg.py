@@ -9,8 +9,7 @@ import pytest
 
 from orbitope.linalg import (dot, frac_str, gram_matrix, identity, inverse,
                              mat_mul, mat_vec, nullspace, primitive,
-                             project_onto_span, rank, rref, solve,
-                             row_space_basis, vec)
+                             project_onto_span, rank, rref, solve, vec)
 
 
 def test_rref_identity():
@@ -48,12 +47,6 @@ def test_nullspace_orthogonal_to_rows():
         assert len(ns) == 5 - rank(rows)
         for v in ns:
             assert all(dot(r, v) == 0 for r in rows)
-
-
-def test_row_space_basis_spans():
-    rows = (vec([1, 2, 3]), vec([2, 4, 6]), vec([0, 1, 1]))
-    basis = row_space_basis(rows)
-    assert len(basis) == 2 == rank(rows)
 
 
 def test_primitive_scaling():

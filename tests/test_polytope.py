@@ -8,11 +8,10 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
-from conftest import get_group, get_point, get_rs
+from conftest import get_group, get_oracle, get_point, get_rs
 from orbitope import (CapExceededError, InvalidInputError, act_on_faces,
-                      face_stabilizer, fixed_vector_in_cone, hull,
-                      support_set, weyl_orbit)
-from orbitope.linalg import mat, vec
+                      fixed_vector_in_cone, hull, support_set, weyl_orbit)
+from orbitope.linalg import nullspace, vec
 
 
 def _orbit_polytope(label, rank, coords):
@@ -163,8 +162,7 @@ def test_act_on_faces_matches_enumerated_group():
     for args in [("A", 2, (1, 1)), ("B", 3, (1, 0, 1)), ("G", 2, (1, 1)),
                  ("D", 4, (0, 1, 0, 0))]:
         _, group, p = _orbit_polytope(*args)
-        index = {v: i for i, v in enumerate(p.vertices)}
-        images = [tuple(index[group.apply(e, v)] for v in p.vertices) for e in group.elements]
+        images = get_oracle(*args[:2]).vertex_images(p.vertices)
         for dim, orbits in act_on_faces(group, p).items():
             assert sorted(m for o in orbits for m in o.members) == \
                 [f.vertex_indices for f in p.face_lattice[dim]]
@@ -181,44 +179,64 @@ def test_act_on_faces_rejects_unstable_vertices():
         act_on_faces(group, p)
 
 
+def _fixed_subspace_dim(oracle, words):
+    """Dimension of the subspace of t fixed by every element of the list:
+    the kernel of the coefficients c with Sum c_j (w(omega_j) - omega_j) = 0."""
+    rs = oracle.root_system
+    rows = []
+    for w in words:
+        moved = [tuple(a - b for a, b in zip(oracle.apply(w, c), c))
+                 for c in rs.fundamental_weights]
+        rows.extend(zip(*moved))
+    return len(nullspace(rows)) if rows else rs.rank
+
+
 def test_face_stabilizers_on_hexagon():
     _, group, hexa = _orbit_polytope("A", 2, (1, 1))
+    oracle = get_oracle("A", 2)
+    images = oracle.vertex_images(hexa.vertices)
     x = get_point("A", 2, (1, 1)).vector
     vertex = hexa.face((hexa.vertices.index(x),))
-    stab, fixed = face_stabilizer(group, hexa, vertex)
-    assert len(stab) == 1 and len(fixed) == 2
+    stab = oracle.face_stabilizer(images, vertex.vertex_indices)
+    assert len(stab) == 1 and _fixed_subspace_dim(oracle, stab) == 2
     edge = hexa.face_lattice[1][0]
-    stab_e, fixed_e = face_stabilizer(group, hexa, edge)
-    assert len(stab_e) == 2 and len(fixed_e) == 1
-    stab_top, _ = face_stabilizer(group, hexa, hexa.top)
+    stab_e = oracle.face_stabilizer(images, edge.vertex_indices)
+    assert len(stab_e) == 2 and _fixed_subspace_dim(oracle, stab_e) == 1
+    stab_top = oracle.face_stabilizer(images, hexa.top.vertex_indices)
     assert len(stab_top) == group.order
 
 
 def test_fixed_vector_in_cone_exposes_and_is_stable():
-    for args in [("A", 2, (1, 1)), ("A", 2, (1, 0)), ("B", 2, (1, 1))]:
-        _, group, p = _orbit_polytope(*args)
+    """The scaled normal sum exposes its face and is fixed by the face's
+    stabilizer, enumerated by the oracle, on every proper face; F4 (1,0,0,0)
+    has faces whose plain normal sum is not fixed."""
+    for args in [("A", 2, (1, 1)), ("A", 2, (1, 0)), ("B", 2, (1, 1)), ("F", 4, (1, 0, 0, 0))]:
+        _, _, p = _orbit_polytope(*args)
+        oracle = get_oracle(*args[:2])
+        images = oracle.vertex_images(p.vertices)
         for f in p.proper_faces():
-            u = fixed_vector_in_cone(group, p, f)
+            u = fixed_vector_in_cone(p, f)
             face, _ = support_set(p, u)
             assert face.vertex_indices == f.vertex_indices
-            stab, _ = face_stabilizer(group, p, f)
-            for e in stab:
-                assert group.apply(e, u) == u
+            stab = oracle.face_stabilizer(images, f.vertex_indices)
+            assert stab
+            for w in stab:
+                assert oracle.apply(w, u) == u
 
 
 def test_fixed_vector_rejects_top():
-    _, group, p = _orbit_polytope("A", 2, (1, 1))
+    _, _, p = _orbit_polytope("A", 2, (1, 1))
     with pytest.raises(InvalidInputError):
-        fixed_vector_in_cone(group, p, p.top)
+        fixed_vector_in_cone(p, p.top)
 
 
 def test_normal_cone_convexity_small():
     """Two exposing vectors of one face combine to exposing vectors again."""
     from orbitope.linalg import vadd, zero_vec
-    _, group, p = _orbit_polytope("B", 2, (1, 1))
+    _, _, p = _orbit_polytope("B", 2, (1, 1))
     rng = random.Random(3)
     for f in p.proper_faces():
-        u1 = fixed_vector_in_cone(group, p, f)
+        u1 = fixed_vector_in_cone(p, f)
         u2 = zero_vec(p.ambient_dim)
         for fc in p.facets:
             if set(f.vertex_indices) <= set(fc.vertex_indices):
@@ -261,7 +279,7 @@ _NON_INTEGRAL_HULLS = {
     "square in thirds": lambda: hull(_SQUARE_IN_THIRDS),
     # a pairing that is no multiple of the dot product, with a fractional gram
     "square in thirds, skew gram": lambda: hull(_SQUARE_IN_THIRDS,
-                                                gram=mat(((2, Q(1, 2)), (Q(1, 2), 1)))),
+                                                gram=(vec((2, Q(1, 2))), vec((Q(1, 2), 1)))),
 }
 
 

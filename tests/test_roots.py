@@ -8,7 +8,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from conftest import get_group, get_point, get_rs
+from conftest import get_group, get_oracle, get_point, get_rs
 from orbitope import InvalidInputError, build_root_system, chamber_point
 from orbitope.integrality import sub_killing
 from orbitope.linalg import dot, solve, transpose, vadd, vec, vscale, zero_vec
@@ -103,12 +103,12 @@ def test_killing_is_bilinear_and_vanishes_at_zero():
 
 def test_killing_weyl_invariance():
     rs = get_rs("B", 2)
-    group = get_group("B", 2)
+    oracle = get_oracle("B", 2)
     roots = rs.all_roots()
-    for e in group.elements:
+    for w in oracle.words:
         for a in roots[:4]:
             for b in roots[:4]:
-                assert rs.killing(group.apply(e, a), group.apply(e, b)) == rs.killing(a, b)
+                assert rs.killing(oracle.apply(w, a), oracle.apply(w, b)) == rs.killing(a, b)
 
 
 def test_simple_reflection_fixes_hyperplane_and_negates_root():

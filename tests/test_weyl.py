@@ -1,16 +1,17 @@
-"""Weyl group order, enumeration, words, orbits, caps."""
+"""Weyl group order, the Dynkin-label action, orbits, caps, against an
+enumerated oracle."""
 
 from __future__ import annotations
 
-from fractions import Fraction as Q
-
 import pytest
 
-from conftest import get_group, get_point, get_rs
-from orbitope import (CapExceededError, TheoremViolationError, build_weyl_group,
-                      weyl_orbit)
+from conftest import get_group, get_oracle, get_point, get_rs
+from orbitope import (CapExceededError, InvalidInputError, TheoremViolationError,
+                      build_weyl_group, chamber_point, weyl, weyl_orbit)
+from orbitope.linalg import vec
 from orbitope.polytope import face_orbit
 from orbitope.weyl import vertex_permutations
+from weyl_oracle import reflection_orbit, reflection_permutations
 
 ORDERS = [("A", 1, 2), ("A", 2, 6), ("A", 3, 24), ("B", 2, 8), ("B", 3, 48),
           ("C", 3, 48), ("G", 2, 12), ("D", 4, 192), ("F", 4, 1152)]
@@ -20,7 +21,7 @@ ORDERS = [("A", 1, 2), ("A", 2, 6), ("A", 3, 24), ("B", 2, 8), ("B", 3, 48),
 def test_group_orders(label, rank, order):
     group = get_group(label, rank)
     assert group.order == order
-    assert len(group.elements) == order
+    assert len(get_oracle(label, rank)) == order
 
 
 @pytest.mark.parametrize("rank,order", [(6, 51840), (7, 2903040), (8, 696729600)])
@@ -28,66 +29,64 @@ def test_type_e_orders_without_enumeration(rank, order):
     """|W| is the product of the degrees; nothing is enumerated to get it."""
     group = build_weyl_group(get_rs("E", rank), cap=10 ** 9)
     assert group.order == len(group) == order
-    assert "elements" not in vars(group)
+    assert sorted(vars(group)) == ["order", "root_system"]
 
 
 def test_enumeration_checks_the_order(monkeypatch):
+    """The orbit closure must have |W| / |W_S| points, or it is a bug."""
     group = build_weyl_group(get_rs("A", 2))
     monkeypatch.setattr(group, "order", 5)
-    with pytest.raises(TheoremViolationError):
-        group.elements
+    with pytest.raises(TheoremViolationError, match="orbit closure has 6 points"):
+        weyl_orbit(group, get_point("A", 2, (1, 1)))
 
 
 def test_generators_square_to_identity():
-    group = get_group("B", 2)
-    for g in group.generators:
-        sq = tuple(tuple(sum(g.matrix[i][k] * g.matrix[k][j] for k in range(2))
-                         for j in range(2)) for i in range(2))
-        assert sq == group.identity.matrix
+    """Each simple reflection on Dynkin labels is an involution, fixing
+    exactly the labels with lambda_i = 0."""
+    rs = get_rs("B", 2)
+    for i in range(rs.rank):
+        for lam in [(1, 0), (0, 1), (3, 5)]:
+            once = weyl._reflect_labels(rs.cartan_matrix, i, lam)
+            assert (once == lam) == (lam[i] == 0)
+            assert weyl._reflect_labels(rs.cartan_matrix, i, once) == lam
 
 
 def test_elements_permute_the_root_set():
     rs = get_rs("G", 2)
-    group = get_group("G", 2)
+    oracle = get_oracle("G", 2)
     roots = set(rs.all_roots())
-    for e in group.elements:
-        assert {group.apply(e, a) for a in roots} == roots
+    for w in oracle.words:
+        assert {oracle.apply(w, a) for a in roots} == roots
 
 
 def test_word_lengths_match_inversion_counts():
     """l(w) = number of positive roots sent to negative ones."""
     rs = get_rs("B", 2)
-    group = get_group("B", 2)
+    oracle = get_oracle("B", 2)
     negatives = set()
     for a in rs.positive_roots:
         negatives.add(tuple(-c for c in a))
-    for e in group.elements:
-        inversions = sum(1 for a in rs.positive_roots if group.apply(e, a) in negatives)
-        assert len(e.word) == inversions
+    for w in oracle.words:
+        inversions = sum(1 for a in rs.positive_roots if oracle.apply(w, a) in negatives)
+        assert len(w) == inversions
 
 
 def test_words_reproduce_the_action():
-    rs = get_rs("A", 3)
-    group = get_group("A", 3)
+    oracle = get_oracle("A", 3)
     x = get_point("A", 3, (1, 2, 3)).vector
-    for e in group.elements:
-        v = x
-        for i in reversed(e.word):
-            v = rs.reflect(rs.simple_roots[i], v)
-        assert v == group.apply(e, x)
+    for w in oracle.words:
+        assert oracle.reflect_along(w, x) == oracle.apply(w, x)
 
 
 def test_matrices_are_killing_orthogonal():
+    """Every element keeps the Killing Gram matrix of the simple coroots."""
     rs = get_rs("G", 2)
-    group = get_group("G", 2)
+    oracle = get_oracle("G", 2)
     g = rs.killing_gram
-    n = rs.rank
-    for e in group.elements:
-        m = e.matrix
-        mgm = tuple(tuple(sum(Q(m[k][i]) * g[k][l] * Q(m[l][j])
-                              for k in range(n) for l in range(n))
-                          for j in range(n)) for i in range(n))
-        assert mgm == g
+    coroots = [rs.coroot(a) for a in rs.simple_roots]
+    for w in oracle.words:
+        images = [oracle.apply(w, b) for b in coroots]
+        assert tuple(tuple(rs.killing(u, v) for v in images) for u in images) == g
 
 
 @pytest.mark.parametrize("label,rank,coords,size", [
@@ -129,22 +128,81 @@ def test_weyl_cap():
 
 def test_enumeration_is_deterministic():
     rs = get_rs("B", 3)
+    x = get_point("B", 3, (1, 0, 1))
     g1 = build_weyl_group(rs)
     g2 = build_weyl_group(rs)
-    assert [e.matrix for e in g1.elements] == [e.matrix for e in g2.elements]
-    assert [e.word for e in g1.elements] == [e.word for e in g2.elements]
+    orbit = weyl_orbit(g1, x)
+    assert orbit == weyl_orbit(g2, x)
+    assert vertex_permutations(g1, orbit) == vertex_permutations(g2, orbit)
 
 
 def test_vertex_permutations_compose_correctly():
     """The generator permutations, composed along each reduced word, act as
     the element's matrix does."""
     group = get_group("A", 2)
+    oracle = get_oracle("A", 2)
     orbit = weyl_orbit(group, get_point("A", 2, (1, 1)))
     perms = vertex_permutations(group, orbit)
     assert len(perms) == group.root_system.rank
-    for e in group.elements:
+    for w in oracle.words:
         for i, v in enumerate(orbit):
             j = i
-            for k in reversed(e.word):
+            for k in reversed(w):
                 j = perms[k][j]
-            assert orbit[j] == group.apply(e, v)
+            assert orbit[j] == oracle.apply(w, v)
+
+
+#: rational, singular, non-simply-laced and type E points; E6 needs the Weyl cap raised
+ORACLE_CASES = [("G", 2, ("3/2", "1")), ("B", 3, ("1/2", "0", "1")), ("C", 3, (1, 0, 1)),
+                ("C", 3, (1, 1, 1)), ("F", 4, (1, 0, 0, 1)), ("E", 6, (1, 0, 0, 0, 0, 0)),
+                ("E", 6, (0, 0, 0, 0, 0, 1))]
+
+
+@pytest.mark.parametrize("label,rank,coords", ORACLE_CASES,
+                         ids=["%s%d-%s" % (t, r, ",".join(map(str, c))) for t, r, c in ORACLE_CASES])
+def test_label_action_matches_ambient_reflections(label, rank, coords):
+    """The orbit and the generator permutations equal those closed by
+    reflecting ambient vectors through `RootSystem.reflect`."""
+    rs = get_rs(label, rank)
+    group = build_weyl_group(rs, cap=10 ** 9)
+    x = chamber_point(rs, coords)
+    orbit = weyl_orbit(group, x)
+    assert orbit == reflection_orbit(rs, x.vector)
+    assert len(orbit) == group.orbit_size(x)
+    assert vertex_permutations(group, orbit) == reflection_permutations(rs, orbit)
+
+
+def test_vertex_permutations_key_the_fixed_complement():
+    """Vectors with equal labels but different components off the root span
+    are told apart, and a set that only the labels would close is rejected."""
+    rs = get_rs("A", 2)
+    group = get_group("A", 2)
+    shift = vec([1, 1, 1])
+    orbit = weyl_orbit(group, get_point("A", 2, (1, 0)))
+    lifted = orbit + tuple(tuple(a + b for a, b in zip(v, shift)) for v in orbit)
+    assert vertex_permutations(group, lifted) == reflection_permutations(rs, lifted)
+    mixed = orbit[:1] + tuple(tuple(a + b for a, b in zip(v, shift)) for v in orbit[1:])
+    with pytest.raises(InvalidInputError):
+        vertex_permutations(group, mixed)
+
+
+@pytest.mark.parametrize("type_label,rank,coords,size", [
+    ("A", 3, (1, 0, 1), 12), ("B", 3, (0, 1, 0), 12), ("D", 4, (1, 0, 0, 0), 8),
+    ("E", 7, (1, 1, 0, 0, 0, 0, 0), 4032), ("E", 8, (0, 0, 0, 0, 0, 0, 0, 1), 240),
+    ("E", 8, (1, 1, 1, 1, 1, 1, 1, 1), 696729600)])
+def test_orbit_size_closed_form(type_label, rank, coords, size):
+    """|W.x| = |W| / |W_S|, with S reducible in A3 (1,0,1) and E7."""
+    rs = get_rs(type_label, rank)
+    assert build_weyl_group(rs, cap=10 ** 9).orbit_size(chamber_point(rs, coords)) == size
+
+
+def test_orbit_cap_is_checked_before_the_closure(monkeypatch):
+    group = build_weyl_group(get_rs("E", 7), cap=10 ** 9)
+    x = get_point("E", 7, (1, 1, 0, 0, 0, 0, 0))
+
+    def fail(*args):
+        raise AssertionError("the orbit closure ran past the cap")
+
+    monkeypatch.setattr(weyl, "_reflect_labels", fail)
+    with pytest.raises(CapExceededError, match="^hull input has 4032 points, cap is 200$"):
+        weyl_orbit(group, x, cap=200)
