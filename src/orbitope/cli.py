@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -53,13 +54,19 @@ def _vec_strs(v) -> list[str]:
 
 
 def _check_config(config: RunConfig) -> None:
-    """Reject count and cap settings outside their range before any work."""
-    for flag, value, least in (("--numeric-seeds", config.numeric_seeds, 1),
+    """Reject seed, count, cap and tolerance settings outside their range
+    before any work."""
+    for flag, value, least in (("--seed", config.seed, 0),
+                               ("--numeric-seeds", config.numeric_seeds, 1),
                                ("--numeric-faces", config.numeric_faces, 0),
                                ("--orbit-cap", config.hull_cap, 0),
                                ("--weyl-cap", config.weyl_cap, 0)):
         if value < least:
             raise InvalidInputError("%s must be at least %d, got %d" % (flag, least, value))
+    for flag, tol in (("--grad-tol", config.grad_tol), ("--value-tol", config.value_tol),
+                      ("--crit-tol", config.crit_tol), ("--fd-tol", config.fd_tol)):
+        if not (math.isfinite(tol) and tol > 0):
+            raise InvalidInputError("%s must be a finite positive number, got %r" % (flag, tol))
 
 
 def build_report(config: RunConfig) -> dict:

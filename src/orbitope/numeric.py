@@ -4,24 +4,35 @@ Only type A is realized numerically: a chamber point x becomes the diagonal
 skew-Hermitian matrix i*diag(X), the orbit is swept by Haar-random special
 unitaries, and the height function mu_u(p) = -Re tr(p u) is maximized by
 Riemannian ascent with a Cayley-transform retraction (no eigendecomposition
-per step, the orbit is preserved up to rounding).  The trace form equals the
-Killing pairing divided by the known factor 2n, recorded once per run; exact
-support values from the polytope module are rescaled by it for comparison.
-numpy is imported inside the functions that use it, so importing the package
-(and every run that never reaches the numeric check) does not load it.
+per step, the orbit is preserved up to rounding; Wen and Yin, "A feasible
+method for optimization with orthogonality constraints", Math. Program. 142,
+2013).  All seeds of a face ascend in lockstep on stacked (seeds, n, n)
+arrays, one backtracking try per live seed per step, with every scalar of
+the search (step size, endgame, tries, iterations) held per seed.  Stacked
+matmul, solve, eigvalsh and trace give the bits of their 2-D calls, so each
+seed's result equals that of an ascent run from it alone (the tests keep the
+sequential loop as an oracle).  The trace form equals the Killing pairing
+divided by the known factor 2n, recorded once per run; exact support values
+from the polytope module are rescaled by it for comparison, and a polytope's
+facets and vertices are converted to floats once.  numpy is imported inside
+the functions that use it, so importing the package (and every run that
+never reaches the numeric check) does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
+from weakref import WeakKeyDictionary
 
 from .errors import InvalidInputError, TheoremViolationError
 from .faces import FaceClassification, FaceDescriptor
-from .polytope import support_set
+from .polytope import ExactPolytope, support_set
 
 _HERM_TOL = 1e-10
+#: backtracking tries per iteration before the endgame, or the end
+_MAX_TRIES = 60
 
 
 def su_from_cartan(v: Sequence) -> np.ndarray:
@@ -41,7 +52,8 @@ def mu_height(p: np.ndarray, u: np.ndarray) -> float:
 
 
 def sorted_spectrum(p: np.ndarray) -> np.ndarray:
-    """Eigenvalues of -i*p (real for skew-Hermitian p), ascending."""
+    """Eigenvalues of -i*p (real for skew-Hermitian p), ascending; per
+    matrix for a stack."""
     import numpy as np
     return np.linalg.eigvalsh(-1j * p)
 
@@ -82,83 +94,150 @@ def matrix_orbit_point(x0: np.ndarray, g: np.ndarray) -> MatrixOrbitPoint:
 
 @dataclass
 class AscentResult:
-    point: np.ndarray
-    value: float
-    iterations: int
-    grad_norm: float
-    converged: bool
-    #: largest per-step eigenvalue drift seen along the whole ascent
-    spectral_drift: float
-    start_point: np.ndarray
+    """One lockstep ascent: per-seed arrays, each in the order of `seeds`."""
+
+    seeds: tuple[int, ...]
+    points: np.ndarray
+    start_points: np.ndarray
+    values: np.ndarray
+    #: ||[p, u]|| at the start of each seed's last iteration
+    grad_norms: np.ndarray
+    #: largest per-step eigenvalue drift seen along each seed's ascent
+    spectral_drifts: np.ndarray
+    iteration_counts: np.ndarray
+    converged_flags: np.ndarray
+
+    @property
+    def iterations(self) -> int:
+        """Iterations summed over the seeds."""
+        return int(self.iteration_counts.sum())
+
+    @property
+    def converged(self) -> bool:
+        """Whether every seed converged."""
+        return bool(self.converged_flags.all())
 
 
-def ascend(x0: np.ndarray, u: np.ndarray, seed: int = 0,
-           g0: np.ndarray | None = None, grad_tol: float = 1e-10,
-           max_iter: int = 10000) -> AscentResult:
-    """Maximize mu_u over the orbit of x0 by Cayley-retraction gradient ascent.
+def _heights(p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """mu_height of each point of a stack."""
+    import numpy as np
+    return -np.real(np.trace(p @ u, axis1=1, axis2=2))
+
+
+def _norms(z: np.ndarray) -> np.ndarray:
+    """Frobenius norms of stacked complex matrices, as np.linalg.norm takes
+    them: sqrt(re.re + im.im), each term one BLAS dot, so the bits agree."""
+    import numpy as np
+    count, n, _ = z.shape
+    flat = z.reshape(count, 1, n * n)
+    re, im = flat.real, flat.imag
+    sq = re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1)
+    return np.sqrt(sq[:, 0, 0])
+
+
+def ascend(x0: np.ndarray, u: np.ndarray, seeds: Iterable[int],
+           grad_tol: float = 1e-10, max_iter: int = 10000) -> AscentResult:
+    """Maximize mu_u over the orbit of x0 from one Haar-random start per seed,
+    by Cayley-retraction gradient ascent run on all seeds in lockstep.
 
     The ascent generator at p is Z = [p, u]; criticality is ||[u, p]|| -> 0.
     The update p <- Q p Q* with Q = (I - tau/2 Z)^{-1}(I + tau/2 Z) stays on
     the orbit exactly up to rounding, and tau is chosen by backtracking.
+    Each step makes one backtracking try for every live seed on stacked
+    matrices; every stacked call gives the bits of its 2-D call, so each seed
+    follows exactly the arithmetic of an ascent run on its own.
     """
     import numpy as np
     n = x0.shape[0]
     if np.abs(u - np.diag(np.diag(u))).max() > 0 or np.abs(np.diag(u)).max() == 0:
         raise InvalidInputError("u must be a nonzero diagonal matrix")
-    if g0 is None:
-        g0 = random_special_unitary(n, np.random.default_rng(seed))
-    p = matrix_orbit_point(x0, g0).point
-    start = p.copy()
+    seeds = tuple(seeds)
+    if not seeds:
+        raise InvalidInputError("the ascent needs at least one seed")
+    if min(seeds) < 0:
+        raise InvalidInputError("seeds must be nonnegative, got %d" % min(seeds))
+    starts = np.array([
+        matrix_orbit_point(x0, random_special_unitary(n, np.random.default_rng(s))).point
+        for s in seeds])
+    count = len(seeds)
+    p = starts.copy()
     eye = np.eye(n, dtype=complex)
-    tau = 1.0 / (np.linalg.norm(u) + 1.0)
-    value = mu_height(p, u)
+    tau0 = 1.0 / (np.linalg.norm(u) + 1.0)
+    tau = np.full(count, tau0)
+    value = _heights(p, u)
     prev_spec = sorted_spectrum(p)
-    drift = 0.0
-    iterations = 0
-    grad_norm = float(np.linalg.norm(p @ u - u @ p))
+    drift = np.zeros(count)
+    iterations = np.zeros(count, dtype=np.int64)
+    z = p @ u - u @ p
+    grad_norm = _norms(z)
+    grad_sq = np.zeros(count)
     converged = grad_norm < grad_tol
     # Once value improvements shrink below float resolution, Armijo on the
     # height stalls around 1e-8 criticality; the endgame instead accepts
     # steps that strictly shrink the gradient norm (the same vector field).
-    endgame = False
-    for iterations in range(1, max_iter + 1):
-        z = p @ u - u @ p
-        grad_norm = float(np.linalg.norm(z))
-        if grad_norm < grad_tol:
-            converged = True
+    endgame = np.zeros(count, dtype=bool)
+    first_try = np.ones(count, dtype=bool)
+    tries = np.zeros(count, dtype=np.int64)
+    live = np.ones(count, dtype=bool)
+    fresh = np.ones(count, dtype=bool)  # starts a new iteration before its next try
+    while True:
+        new = np.flatnonzero(fresh)
+        fresh[new] = False
+        capped = iterations[new] >= max_iter
+        live[new[capped]] = False
+        new = new[~capped]
+        iterations[new] += 1
+        z[new] = p[new] @ u - u @ p[new]
+        grad_norm[new] = _norms(z[new])
+        done = grad_norm[new] < grad_tol
+        converged[new[done]] = True
+        live[new[done]] = False
+        new = new[~done]
+        # Python's float power, not numpy's square: the two differ in the
+        # last bit on about one input in a thousand.
+        grad_sq[new] = [g ** 2 for g in grad_norm[new].tolist()]
+        first_try[new] = True
+        tries[new] = 0
+
+        tried = np.flatnonzero(live)
+        if not tried.size:
             break
-        accepted = False
-        first_try = True
-        for _ in range(60):
-            q = np.linalg.solve(eye - 0.5 * tau * z, eye + 0.5 * tau * z)
-            cand = q @ p @ q.conj().T
-            cand_val = mu_height(cand, u)
-            if not endgame:
-                if cand_val >= value + 0.25 * tau * grad_norm ** 2 and cand_val > value:
-                    accepted = True
-                    break
-            else:
-                cand_grad = float(np.linalg.norm(cand @ u - u @ cand))
-                if cand_grad < grad_norm and cand_val >= value - 1e-11 * (1.0 + abs(value)):
-                    accepted = True
-                    break
-            tau *= 0.5
-            first_try = False
-        if not accepted:
-            if endgame:
-                break
-            endgame = True
-            tau = max(tau, 1.0 / (np.linalg.norm(u) + 1.0))
-            continue
-        p, value = cand, cand_val
-        spec = sorted_spectrum(p)
-        drift = max(drift, float(np.abs(spec - prev_spec).max()))
-        prev_spec = spec
-        if first_try:
-            tau = min(tau * 1.5, 1e3)
-    return AscentResult(point=p, value=value, iterations=iterations,
-                        grad_norm=grad_norm, converged=converged,
-                        spectral_drift=drift, start_point=start)
+        half = (0.5 * tau[tried])[:, None, None] * z[tried]
+        q = np.linalg.solve(eye - half, eye + half)
+        cand = q @ p[tried] @ q.conj().transpose(0, 2, 1)
+        cand_val = _heights(cand, u)
+        val = value[tried]
+        ok = (cand_val >= val + 0.25 * tau[tried] * grad_sq[tried]) & (cand_val > val)
+        late = np.flatnonzero(endgame[tried])
+        if late.size:
+            late_cand = cand[late]
+            cand_grad = _norms(late_cand @ u - u @ late_cand)
+            ok[late] = (cand_grad < grad_norm[tried[late]]) & (
+                cand_val[late] >= val[late] - 1e-11 * (1.0 + np.abs(val[late])))
+
+        acc = tried[ok]
+        p[acc] = cand[ok]
+        value[acc] = cand_val[ok]
+        spec = sorted_spectrum(p[acc])
+        drift[acc] = np.maximum(drift[acc], np.abs(spec - prev_spec[acc]).max(axis=1))
+        prev_spec[acc] = spec
+        grow = acc[first_try[acc]]
+        tau[grow] = np.minimum(tau[grow] * 1.5, 1e3)
+        fresh[acc] = True
+
+        rej = tried[~ok]
+        tau[rej] *= 0.5
+        first_try[rej] = False
+        tries[rej] += 1
+        spent = rej[tries[rej] == _MAX_TRIES]
+        live[spent[endgame[spent]]] = False
+        enter = spent[~endgame[spent]]
+        endgame[enter] = True
+        tau[enter] = np.maximum(tau[enter], tau0)
+        fresh[enter] = True
+    return AscentResult(seeds=seeds, points=p, start_points=starts, values=value,
+                        grad_norms=grad_norm, spectral_drifts=drift,
+                        iteration_counts=iterations, converged_flags=converged)
 
 
 @dataclass
@@ -240,6 +319,35 @@ def hessian_signature(x_crit, u, fd_check: bool = True,
                          is_max=pos == 0, is_min=neg == 0)
 
 
+@dataclass(frozen=True)
+class _PolytopeFloats:
+    """A polytope's facet functionals f . x <= b and its vertices in floats,
+    in trace-form units."""
+
+    facets: np.ndarray
+    offsets: np.ndarray
+    vertices: np.ndarray
+
+
+#: float data per polytope, built on its first numeric check and dropped with it
+_FLOATS: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def _polytope_floats(poly: ExactPolytope, factor: Fraction) -> _PolytopeFloats:
+    """The float data of `poly`, built once; the trace factor is fixed by the
+    root system whose Killing gram `poly` carries."""
+    import numpy as np
+    floats = _FLOATS.get(poly)
+    if floats is None:
+        functionals = poly.facet_functionals()
+        floats = _PolytopeFloats(
+            facets=np.array([[float(c) for c in f] for f, _ in functionals]) / float(factor),
+            offsets=np.array([float(b / factor) for _, b in functionals]),
+            vertices=np.array([[float(c) for c in v] for v in poly.vertices]))
+        _FLOATS[poly] = floats
+    return floats
+
+
 def verify_face_numeric(classification: FaceClassification, d: FaceDescriptor,
                         seeds: int = 20, seed_base: int = 0,
                         crit_tol: float = 1e-8, value_tol: float = 1e-8,
@@ -263,6 +371,8 @@ def verify_face_numeric(classification: FaceClassification, d: FaceDescriptor,
         raise InvalidInputError("the improper descriptor has no exposing vector")
     if seeds < 1:
         raise InvalidInputError("numeric verification needs at least one seed, got %d" % seeds)
+    if seed_base < 0:
+        raise InvalidInputError("the seed must be nonnegative, got %d" % seed_base)
     poly = classification.polytope
     n = rs.rank + 1
     factor = rs.killing_ratio
@@ -271,60 +381,57 @@ def verify_face_numeric(classification: FaceClassification, d: FaceDescriptor,
     u = su_from_cartan(u_exact)
     _, h_killing = support_set(poly, u_exact)
     h_trace = float(h_killing / factor)
-
-    functionals = [(np.array([float(c) for c in f], dtype=float) / float(factor),
-                    float(b / factor))
-                   for f, b in poly.facet_functionals()]
-    vertex_floats = np.array([[float(c) for c in v] for v in poly.vertices])
+    floats = _polytope_floats(poly, factor)
     u_floats = np.array([float(c) for c in u_exact])
     sigma_set = set(d.sigma.vertex_indices)
-
-    def inside(vec: np.ndarray) -> bool:
-        return all(fl @ vec <= b + inside_tol for fl, b in functionals)
-
     blocks: dict[Fraction, list[int]] = {}
     for i, c in enumerate(u_exact):
         blocks.setdefault(c, []).append(i)
 
+    res = ascend(x0, u, seeds=range(seed_base, seed_base + seeds),
+                 grad_tol=grad_tol, max_iter=max_iter)
+    # every per-seed quantity the checks read, for all seeds at once
+    escapes, exceeds, shadows = {}, {}, {}
+    for name, q in (("start", res.start_points), ("maximizer", res.points)):
+        shadows[name] = np.imag(np.diagonal(q, axis1=1, axis2=2))
+        escapes[name] = ~(shadows[name] @ floats.facets.T
+                          <= floats.offsets + inside_tol).all(axis=1)
+        exceeds[name] = _heights(q, u) > h_trace + inside_tol
+    plane_gap = np.abs(shadows["maximizer"] @ u_floats - h_trace)
+    # block-diagonalize within the eigenspaces of u and round to the orbit
+    assembled = np.zeros((seeds, n))
+    for idx in blocks.values():
+        sub = res.points[:, idx][:, :, idx]
+        assembled[:, idx] = sorted_spectrum(sub)[:, ::-1]
+    dist = np.abs(floats.vertices[None, :, :] - assembled[:, None, :]).max(axis=2)
+    nearest = dist.argmin(axis=1)
+
     failures: list[str] = []
-    results = []
-    for k in range(seeds):
-        res = ascend(x0, u, seed=seed_base + k, grad_tol=grad_tol, max_iter=max_iter)
-        results.append(res)
-        tag = "seed %d" % (seed_base + k)
-        if not res.converged:
-            failures.append("%s: no convergence (grad %.2e)" % (tag, res.grad_norm))
+    for k, seed in enumerate(res.seeds):
+        tag = "seed %d" % seed
+        if not res.converged_flags[k]:
+            failures.append("%s: no convergence (grad %.2e)" % (tag, res.grad_norms[k]))
             continue
-        if res.grad_norm > crit_tol:
-            failures.append("%s: ||[u,p]|| = %.2e > %.0e" % (tag, res.grad_norm, crit_tol))
-        if abs(res.value - h_trace) > value_tol:
-            failures.append("%s: value gap %.2e > %.0e"
-                            % (tag, abs(res.value - h_trace), value_tol))
-        if res.spectral_drift > drift_tol:
-            failures.append("%s: spectral drift %.2e per step" % (tag, res.spectral_drift))
-        for q, name in ((res.start_point, "start"), (res.point, "maximizer")):
-            shadow = np.imag(np.diag(q))
-            if not inside(shadow):
+        if res.grad_norms[k] > crit_tol:
+            failures.append("%s: ||[u,p]|| = %.2e > %.0e" % (tag, res.grad_norms[k], crit_tol))
+        gap = abs(res.values[k] - h_trace)
+        if gap > value_tol:
+            failures.append("%s: value gap %.2e > %.0e" % (tag, gap, value_tol))
+        if res.spectral_drifts[k] > drift_tol:
+            failures.append("%s: spectral drift %.2e per step" % (tag, res.spectral_drifts[k]))
+        for name in ("start", "maximizer"):
+            if escapes[name][k]:
                 failures.append("%s: %s momentum shadow escapes P" % (tag, name))
-            if mu_height(q, u) > h_trace + inside_tol:
+            if exceeds[name][k]:
                 failures.append("%s: %s exceeds the support ceiling" % (tag, name))
-        shadow = np.imag(np.diag(res.point))
-        if abs(shadow @ u_floats - h_trace) > value_tol:
+        if plane_gap[k] > value_tol:
             failures.append("%s: maximizer shadow is not on the supporting hyperplane" % tag)
-        # block-diagonalize within the eigenspaces of u and round to the orbit
-        assembled = np.zeros(n)
-        for idx in blocks.values():
-            sub = res.point[np.ix_(idx, idx)]
-            eigs = np.sort(np.linalg.eigvalsh(-1j * sub))[::-1]
-            for pos, val in zip(idx, eigs):
-                assembled[pos] = val
-        dist = np.abs(vertex_floats - assembled).max(axis=1)
-        nearest = int(dist.argmin())
-        if dist[nearest] > round_tol:
+        near = nearest[k]
+        if dist[k, near] > round_tol:
             failures.append("%s: maximizer does not round to an orbit point (%.2e)"
-                            % (tag, dist[nearest]))
-        elif nearest not in sigma_set:
-            failures.append("%s: maximizer rounds to vertex %d outside sigma" % (tag, nearest))
+                            % (tag, dist[k, near]))
+        elif near not in sigma_set:
+            failures.append("%s: maximizer rounds to vertex %d outside sigma" % (tag, near))
 
     hess = hessian_signature(poly.vertices[d.sigma.vertex_indices[0]], u_exact)
     if not hess.is_max:
@@ -340,11 +447,11 @@ def verify_face_numeric(classification: FaceClassification, d: FaceDescriptor,
         "h_killing": str(h_killing),
         "h_trace": h_trace,
         "n_seeds": seeds,
-        "n_converged": sum(1 for r in results if r.converged),
-        "max_iterations": max(r.iterations for r in results),
-        "max_grad_norm": max(r.grad_norm for r in results),
-        "max_value_gap": max(abs(r.value - h_trace) for r in results),
-        "max_step_drift": max(r.spectral_drift for r in results),
+        "n_converged": int(res.converged_flags.sum()),
+        "max_iterations": int(res.iteration_counts.max()),
+        "max_grad_norm": float(res.grad_norms.max()),
+        "max_value_gap": float(np.abs(res.values - h_trace).max()),
+        "max_step_drift": float(res.spectral_drifts.max()),
         "hessian_counts": list(hess.counts),
         "hessian_fd_error": hess.fd_max_error,
         "ok": not failures,

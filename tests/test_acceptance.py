@@ -206,10 +206,10 @@ def test_criterion_8_numeric_cross_validation():
     # ascent only ever reports the maximum component's value
     x0 = su_from_cartan([1, 0, -1])
     u_mat = su_from_cartan([1, 1, -2])
-    for seed in range(20):
-        res = ascend(x0, u_mat, seed=seed)
-        assert res.converged
-        assert abs(res.value - 3.0) <= 1e-8
+    res = ascend(x0, u_mat, seeds=range(20))
+    for k in range(20):
+        assert res.converged_flags[k]
+        assert abs(res.values[k] - 3.0) <= 1e-8
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0, "numeric suite took %.1fs" % elapsed
     print("\n[criterion 8] PASS - numeric cross-validation in %.1fs" % elapsed)

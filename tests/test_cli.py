@@ -175,6 +175,37 @@ def test_negative_numeric_faces_exits_1(capsys):
     assert "--numeric-faces" in line
 
 
+def test_negative_seed_exits_1(capsys):
+    line = _exits_1_with_one_error_line(capsys, _A2 + ["--seed", "-1"])
+    assert "--seed" in line
+    numeric = ["verify-numeric"] + _A2[1:]
+    assert "--seed" in _exits_1_with_one_error_line(capsys, numeric + ["--seed", "-1"])
+
+
+def test_bad_grad_tol_exits_1(capsys):
+    for value in ("0", "nan", "-1e-10"):
+        line = _exits_1_with_one_error_line(capsys, _A2 + ["--grad-tol", value])
+        assert "--grad-tol" in line
+
+
+def test_bad_value_tol_exits_1(capsys):
+    for value in ("-1", "inf"):
+        line = _exits_1_with_one_error_line(capsys, _A2 + ["--value-tol", value])
+        assert "--value-tol" in line
+
+
+def test_bad_crit_tol_exits_1(capsys):
+    for value in ("0", "-inf"):
+        line = _exits_1_with_one_error_line(capsys, _A2 + ["--crit-tol", value])
+        assert "--crit-tol" in line
+
+
+def test_bad_fd_tol_exits_1(capsys):
+    for value in ("-1", "nan"):
+        line = _exits_1_with_one_error_line(capsys, _A2 + ["--fd-tol", value])
+        assert "--fd-tol" in line
+
+
 def test_non_integer_orbitope_cap_env_exits_1(capsys, monkeypatch):
     monkeypatch.setenv("ORBITOPE_CAP", "abc")
     line = _exits_1_with_one_error_line(capsys, _A2)

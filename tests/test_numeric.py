@@ -5,8 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import get_classification
+from ascent_oracle import ascend_one
+from conftest import get_classification, get_rs
 from orbitope import (InvalidInputError, TheoremViolationError, ascend,
+                      build_weyl_group, chamber_point, classify_faces,
                       hessian_signature, matrix_orbit_point,
                       verify_face_numeric)
 from orbitope.numeric import mu_height, random_special_unitary, su_from_cartan
@@ -32,21 +34,21 @@ def test_random_special_unitary_properties():
 def test_ascend_with_u_equal_x0():
     """The orbit lies on a sphere, so the self-pairing is maximal."""
     x0 = su_from_cartan([1, 0, -1])
-    res = ascend(x0, x0, seed=11)
+    res = ascend(x0, x0, seeds=[11])
     assert res.converged
-    assert abs(res.value - mu_height(x0, x0)) < 1e-10
-    assert np.abs(res.point - x0).max() < 1e-7
+    assert abs(res.values[0] - mu_height(x0, x0)) < 1e-10
+    assert np.abs(res.points[0] - x0).max() < 1e-7
 
 
 def test_ascend_regular_u_same_chamber_hits_x0():
     """20 random seeds all converge to x0 when u is regular dominant."""
     x0 = su_from_cartan([1, 0, -1])
     u = su_from_cartan([3, 1, -4])
-    for seed in range(20):
-        res = ascend(x0, u, seed=seed)
-        assert res.converged and res.grad_norm < 1e-8
-        assert np.abs(res.point - x0).max() < 1e-7
-        assert res.spectral_drift < 1e-9
+    res = ascend(x0, u, seeds=range(20))
+    for k in range(20):
+        assert res.converged_flags[k] and res.grad_norms[k] < 1e-8
+        assert np.abs(res.points[k] - x0).max() < 1e-7
+        assert res.spectral_drifts[k] < 1e-9
 
 
 def test_ascend_p2_with_singular_u():
@@ -54,31 +56,109 @@ def test_ascend_p2_with_singular_u():
     pairing, attained on the projective subspace component."""
     x0 = su_from_cartan(["2/3", "-1/3", "-1/3"])
     u = su_from_cartan([1, 1, -2])
-    for seed in range(8):
-        res = ascend(x0, u, seed=seed)
-        assert res.converged
-        assert abs(res.value - 1.0) < 1e-9
+    res = ascend(x0, u, seeds=range(8))
+    for k in range(8):
+        assert res.converged_flags[k]
+        assert abs(res.values[k] - 1.0) < 1e-9
         # maximizer commutes with u: the (1,1)-block never mixes with e3
-        assert np.abs(res.point[2, :2]).max() < 1e-6
+        assert np.abs(res.points[k][2, :2]).max() < 1e-6
 
 
 def test_ascend_rejects_bad_u():
     x0 = su_from_cartan([1, 0, -1])
     with pytest.raises(InvalidInputError):
-        ascend(x0, np.zeros((3, 3), dtype=complex))
+        ascend(x0, np.zeros((3, 3), dtype=complex), seeds=[0])
     off = np.zeros((3, 3), dtype=complex)
     off[0, 1] = 1j
     off[1, 0] = 1j
     with pytest.raises(InvalidInputError):
-        ascend(x0, off)
+        ascend(x0, off, seeds=[0])
+
+
+def test_ascend_rejects_negative_and_missing_seeds():
+    x0 = su_from_cartan([1, 0, -1])
+    u = su_from_cartan([3, 1, -4])
+    with pytest.raises(InvalidInputError):
+        ascend(x0, u, seeds=[0, -1])
+    with pytest.raises(InvalidInputError):
+        ascend(x0, u, seeds=[])
+    cl = get_classification("A", 2, (1, 1))
+    with pytest.raises(InvalidInputError):
+        verify_face_numeric(cl, cl.proper_descriptors[0], seeds=2, seed_base=-1)
+
+
+def test_ascend_totals_are_python_scalars():
+    """The summed iterations and the all-converged flag are plain int and bool."""
+    x0 = su_from_cartan([1, 0, -1])
+    res = ascend(x0, su_from_cartan([3, 1, -4]), seeds=range(3))
+    assert type(res.iterations) is int and type(res.converged) is bool
+    assert res.iterations == sum(int(c) for c in res.iteration_counts)
+    assert res.converged == all(res.converged_flags)
+
+
+def _benchmark_faces():
+    """(x0, u) of every face the benchmark's verify-numeric cases check."""
+    out = []
+    for coords in ((1, 1, 1), (1, 0, 1), (0, 1, 1, 0)):
+        cl = get_classification("A", len(coords), coords)
+        x0 = su_from_cartan(cl.x.vector)
+        out.extend((x0, su_from_cartan(d.exposing_u)) for d in cl.proper_descriptors[:5])
+    return out
+
+
+def _first_weight_a6():
+    rs = get_rs("A", 6)
+    cl = classify_faces(rs, build_weyl_group(rs, cap=6000), chamber_point(rs, [1] + [0] * 5))
+    return su_from_cartan(cl.x.vector), su_from_cartan(cl.proper_descriptors[0].exposing_u)
+
+
+_REGULAR = ([1, 0, -1], [3, 1, -4])
+_ORACLE_CASES = {
+    "regular-u": ([_REGULAR], range(20), {}),
+    "singular-u-P2": ([(["2/3", "-1/3", "-1/3"], [1, 1, -2])], range(20), {}),
+    "u-equals-x0": ([([1, 0, -1], [1, 0, -1])], range(20), {}),
+    "unordered-seeds": ([_REGULAR], (5, 2, 17, 0), {}),
+    "benchmark-faces": (_benchmark_faces, range(20), {}),
+    "a6-first-weight": (lambda: [_first_weight_a6()], range(20), {}),
+    "max-iter-2": ([_REGULAR, ([3, 1, -1, -3], [1, 0, 0, -1])], range(20), {"max_iter": 2}),
+    "max-iter-7": ([_REGULAR, ([3, 1, -1, -3], [1, 0, 0, -1])], range(20), {"max_iter": 7}),
+    "endgame-exit": ([_REGULAR, ([3, 1, -1, -3], [1, 0, 0, -1])], range(10),
+                     {"grad_tol": 1e-19}),
+}
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_CASES))
+def test_lockstep_ascent_matches_the_sequential_oracle(name):
+    """Each seed of the lockstep kernel follows, bit for bit, the ascent the
+    sequential loop runs from that seed alone."""
+    pairs, seeds, kw = _ORACLE_CASES[name]
+    pairs = pairs() if callable(pairs) else [(su_from_cartan(x), su_from_cartan(u))
+                                             for x, u in pairs]
+    for x0, u in pairs:
+        res = ascend(x0, u, seeds=seeds, **kw)
+        assert res.seeds == tuple(seeds)
+        for k, seed in enumerate(seeds):
+            one = ascend_one(x0, u, seed=seed, **kw)
+            assert np.array_equal(res.points[k], one.point)
+            assert np.array_equal(res.start_points[k], one.start_point)
+            assert res.values[k] == one.value
+            assert res.grad_norms[k] == one.grad_norm
+            assert res.spectral_drifts[k] == one.spectral_drift
+            assert res.iteration_counts[k] == one.iterations
+            assert res.converged_flags[k] == one.converged
+            if "max_iter" in kw:
+                assert one.iterations == kw["max_iter"] and not one.converged
+            if "grad_tol" in kw:
+                # every seed leaves through the endgame, before any cap
+                assert not one.converged and one.iterations < 10000
 
 
 def test_ascend_iteration_cap_reports_gradient():
     x0 = su_from_cartan([1, 0, -1])
     u = su_from_cartan([3, 1, -4])
-    res = ascend(x0, u, seed=1, max_iter=2)
+    res = ascend(x0, u, seeds=[1], max_iter=2)
     assert not res.converged
-    assert res.grad_norm > 0
+    assert res.grad_norms[0] > 0
 
 
 def test_hessian_same_chamber_is_max():
