@@ -13,7 +13,7 @@ from .faces import (FaceClassification, FaceDescriptor, classify_faces,
                     parabolic_report, phi_of_descriptor, psi_of_polytope_face,
                     saturate, x_connected_subsets)
 from .integrality import (FaceWeight, WeightData, check_integral,
-                          full_weight_data, induce_face_weight)
+                          induce_face_weight)
 from .numeric import (AscentResult, HessianReport, MatrixOrbitPoint, ascend,
                       hessian_signature, matrix_orbit_point, verify_face_numeric)
 from .polytope import (ExactPolytope, FaceOrbit, Facet, PolytopeFace,
@@ -32,7 +32,7 @@ __all__ = [
     "TheoremViolationError", "WeightData", "WeylGroup",
     "act_on_faces", "ascend", "build_poset", "build_root_system",
     "build_weyl_group", "chamber_point", "check_integral", "classify_faces",
-    "fixed_vector_in_cone", "full_weight_data", "hessian_signature", "hull",
+    "fixed_vector_in_cone", "hessian_signature", "hull",
     "induce_face_weight", "matrix_orbit_point", "parabolic_report",
     "phi_of_descriptor", "psi_of_polytope_face", "saturate", "stratum_dim",
     "support_set", "verify_face_numeric", "weyl_orbit", "x_connected_subsets",

@@ -25,7 +25,7 @@ from .numeric import verify_face_numeric
 from .polytope import DEFAULT_HULL_CAP, hull
 from .roots import build_root_system, chamber_point
 from .strata import build_poset
-from .weyl import DEFAULT_WEYL_CAP, build_weyl_group, weyl_orbit
+from .weyl import build_weyl_group, weyl_orbit
 
 COMMANDS = ("faces", "polytope", "strata", "integrality", "verify-numeric", "verify-all")
 
@@ -42,7 +42,7 @@ class RunConfig:
     numeric_seeds: int = 20
     numeric_faces: int = 5
     hull_cap: int = DEFAULT_HULL_CAP
-    weyl_cap: int = DEFAULT_WEYL_CAP
+    weyl_cap: int | None = None
     grad_tol: float = 1e-10
     value_tol: float = 1e-8
     crit_tol: float = 1e-8
@@ -55,13 +55,13 @@ def _vec_strs(v) -> list[str]:
 
 def _check_config(config: RunConfig) -> None:
     """Reject seed, count, cap and tolerance settings outside their range
-    before any work."""
+    before any work; an unset Weyl cap means no cap."""
     for flag, value, least in (("--seed", config.seed, 0),
                                ("--numeric-seeds", config.numeric_seeds, 1),
                                ("--numeric-faces", config.numeric_faces, 0),
                                ("--orbit-cap", config.hull_cap, 0),
                                ("--weyl-cap", config.weyl_cap, 0)):
-        if value < least:
+        if value is not None and value < least:
             raise InvalidInputError("%s must be at least %d, got %d" % (flag, least, value))
     for flag, tol in (("--grad-tol", config.grad_tol), ("--value-tol", config.value_tol),
                       ("--crit-tol", config.crit_tol), ("--fd-tol", config.fd_tol)):
@@ -277,7 +277,8 @@ def _build_parser() -> _Parser:
     parser.add_argument("--orbit-cap", type=int, default=DEFAULT_HULL_CAP,
                         help="maximum Weyl orbit size fed to the hull")
     parser.add_argument("--weyl-cap", type=int, default=None,
-                        help="maximum Weyl group order (default 2000 or $ORBITOPE_CAP)")
+                        help="maximum Weyl group order (default $ORBITOPE_CAP, "
+                             "else no cap)")
     parser.add_argument("--grad-tol", type=float, default=1e-10)
     parser.add_argument("--value-tol", type=float, default=1e-8)
     parser.add_argument("--crit-tol", type=float, default=1e-8)
@@ -288,12 +289,14 @@ def _build_parser() -> _Parser:
 def parse_config(argv) -> RunConfig:
     args = _build_parser().parse_args(argv)
     weyl_cap = args.weyl_cap
-    if weyl_cap is None:
-        env_cap = os.environ.get("ORBITOPE_CAP", str(DEFAULT_WEYL_CAP))
+    env_cap = os.environ.get("ORBITOPE_CAP")
+    if weyl_cap is None and env_cap is not None:
         try:
             weyl_cap = int(env_cap)
         except ValueError:
             raise InvalidInputError("ORBITOPE_CAP must be an integer, got %r" % env_cap) from None
+        if weyl_cap < 0:
+            raise InvalidInputError("ORBITOPE_CAP must be at least 0, got %d" % weyl_cap)
     return RunConfig(
         command=args.command, type_label=args.type_label, rank=args.rank,
         point=tuple(s.strip() for s in args.point.split(",")),

@@ -22,7 +22,8 @@ from typing import Sequence
 from .errors import InvalidInputError, TheoremViolationError
 from .linalg import Vector, dot, lincomb
 from .polytope import (DEFAULT_HULL_CAP, ExactPolytope, FaceOrbit,
-                       PolytopeFace, act_on_faces, face_orbit, hull, support_set)
+                       PolytopeFace, act_on_faces, face_orbit, facets_through,
+                       hull, support_set)
 from .roots import ChamberPoint, RootSystem
 from .weyl import WeylGroup, weyl_orbit
 
@@ -231,7 +232,10 @@ def psi_of_polytope_face(classification: FaceClassification,
     the classified orbits, and the descriptor that phi sends to that class.
 
     Also re-derives (I, J) from the roots vanishing on the orthogonal
-    complement of the descriptor's face and cross-checks it.
+    complement of the descriptor's face sigma and cross-checks it.  That
+    complement, taken in the direction space of P, is spanned by the normals
+    of the facets through sigma, because sigma is the intersection of those
+    facets.
     """
     rs = classification.root_system
     poly = classification.polytope
@@ -246,8 +250,9 @@ def psi_of_polytope_face(classification: FaceClassification,
         raise TheoremViolationError(
             "no Weyl conjugate of the face matches a descriptor "
             "(every face class must arise from an x-connected subset)")
+    normals = [f.normal for f in facets_through(poly, found.sigma)]
     E = tuple(i for i in range(rs.rank)
-              if all(dot(rs.simple_roots[i], v) == 0 for v in found.sigma.perp_basis))
+              if all(dot(rs.simple_roots[i], n) == 0 for n in normals))
     I = largest_x_connected_subset(rs, classification.x, E)
     _, J = saturate(rs, classification.x, I)
     if I != found.I or J != found.J:

@@ -30,12 +30,11 @@ class PairingRow:
 
 @dataclass(frozen=True)
 class WeightData:
-    """Integrality audit of the point x, with optional per-face tables."""
+    """Integrality audit of the point x."""
 
     lambda_coords: Vector
     is_integral: bool
     pairings: tuple[PairingRow, ...]
-    face_weights: tuple["FaceWeight", ...] = ()
 
 
 @dataclass(frozen=True)
@@ -92,12 +91,3 @@ def induce_face_weight(rs: RootSystem, x: ChamberPoint, d: FaceDescriptor) -> Fa
     return FaceWeight(I=d.I, x1=x1, x1_prime=x1p, pairings=tuple(rows),
                       is_integral=all(r.knapp.denominator == 1 for r in rows))
 
-
-def full_weight_data(rs: RootSystem, x: ChamberPoint, descriptors) -> WeightData:
-    """The point audit together with the induced weight of every face class
-    that carries a nontrivial K_F (the improper descriptor included)."""
-    base = check_integral(rs, x)
-    faces = tuple(induce_face_weight(rs, x, d) for d in descriptors if d.I)
-    return WeightData(lambda_coords=base.lambda_coords,
-                      is_integral=base.is_integral,
-                      pairings=base.pairings, face_weights=faces)

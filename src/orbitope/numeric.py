@@ -33,13 +33,28 @@ from .polytope import ExactPolytope, support_set
 _HERM_TOL = 1e-10
 #: backtracking tries per iteration before the endgame, or the end
 _MAX_TRIES = 60
+#: ascent iterations per seed before it counts as not converged
+_MAX_ITER = 10000
+#: largest spectral drift per ascent step a numeric check accepts
+_DRIFT_TOL = 1e-9
+#: slack of the facet and support-ceiling tests on float points
+_INSIDE_TOL = 1e-9
+#: largest distance from a maximizer to the orbit point it rounds to
+_ROUND_TOL = 1e-6
+#: step of the finite-difference Hessian check
+_FD_STEP = 1e-3
+#: differences and eigenvalues at most this are zero in the Hessian signs
+_ZERO_TOL = 1e-12
 
 
 def su_from_cartan(v: Sequence) -> np.ndarray:
     """The diagonal skew-Hermitian matrix i*diag(v) for a realization vector."""
     import numpy as np
-    a = np.array([float(Fraction(c)) if isinstance(c, str) else float(c) for c in v],
-                 dtype=float)
+    try:
+        a = np.array([float(Fraction(c)) if isinstance(c, str) else float(c) for c in v],
+                     dtype=float)
+    except OverflowError:
+        raise InvalidInputError("Cartan vector has an entry beyond the float range") from None
     if abs(a.sum()) > 1e-9:
         raise InvalidInputError("Cartan vector is not traceless")
     return 1j * np.diag(a)
@@ -136,7 +151,7 @@ def _norms(z: np.ndarray) -> np.ndarray:
 
 
 def ascend(x0: np.ndarray, u: np.ndarray, seeds: Iterable[int],
-           grad_tol: float = 1e-10, max_iter: int = 10000) -> AscentResult:
+           grad_tol: float = 1e-10, max_iter: int = _MAX_ITER) -> AscentResult:
     """Maximize mu_u over the orbit of x0 from one Haar-random start per seed,
     by Cayley-retraction gradient ascent run on all seeds in lockstep.
 
@@ -265,8 +280,7 @@ def _cartan_vec(x) -> np.ndarray:
     return np.array([float(c) for c in x], dtype=float)
 
 
-def hessian_signature(x_crit, u, fd_check: bool = True,
-                      fd_step: float = 1e-3, zero_tol: float = 1e-12) -> HessianReport:
+def hessian_signature(x_crit, u) -> HessianReport:
     """Per-root-plane Hessian signs at a diagonal critical point, plus a
     finite-difference cross-check of the block eigenvalues."""
     import numpy as np
@@ -280,40 +294,38 @@ def hessian_signature(x_crit, u, fd_check: bool = True,
         for j in range(i + 1, n):
             r = a[i] - a[j]
             s = b[i] - b[j]
-            if abs(r) <= zero_tol:
+            if abs(r) <= _ZERO_TOL:
                 excluded.append((i, j))
                 continue
             eig = -s / r
             blocks.append((i, j, r, s, eig))
-            if abs(eig) <= zero_tol:
+            if abs(eig) <= _ZERO_TOL:
                 zero += 2
             elif eig < 0:
                 neg += 2
             else:
                 pos += 2
     fd_err = 0.0
-    if fd_check:
-        x_mat = 1j * np.diag(a)
-        u_mat = 1j * np.diag(b)
-        for i, j, r, s, eig in blocks:
-            u_dir = np.zeros((n, n), dtype=complex)
-            u_dir[i, j] = 1 / np.sqrt(2.0)
-            u_dir[j, i] = -1 / np.sqrt(2.0)
-            v_dir = np.zeros((n, n), dtype=complex)
-            v_dir[i, j] = 1j / np.sqrt(2.0)
-            v_dir[j, i] = 1j / np.sqrt(2.0)
-            eye = np.eye(n, dtype=complex)
-            for z in (v_dir / r, -u_dir / r):
-                h = fd_step
+    x_mat = 1j * np.diag(a)
+    u_mat = 1j * np.diag(b)
+    eye = np.eye(n, dtype=complex)
+    h = _FD_STEP
+    for i, j, r, s, eig in blocks:
+        u_dir = np.zeros((n, n), dtype=complex)
+        u_dir[i, j] = 1 / np.sqrt(2.0)
+        u_dir[j, i] = -1 / np.sqrt(2.0)
+        v_dir = np.zeros((n, n), dtype=complex)
+        v_dir[i, j] = 1j / np.sqrt(2.0)
+        v_dir[j, i] = 1j / np.sqrt(2.0)
+        for z in (v_dir / r, -u_dir / r):
+            def val(t):
+                # Cayley curve: same velocity as the exponential, and the
+                # point is critical, so the second derivative matches.
+                g = np.linalg.solve(eye - 0.5 * t * z, eye + 0.5 * t * z)
+                return mu_height(g @ x_mat @ g.conj().T, u_mat)
 
-                def val(t):
-                    # Cayley curve: same velocity as the exponential, and the
-                    # point is critical, so the second derivative matches.
-                    g = np.linalg.solve(eye - 0.5 * t * z, eye + 0.5 * t * z)
-                    return mu_height(g @ x_mat @ g.conj().T, u_mat)
-
-                second = (val(h) - 2.0 * val(0.0) + val(-h)) / (h * h)
-                fd_err = max(fd_err, abs(second - eig))
+            second = (val(h) - 2.0 * val(0.0) + val(-h)) / (h * h)
+            fd_err = max(fd_err, abs(second - eig))
     return HessianReport(blocks=tuple(blocks), excluded=tuple(excluded),
                          counts=(neg, zero, pos), fd_max_error=fd_err,
                          is_max=pos == 0, is_min=neg == 0)
@@ -351,9 +363,7 @@ def _polytope_floats(poly: ExactPolytope, factor: Fraction) -> _PolytopeFloats:
 def verify_face_numeric(classification: FaceClassification, d: FaceDescriptor,
                         seeds: int = 20, seed_base: int = 0,
                         crit_tol: float = 1e-8, value_tol: float = 1e-8,
-                        drift_tol: float = 1e-9, inside_tol: float = 1e-9,
-                        round_tol: float = 1e-6, grad_tol: float = 1e-10,
-                        max_iter: int = 10000, fd_tol: float = 1e-5) -> dict:
+                        grad_tol: float = 1e-10, fd_tol: float = 1e-5) -> dict:
     """Cross-validate one face class on the su(n) realization.
 
     Runs multi-seed ascent for the face's exposing vector and checks: final
@@ -389,14 +399,14 @@ def verify_face_numeric(classification: FaceClassification, d: FaceDescriptor,
         blocks.setdefault(c, []).append(i)
 
     res = ascend(x0, u, seeds=range(seed_base, seed_base + seeds),
-                 grad_tol=grad_tol, max_iter=max_iter)
+                 grad_tol=grad_tol)
     # every per-seed quantity the checks read, for all seeds at once
     escapes, exceeds, shadows = {}, {}, {}
     for name, q in (("start", res.start_points), ("maximizer", res.points)):
         shadows[name] = np.imag(np.diagonal(q, axis1=1, axis2=2))
         escapes[name] = ~(shadows[name] @ floats.facets.T
-                          <= floats.offsets + inside_tol).all(axis=1)
-        exceeds[name] = _heights(q, u) > h_trace + inside_tol
+                          <= floats.offsets + _INSIDE_TOL).all(axis=1)
+        exceeds[name] = _heights(q, u) > h_trace + _INSIDE_TOL
     plane_gap = np.abs(shadows["maximizer"] @ u_floats - h_trace)
     # block-diagonalize within the eigenspaces of u and round to the orbit
     assembled = np.zeros((seeds, n))
@@ -417,7 +427,7 @@ def verify_face_numeric(classification: FaceClassification, d: FaceDescriptor,
         gap = abs(res.values[k] - h_trace)
         if gap > value_tol:
             failures.append("%s: value gap %.2e > %.0e" % (tag, gap, value_tol))
-        if res.spectral_drifts[k] > drift_tol:
+        if res.spectral_drifts[k] > _DRIFT_TOL:
             failures.append("%s: spectral drift %.2e per step" % (tag, res.spectral_drifts[k]))
         for name in ("start", "maximizer"):
             if escapes[name][k]:
@@ -427,7 +437,7 @@ def verify_face_numeric(classification: FaceClassification, d: FaceDescriptor,
         if plane_gap[k] > value_tol:
             failures.append("%s: maximizer shadow is not on the supporting hyperplane" % tag)
         near = nearest[k]
-        if dist[k, near] > round_tol:
+        if dist[k, near] > _ROUND_TOL:
             failures.append("%s: maximizer does not round to an orbit point (%.2e)"
                             % (tag, dist[k, near]))
         elif near not in sigma_set:

@@ -7,10 +7,12 @@ and cut tests, the vertex test, the facet values and the grading of the face
 lattice all run on Python ints; only the reported facet normals and offsets
 are turned back into exact fractions.  The face lattice is the closure of the
 facet/vertex incidences under intersection, graded by the fraction-free rank
-of each face's active facet rows.  A face's direction and orthogonal bases
-and the lattice's parent/child maps are built on first access only.  This
-module is the independent oracle the combinatorial face classification is
-checked against, so there is no floating point anywhere.
+of the rows of the facets through each face.  A face is just its vertex set
+and its dimension: its affine hull is the intersection of the facets through
+it (G. M. Ziegler, Lectures on Polytopes, 2.1), so any geometry of a face is
+read off those facets (`facets_through`).  This module is the independent
+oracle the combinatorial face classification is checked against, so there is
+no floating point anywhere.
 
 The Weyl group reaches a polytope only through the r simple-reflection
 permutations of its vertices (`act_on_faces`, `face_orbit`).  An exposing
@@ -19,96 +21,35 @@ by offset - <normal, b> for the vertex barycenter b, so it needs no group
 element at all.
 
 A polytope may carry a nonstandard inner product (the Killing pairing of a
-root system, given by its ambient Gram matrix).  Support sets, facet normal
-vectors and orthogonal complements are all taken with respect to it.
+root system, given by its ambient Gram matrix).  Support sets and facet
+normal vectors are taken with respect to it, so the normals of the facets
+through a face span that face's orthogonal complement in the direction space
+of the polytope.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import CapExceededError, InvalidInputError, TheoremViolationError
-from .linalg import (Matrix, Vector, dot, identity, int_dot, int_rank,
-                     integral_rows, inverse, lincomb, mat_mul, mat_vec,
-                     nullspace, primitive, rref, transpose, vadd, vec, vscale,
-                     vsub, zero_vec)
+from .linalg import (Matrix, Vector, dot, int_dot, int_rank, integral_rows,
+                     inverse, lincomb, mat_mul, mat_vec, primitive, rref,
+                     transpose, vadd, vec, vscale, vsub, zero_vec)
 from .weyl import WeylGroup, vertex_permutations
 
 #: desk-scale guard on hull input size
 DEFAULT_HULL_CAP = 200
 
 
-class _FaceGeometry:
-    """What a face needs to build its bases on demand.
-
-    `facet_rows[k]` is a positive multiple of facet k's functional on
-    direction-basis coordinates, `facet_masks[k]` its vertex bitmask and
-    `vertex_facets[i]` the bitmask of the facets through vertex i.
-    """
-
-    def __init__(self, dir_basis: tuple[Vector, ...], pair_gram: Matrix,
-                 facet_rows: Sequence[tuple[int, ...]], facet_masks: Sequence[int],
-                 n_vertices: int):
-        self.dir_basis = dir_basis
-        self.pair_gram = pair_gram
-        self.facet_rows = facet_rows
-        self.facet_masks = facet_masks
-        self.vertex_facets = [0] * n_vertices
-        for k, fm in enumerate(facet_masks):
-            for i in _bits(fm):
-                self.vertex_facets[i] |= 1 << k
-
-    def active_rows(self, vertex_indices: Sequence[int]) -> list[tuple[int, ...]]:
-        """Rows of the facets containing every one of the (nonempty) vertices."""
-        act = self.vertex_facets[vertex_indices[0]]
-        for i in vertex_indices[1:]:
-            act &= self.vertex_facets[i]
-        return [self.facet_rows[k] for k in _bits(act)]
-
-    def bases(self, face: PolytopeFace) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
-        # A face's affine hull is the intersection of its active facet
-        # hyperplanes, so its direction is the joint kernel of their rows.
-        d = len(self.dir_basis)
-        act_rows = self.active_rows(face.vertex_indices)
-        dir_coords = nullspace(act_rows) if act_rows else identity(d)
-        perp_rows = [mat_vec(self.pair_gram, c) for c in dir_coords]
-        perp_coords = nullspace(perp_rows) if perp_rows else identity(d)
-        if len(dir_coords) != face.dim or len(dir_coords) + len(perp_coords) != d:
-            raise TheoremViolationError("face dimension bookkeeping failed (bug)")
-        return (tuple(lincomb(c, self.dir_basis) for c in dir_coords),
-                tuple(lincomb(c, self.dir_basis) for c in perp_coords))
-
-
 @dataclass(frozen=True)
 class PolytopeFace:
-    """A face, stored by its sorted vertex-index set and graded by dimension.
-
-    `direction_basis` spans the direction of aff(face); `perp_basis` spans its
-    orthogonal complement (w.r.t. the polytope pairing) inside the direction
-    space of the whole polytope, so the two dimensions add up to affine_dim.
-    Both are exact and computed on first access, from the active facets.
-    """
+    """A face, stored by its sorted vertex-index set and graded by dimension."""
 
     vertex_indices: tuple[int, ...]
     dim: int
-    _geometry: _FaceGeometry | None = field(default=None, repr=False, compare=False)
-
-    @cached_property
-    def _bases(self) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
-        if self._geometry is None:
-            return (), ()
-        return self._geometry.bases(self)
-
-    @property
-    def direction_basis(self) -> tuple[Vector, ...]:
-        return self._bases[0]
-
-    @property
-    def perp_basis(self) -> tuple[Vector, ...]:
-        return self._bases[1]
 
 
 @dataclass(frozen=True)
@@ -143,27 +84,6 @@ class ExactPolytope:
         self.face_lattice = face_lattice
         self._by_vertices = {f.vertex_indices: f for fs in face_lattice.values() for f in fs}
         self._perm_cache: dict[WeylGroup, tuple[tuple[int, ...], ...]] = {}
-
-    @cached_property
-    def parents(self) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-        """Each face's faces one dimension up that contain it."""
-        out = {}
-        for d, faces in self.face_lattice.items():
-            ups = [(_mask(g.vertex_indices), g.vertex_indices)
-                   for g in self.face_lattice.get(d + 1, ())]
-            for f in faces:
-                m = _mask(f.vertex_indices)
-                out[f.vertex_indices] = tuple(g for gm, g in ups if m & gm == m)
-        return out
-
-    @cached_property
-    def children(self) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-        """Each face's faces one dimension down that it contains."""
-        out: dict[tuple[int, ...], list[tuple[int, ...]]] = {k: [] for k in self._by_vertices}
-        for child, ups in self.parents.items():
-            for up in ups:
-                out[up].append(child)
-        return {k: tuple(sorted(v)) for k, v in out.items()}
 
     @cached_property
     def _integral_vertices(self) -> tuple[list[tuple[int, ...]], int]:
@@ -304,10 +224,8 @@ def hull(points: Sequence[Sequence], gram: Matrix | None = None,
                              vertex_indices=vidx), a))
     facets.sort(key=lambda fa: (fa[0].vertex_indices, fa[0].normal))
 
-    lifted = [rows[i] for i in vertex_ids]
-    masks = [_mask(f.vertex_indices) for f, _ in facets]
-    geometry = _FaceGeometry(dir_basis, pair_gram, [a for _, a in facets], masks, len(vertex_ids))
-    lattice = _face_lattice(lifted, geometry, d)
+    lattice = _face_lattice([rows[i] for i in vertex_ids], [a for _, a in facets],
+                            [_mask(f.vertex_indices) for f, _ in facets], d)
     poly = ExactPolytope(vertices=tuple(vertex_pts), ambient_dim=ambient_dim, affine_dim=d,
                          gram=gram, facets=tuple(f for f, _ in facets), face_lattice=lattice)
     if tuple(f.vertex_indices for f in lattice[0]) != tuple((i,) for i in range(len(vertex_pts))):
@@ -381,19 +299,26 @@ def _dd_rays(rows: Sequence[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
     return sorted(rays)
 
 
-def _face_lattice(lifted: Sequence[tuple[int, ...]], geometry: _FaceGeometry,
-                  d: int) -> dict[int, tuple[PolytopeFace, ...]]:
+def _face_lattice(lifted: Sequence[tuple[int, ...]], facet_rows: Sequence[tuple[int, ...]],
+                  facet_masks: Sequence[int], d: int) -> dict[int, tuple[PolytopeFace, ...]]:
     """Close facet/vertex incidences under intersection and grade by dimension.
 
-    A face's dimension is d minus the integer rank of its active facet rows;
-    it is checked against the affine rank of its own lifted vertex rows.
+    `facet_rows[k]` is a positive multiple of facet k's functional on
+    affine coordinates and `facet_masks[k]` its vertex bitmask.  A face's
+    dimension is d minus the integer rank of the rows of the facets through
+    it; it is checked against the affine rank of its own lifted vertex rows.
     """
+    vertex_facets = [0] * len(lifted)
+    for k, fm in enumerate(facet_masks):
+        for i in _bits(fm):
+            vertex_facets[i] |= 1 << k
+
     full = (1 << len(lifted)) - 1
     seen = {full}
     queue = [full]
     while queue:
         cur = queue.pop()
-        for fm in geometry.facet_masks:
+        for fm in facet_masks:
             nm = cur & fm
             if nm and nm not in seen:
                 seen.add(nm)
@@ -402,11 +327,13 @@ def _face_lattice(lifted: Sequence[tuple[int, ...]], geometry: _FaceGeometry,
     levels: dict[int, list[PolytopeFace]] = {}
     for mask in seen:
         vidx = _bits(mask)
-        dim = d - int_rank(geometry.active_rows(vidx))
+        through = vertex_facets[vidx[0]]
+        for i in vidx[1:]:
+            through &= vertex_facets[i]
+        dim = d - int_rank([facet_rows[k] for k in _bits(through)])
         if int_rank([lifted[i] for i in vidx]) != dim + 1:
             raise TheoremViolationError("face dimension disagrees with its vertex rank (bug)")
-        levels.setdefault(dim, []).append(
-            PolytopeFace(vertex_indices=vidx, dim=dim, _geometry=geometry))
+        levels.setdefault(dim, []).append(PolytopeFace(vertex_indices=vidx, dim=dim))
     return {dim: tuple(sorted(fs, key=lambda f: f.vertex_indices))
             for dim, fs in sorted(levels.items())}
 
@@ -467,6 +394,12 @@ def act_on_faces(group: WeylGroup, p: ExactPolytope) -> dict[int, tuple[FaceOrbi
     return out
 
 
+def facets_through(p: ExactPolytope, face: PolytopeFace) -> tuple[Facet, ...]:
+    """The facets of P containing the face, in the order of `p.facets`."""
+    vertices = set(face.vertex_indices)
+    return tuple(f for f in p.facets if vertices.issubset(f.vertex_indices))
+
+
 def fixed_vector_in_cone(p: ExactPolytope, face: PolytopeFace) -> Vector:
     """A vector exposing exactly the given proper face, fixed by its stabilizer.
 
@@ -480,9 +413,8 @@ def fixed_vector_in_cone(p: ExactPolytope, face: PolytopeFace) -> Vector:
         raise InvalidInputError("the whole polytope has no exposing vector")
     barycenter = vscale(Fraction(1, len(p.vertices)), lincomb([1] * len(p.vertices), p.vertices))
     u = zero_vec(p.ambient_dim)
-    for f in p.facets:
-        if set(face.vertex_indices) <= set(f.vertex_indices):
-            u = vadd(u, vscale(1 / (f.offset - p.pair(f.normal, barycenter)), f.normal))
+    for f in facets_through(p, face):
+        u = vadd(u, vscale(1 / (f.offset - p.pair(f.normal, barycenter)), f.normal))
     exposed, _ = support_set(p, u)
     if exposed.vertex_indices != face.vertex_indices:
         raise TheoremViolationError("scaled normal sum does not expose the face (bug)")

@@ -25,9 +25,6 @@ from .linalg import (Vector, common_denominator, int_dot, integral_rows,
                      lincomb, nullspace, vscale)
 from .roots import ChamberPoint, RootSystem
 
-#: desk-scale guard on the group order
-DEFAULT_WEYL_CAP = 2000
-
 Labels = tuple[int, ...]
 
 
@@ -63,14 +60,14 @@ class WeylGroup:
         return self.order // _order(self.root_system, x.singular_set)
 
 
-def build_weyl_group(rs: RootSystem, cap: int = DEFAULT_WEYL_CAP) -> WeylGroup:
+def build_weyl_group(rs: RootSystem, cap: int | None = None) -> WeylGroup:
     """The Weyl group of a root system, from its simple reflections.
 
-    Rejects groups larger than `cap`, and checks the label action against
-    the ambient reflections on every fundamental weight.
+    Rejects groups larger than `cap` when one is given, and checks the label
+    action against the ambient reflections on every fundamental weight.
     """
     group = WeylGroup(rs)
-    if group.order > cap:
+    if cap is not None and group.order > cap:
         raise CapExceededError("Weyl group of %s has more than %d elements; "
                                "raise the cap to proceed" % (rs.name, cap))
     units = [tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)]

@@ -70,7 +70,22 @@ def test_orbitope_cap_env(monkeypatch):
     assert cfg.weyl_cap == 5
     monkeypatch.delenv("ORBITOPE_CAP")
     cfg = parse_config(["faces", "--type", "A", "--rank", "2", "--point", "1,1"])
-    assert cfg.weyl_cap == 2000
+    assert cfg.weyl_cap is None
+
+
+def test_e6_verifies_under_default_caps():
+    """Nothing enumerates W, so no default cap stands between E6 and a result."""
+    code, text = run(_cfg(command="verify-all", type_label="E", rank=6,
+                          point=("1", "0", "0", "0", "0", "0")))
+    assert code == 0, text
+    assert json.loads(text)["bijection_verified"] is True
+
+
+def test_e8_orbit_above_the_orbit_cap_exits_1():
+    code, text = run(_cfg(command="verify-all", type_label="E", rank=8,
+                          point=("0",) * 7 + ("1",)))
+    assert code == 1
+    assert text == "error: hull input has 240 points, cap is 200\n"
 
 
 def test_polytope_command():
@@ -210,6 +225,19 @@ def test_non_integer_orbitope_cap_env_exits_1(capsys, monkeypatch):
     monkeypatch.setenv("ORBITOPE_CAP", "abc")
     line = _exits_1_with_one_error_line(capsys, _A2)
     assert "ORBITOPE_CAP" in line
+
+
+@pytest.mark.parametrize("command", ["verify-all", "verify-numeric"])
+def test_point_beyond_float_range_exits_1(capsys, command):
+    line = _exits_1_with_one_error_line(
+        capsys, [command, "--type", "A", "--rank", "2", "--point", "1,1e400"])
+    assert "float range" in line
+
+
+def test_negative_orbitope_cap_env_exits_1(capsys, monkeypatch):
+    monkeypatch.setenv("ORBITOPE_CAP", "-5")
+    line = _exits_1_with_one_error_line(capsys, _A2)
+    assert "ORBITOPE_CAP" in line and "--weyl-cap" not in line
 
 
 def test_out_into_missing_directory_exits_1(capsys, tmp_path):

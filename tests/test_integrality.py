@@ -117,17 +117,6 @@ def test_sub_killing_gram_positive_definite():
             assert det([row[:k] for row in gram[:k]]) > 0
 
 
-def test_full_weight_data_gathers_face_tables():
-    from orbitope import full_weight_data
-    rs = get_rs("A", 4)
-    x = get_point("A", 4, (0, 5, 0, 0))
-    cl = get_classification("A", 4, (0, 5, 0, 0))
-    wd = full_weight_data(rs, x, cl.descriptors)
-    assert wd.is_integral
-    assert len(wd.face_weights) == 6  # five proper classes with I nonempty + top
-    assert {fw.I for fw in wd.face_weights} == {d.I for d in cl.descriptors if d.I}
-
-
 def test_descent_property_on_integral_grid():
     """Integral x: every proper face with nonempty I induces an integral weight."""
     pairs = 0

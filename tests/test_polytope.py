@@ -68,21 +68,13 @@ def test_cube_from_b3_orbit():
 
 def test_face_lattice_closure_under_intersection():
     _, _, p = _orbit_polytope("B", 2, (1, 1))
-    keys = set(p.parents)
+    keys = {f.vertex_indices for faces in p.face_lattice.values() for f in faces}
     for d, faces in p.face_lattice.items():
         for f in faces:
             for g in p.face_lattice.get(d + 1, ()):
                 inter = tuple(sorted(set(f.vertex_indices) & set(g.vertex_indices)))
                 if inter:
                     assert inter in keys
-
-
-def test_lattice_parents_children_consistency():
-    _, _, p = _orbit_polytope("A", 2, (1, 1))
-    for child, ups in p.parents.items():
-        for up in ups:
-            assert child in p.children[up]
-    assert p.parents[p.top.vertex_indices] == ()
 
 
 def test_face_dims_match_vertex_affine_rank():
@@ -94,17 +86,6 @@ def test_face_dims_match_vertex_affine_rank():
             for f in faces:
                 vs = [p.vertices[i] for i in f.vertex_indices]
                 assert rank([vsub(v, vs[0]) for v in vs[1:]]) == f.dim
-                assert len(f.direction_basis) == f.dim
-                assert len(f.direction_basis) + len(f.perp_basis) == p.affine_dim
-
-
-def test_perp_basis_killing_orthogonal():
-    rs, _, p = _orbit_polytope("G", 2, (1, 1))
-    for faces in p.face_lattice.values():
-        for f in faces:
-            for b in f.direction_basis:
-                for q in f.perp_basis:
-                    assert rs.killing(b, q) == 0
 
 
 def test_support_set_oracle_random_u():
@@ -310,23 +291,28 @@ def test_non_integral_facet_count_matches_qhull(name):
     assert sorted(qh.vertices) == list(range(len(p.vertices)))
 
 
-@pytest.mark.parametrize("name", sorted(_NON_INTEGRAL_HULLS))
-def test_non_integral_lazy_bases(name):
-    """Rank-nullity and orthogonality of the bases built on first access."""
+_FACET_NORMAL_HULLS = dict(_NON_INTEGRAL_HULLS,
+                           **{"G2 1,1": lambda: _orbit_polytope("G", 2, (1, 1))[2]})
+
+
+@pytest.mark.parametrize("name", sorted(_FACET_NORMAL_HULLS))
+def test_facet_normals_span_face_complement(name):
+    """The normals of the facets through a proper face lie in the direction
+    space of P, are orthogonal to the face under the polytope pairing and
+    span a space of the complementary dimension: the fact psi reads the
+    face's orthogonal complement from."""
     from orbitope.linalg import rank, vsub
-    p = _NON_INTEGRAL_HULLS[name]()
-    for faces in p.face_lattice.values():
-        for f in faces:
-            direction, perp = f.direction_basis, f.perp_basis
-            assert len(direction) == rank(direction) == f.dim
-            assert len(direction) + len(perp) == p.affine_dim
-            assert rank(direction + perp) == p.affine_dim
-            vs = [p.vertices[i] for i in f.vertex_indices]
-            diffs = [vsub(v, vs[0]) for v in vs[1:]]
-            assert rank(list(direction) + diffs) == len(direction)
-            for b in direction:
-                for q in perp:
-                    assert p.pair(b, q) == 0
+    from orbitope.polytope import facets_through
+    p = _FACET_NORMAL_HULLS[name]()
+    directions = [vsub(v, p.vertices[0]) for v in p.vertices[1:]]
+    for f in p.proper_faces():
+        normals = [fct.normal for fct in facets_through(p, f)]
+        vs = [p.vertices[i] for i in f.vertex_indices]
+        for n in normals:
+            for v in vs[1:]:
+                assert p.pair(n, vsub(v, vs[0])) == 0
+        assert rank(normals) == p.affine_dim - f.dim
+        assert rank(directions + normals) == p.affine_dim
 
 
 @pytest.mark.parametrize("name", sorted(_NON_INTEGRAL_HULLS))

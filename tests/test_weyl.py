@@ -122,7 +122,8 @@ def test_parabolic_subgroup_orbit():
 def test_weyl_cap():
     rs = get_rs("E", 6)
     with pytest.raises(CapExceededError):
-        build_weyl_group(rs)
+        build_weyl_group(rs, cap=2000)
+    assert build_weyl_group(rs).order == 51840
     assert build_weyl_group(get_rs("F", 4), cap=1152).order == 1152
 
 
