@@ -29,6 +29,11 @@ from .weyl import build_weyl_group, weyl_orbit
 
 COMMANDS = ("faces", "polytope", "strata", "integrality", "verify-numeric", "verify-all")
 
+#: Most seeded ascents per face.  `numeric.ascend` holds about ten stacked
+#: (seeds, n, n) complex arrays at once; at rank 8 (n = 9) a seed takes
+#: 81 * 16 B = 1.3 KB in each, so 10 000 seeds need about 130 MB.
+MAX_NUMERIC_SEEDS = 10_000
+
 
 @dataclass
 class RunConfig:
@@ -56,13 +61,15 @@ def _vec_strs(v) -> list[str]:
 def _check_config(config: RunConfig) -> None:
     """Reject seed, count, cap and tolerance settings outside their range
     before any work; an unset Weyl cap means no cap."""
-    for flag, value, least in (("--seed", config.seed, 0),
-                               ("--numeric-seeds", config.numeric_seeds, 1),
-                               ("--numeric-faces", config.numeric_faces, 0),
-                               ("--orbit-cap", config.hull_cap, 0),
-                               ("--weyl-cap", config.weyl_cap, 0)):
-        if value is not None and value < least:
-            raise InvalidInputError("%s must be at least %d, got %d" % (flag, least, value))
+    for flag, value, low, high in (("--seed", config.seed, 0, None),
+                                   ("--numeric-seeds", config.numeric_seeds, 1, MAX_NUMERIC_SEEDS),
+                                   ("--numeric-faces", config.numeric_faces, 0, None),
+                                   ("--orbit-cap", config.hull_cap, 0, None),
+                                   ("--weyl-cap", config.weyl_cap, 0, None)):
+        if value is not None and value < low:
+            raise InvalidInputError("%s must be at least %d, got %d" % (flag, low, value))
+        if high is not None and value > high:
+            raise InvalidInputError("%s must be at most %d, got %d" % (flag, high, value))
     for flag, tol in (("--grad-tol", config.grad_tol), ("--value-tol", config.value_tol),
                       ("--crit-tol", config.crit_tol), ("--fd-tol", config.fd_tol)):
         if not (math.isfinite(tol) and tol > 0):
@@ -90,7 +97,7 @@ def build_report(config: RunConfig) -> dict:
 
     if config.command == "polytope":
         orbit = weyl_orbit(group, x, cap=config.hull_cap)
-        poly = hull(orbit, gram=rs.killing_ambient_gram(), cap=config.hull_cap)
+        poly = hull(orbit, cap=config.hull_cap)
     else:
         classification = classify_faces(rs, group, x, hull_cap=config.hull_cap)
         poly = classification.polytope

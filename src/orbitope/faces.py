@@ -39,7 +39,6 @@ class FaceDescriptor:
     sub_roots_I: tuple[int, ...]
     sub_roots_Iprime: tuple[int, ...]
     sub_roots_J: tuple[int, ...]
-    dim_KF: int
     dim_KprimeF: int
     dim_ZF: int
     dim_face: int
@@ -146,7 +145,7 @@ def classify_faces(rs: RootSystem, group: WeylGroup, x: ChamberPoint,
     if x.root_system is not rs:
         raise InvalidInputError("chamber point belongs to a different root system")
     orbit = weyl_orbit(group, x, cap=hull_cap)
-    poly = hull(orbit, gram=rs.killing_ambient_gram(), cap=hull_cap)
+    poly = hull(orbit, cap=hull_cap)
     if poly.vertices != orbit:
         raise TheoremViolationError(
             "Kostant polytope vertices differ from the Weyl orbit (ext P = W.x failed)")
@@ -180,7 +179,6 @@ def classify_faces(rs: RootSystem, group: WeylGroup, x: ChamberPoint,
         descriptors.append(FaceDescriptor(
             I=I, I_prime=i_prime, J=J,
             sub_roots_I=sub_i, sub_roots_Iprime=sub_ip, sub_roots_J=sub_j,
-            dim_KF=len(I) + 2 * len(sub_i),
             dim_KprimeF=len(i_prime) + 2 * len(sub_ip),
             dim_ZF=rs.rank - len(J),
             dim_face=len(I) + 2 * len(sub_i),

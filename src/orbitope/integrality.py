@@ -1,6 +1,8 @@
 """Weight integrality of the orbit and its descent to faces.
 
-The ambient verdict uses the lattice pairing 2<x,alpha>/<alpha,alpha>, whose
+The ambient verdict uses the lattice pairing 2(x,alpha)/(alpha,alpha) of the
+coordinate dot product (on su(n), the trace form; the Killing form is
+`killing_ratio` times it on the root span, so the ratio is the same), whose
 values on the simple roots are exactly the fundamental-weight coordinates.
 The induced face weight x1' solves <x1', y>_F = <x1, y> against the honest
 Killing form of k_F (the literal sum over Delta_I), and its verdict evaluates
@@ -17,7 +19,7 @@ from fractions import Fraction
 
 from .errors import InvalidInputError
 from .faces import FaceDescriptor
-from .linalg import Vector, lincomb, project_onto_span, solve, vscale
+from .linalg import Vector, dot, lincomb, project_onto_span, solve, vscale
 from .roots import ChamberPoint, KillingForm, RootSystem
 
 
@@ -52,7 +54,7 @@ def check_integral(rs: RootSystem, x: ChamberPoint) -> WeightData:
     """Exact pairing table of x over the full root set and the verdict."""
     rows = []
     for a in rs.all_roots():
-        knapp = 2 * rs.killing(x.vector, a) / rs.killing(a, a)
+        knapp = 2 * dot(x.vector, a) / dot(a, a)
         rows.append(PairingRow(root=a, knapp=knapp, half_display=knapp / 2))
     return WeightData(lambda_coords=x.coords,
                       is_integral=all(r.knapp.denominator == 1 for r in rows),
@@ -67,7 +69,7 @@ def sub_killing(rs: RootSystem, root_indices: tuple[int, ...]) -> KillingForm:
 def induce_face_weight(rs: RootSystem, x: ChamberPoint, d: FaceDescriptor) -> FaceWeight:
     """Solve <x1', y>_F = <x1, y> for the face weight and audit its integrality.
 
-    x1 is the Killing-orthogonal component of x in t intersect k_F.  Vertex
+    x1 is the orthogonal projection of x onto t intersect k_F = span(I).  Vertex
     faces (I empty) carry the trivial group K_F and are rejected; the improper
     descriptor is allowed and returns x1' = x, the sub-Killing form being the
     ambient one.
@@ -76,7 +78,7 @@ def induce_face_weight(rs: RootSystem, x: ChamberPoint, d: FaceDescriptor) -> Fa
         raise InvalidInputError(
             "vertex faces carry the trivial group K_F; no induced weight exists")
     basis = [rs.simple_roots[i] for i in d.I]
-    x1 = project_onto_span(basis, x.vector, pairing=rs.killing)
+    x1 = project_onto_span(basis, x.vector)
     pairing_f = sub_killing(rs, d.sub_roots_I)
     gram = tuple(tuple(pairing_f(bi, bj) for bj in basis) for bi in basis)
     rhs = tuple(rs.killing(x1, b) for b in basis)

@@ -172,18 +172,12 @@ def nullspace(rows: Sequence[Sequence[Fraction]]) -> tuple[Vector, ...]:
     return tuple(basis)
 
 
-def gram_matrix(vectors: Sequence[Sequence[Fraction]],
-                pairing=dot) -> Matrix:
-    return tuple(tuple(pairing(u, v) for v in vectors) for u in vectors)
-
-
-def project_onto_span(basis: Sequence[Vector], v: Vector, pairing=dot) -> Vector:
-    """Orthogonal projection of v onto span(basis) w.r.t. a definite pairing."""
+def project_onto_span(basis: Sequence[Vector], v: Vector) -> Vector:
+    """Orthogonal projection of v onto span(basis) for the dot product."""
     if not basis:
         return zero_vec(len(v))
-    g = gram_matrix(basis, pairing)
-    rhs = tuple(pairing(b, v) for b in basis)
-    return lincomb(solve(g, rhs), basis)
+    g = tuple(tuple(dot(a, b) for b in basis) for a in basis)
+    return lincomb(solve(g, tuple(dot(b, v) for b in basis)), basis)
 
 
 def primitive(v: Sequence[Fraction]) -> tuple[int, ...]:

@@ -11,12 +11,13 @@ arrays, one backtracking try per live seed per step, with every scalar of
 the search (step size, endgame, tries, iterations) held per seed.  Stacked
 matmul, solve, eigvalsh and trace give the bits of their 2-D calls, so each
 seed's result equals that of an ascent run from it alone (the tests keep the
-sequential loop as an oracle).  The trace form equals the Killing pairing
-divided by the known factor 2n, recorded once per run; exact support values
-from the polytope module are rescaled by it for comparison, and a polytope's
-facets and vertices are converted to floats once.  numpy is imported inside
-the functions that use it, so importing the package (and every run that
-never reaches the numeric check) does not load it.
+sequential loop as an oracle).  On su(n) the coordinate dot product is the
+trace form -tr(XY) on diagonal X and Y, so the polytope's facets and support
+values are compared as they are; the Killing form is 2n times it, a factor
+recorded once per run.  A polytope's facets and vertices are converted to
+floats once.  numpy is imported inside the functions that use it, so
+importing the package (and every run that never reaches the numeric check)
+does not load it.
 """
 
 from __future__ import annotations
@@ -333,8 +334,7 @@ def hessian_signature(x_crit, u) -> HessianReport:
 
 @dataclass(frozen=True)
 class _PolytopeFloats:
-    """A polytope's facet functionals f . x <= b and its vertices in floats,
-    in trace-form units."""
+    """A polytope's facets normal . x <= offset and its vertices in floats."""
 
     facets: np.ndarray
     offsets: np.ndarray
@@ -345,16 +345,14 @@ class _PolytopeFloats:
 _FLOATS: WeakKeyDictionary = WeakKeyDictionary()
 
 
-def _polytope_floats(poly: ExactPolytope, factor: Fraction) -> _PolytopeFloats:
-    """The float data of `poly`, built once; the trace factor is fixed by the
-    root system whose Killing gram `poly` carries."""
+def _polytope_floats(poly: ExactPolytope) -> _PolytopeFloats:
+    """The float data of `poly`, built once."""
     import numpy as np
     floats = _FLOATS.get(poly)
     if floats is None:
-        functionals = poly.facet_functionals()
         floats = _PolytopeFloats(
-            facets=np.array([[float(c) for c in f] for f, _ in functionals]) / float(factor),
-            offsets=np.array([float(b / factor) for _, b in functionals]),
+            facets=np.array([[float(c) for c in f.normal] for f in poly.facets]),
+            offsets=np.array([float(f.offset) for f in poly.facets]),
             vertices=np.array([[float(c) for c in v] for v in poly.vertices]))
         _FLOATS[poly] = floats
     return floats
@@ -367,7 +365,7 @@ def verify_face_numeric(classification: FaceClassification, d: FaceDescriptor,
     """Cross-validate one face class on the su(n) realization.
 
     Runs multi-seed ascent for the face's exposing vector and checks: final
-    criticality, the achieved value against the rescaled exact support value,
+    criticality, the achieved value against the exact support value,
     spectral invariance along the ascent, momentum containment of all Cartan
     projections, the value ceiling, membership of the maximizers in sigma,
     and the Hessian block signs.  Any mismatch raises TheoremViolationError
@@ -389,9 +387,9 @@ def verify_face_numeric(classification: FaceClassification, d: FaceDescriptor,
     x0 = su_from_cartan(classification.x.vector)
     u_exact = d.exposing_u
     u = su_from_cartan(u_exact)
-    _, h_killing = support_set(poly, u_exact)
-    h_trace = float(h_killing / factor)
-    floats = _polytope_floats(poly, factor)
+    _, h = support_set(poly, u_exact)
+    h_trace = float(h)
+    floats = _polytope_floats(poly)
     u_floats = np.array([float(c) for c in u_exact])
     sigma_set = set(d.sigma.vertex_indices)
     blocks: dict[Fraction, list[int]] = {}
@@ -454,7 +452,7 @@ def verify_face_numeric(classification: FaceClassification, d: FaceDescriptor,
         "I": [rs.root_label(i) for i in d.I],
         "n": n,
         "trace_killing_factor": int(factor),
-        "h_killing": str(h_killing),
+        "h_killing": str(factor * h),
         "h_trace": h_trace,
         "n_seeds": seeds,
         "n_converged": int(res.converged_flags.sum()),

@@ -17,14 +17,16 @@ no floating point anywhere.
 The Weyl group reaches a polytope only through the r simple-reflection
 permutations of its vertices (`act_on_faces`, `face_orbit`).  An exposing
 vector fixed by a face's stabilizer is a sum of facet normals, each divided
-by offset - <normal, b> for the vertex barycenter b, so it needs no group
+by offset - normal . b for the vertex barycenter b, so it needs no group
 element at all.
 
-A polytope may carry a nonstandard inner product (the Killing pairing of a
-root system, given by its ambient Gram matrix).  Support sets and facet
-normal vectors are taken with respect to it, so the normals of the facets
-through a face span that face's orthogonal complement in the direction space
-of the polytope.
+Every inner product here is the coordinate dot product.  On a Kostant
+polytope that loses nothing: W.x lies in the root span, where W acts by
+reflections orthogonal for the dot product, and the Killing form is
+`killing_ratio` times it (on a simple type every W-invariant form on the root
+span is a multiple of it).  So facets, support sets and exposed faces are
+those of the Killing form; offsets and support values are its values divided
+by `killing_ratio`.
 """
 
 from __future__ import annotations
@@ -35,9 +37,9 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import CapExceededError, InvalidInputError, TheoremViolationError
-from .linalg import (Matrix, Vector, dot, int_dot, int_rank, integral_rows,
-                     inverse, lincomb, mat_mul, mat_vec, primitive, rref,
-                     transpose, vadd, vec, vscale, vsub, zero_vec)
+from .linalg import (Vector, dot, int_dot, int_rank, integral_rows, inverse,
+                     lincomb, mat_mul, primitive, rref, transpose, vadd, vec,
+                     vscale, vsub, zero_vec)
 from .weyl import WeylGroup, vertex_permutations
 
 #: desk-scale guard on hull input size
@@ -54,7 +56,9 @@ class PolytopeFace:
 
 @dataclass(frozen=True)
 class Facet:
-    """Outward normal (as a pairing vector) and offset: <normal, x> <= offset."""
+    """Outward normal and offset: normal . x <= offset on P.  The normal, a
+    primitive integer vector, is the same for every W-invariant form; the
+    offset is in dot-product units, the Killing one over `killing_ratio`."""
 
     normal: Vector
     offset: Fraction
@@ -74,12 +78,11 @@ class ExactPolytope:
     """Exact polytope with full face lattice; immutable after construction."""
 
     def __init__(self, vertices: tuple[Vector, ...], ambient_dim: int, affine_dim: int,
-                 gram: Matrix | None, facets: tuple[Facet, ...],
+                 facets: tuple[Facet, ...],
                  face_lattice: dict[int, tuple[PolytopeFace, ...]]):
         self.vertices = vertices
         self.ambient_dim = ambient_dim
         self.affine_dim = affine_dim
-        self.gram = gram
         self.facets = facets
         self.face_lattice = face_lattice
         self._by_vertices = {f.vertex_indices: f for fs in face_lattice.values() for f in fs}
@@ -91,11 +94,6 @@ class ExactPolytope:
         return integral_rows(self.vertices)
 
     # -- basic queries ------------------------------------------------------
-
-    def pair(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-        if self.gram is None:
-            return dot(u, v)
-        return dot(u, mat_vec(self.gram, v))
 
     @property
     def top(self) -> PolytopeFace:
@@ -122,14 +120,6 @@ class ExactPolytope:
         """Face counts per dimension, top face included."""
         return tuple(len(self.face_lattice[d]) for d in sorted(self.face_lattice))
 
-    def facet_functionals(self) -> tuple[tuple[Vector, Fraction], ...]:
-        """Facets as coordinate functionals (f, b) with f . x <= b on P."""
-        out = []
-        for fct in self.facets:
-            f = fct.normal if self.gram is None else mat_vec(self.gram, fct.normal)
-            out.append((f, fct.offset))
-        return tuple(out)
-
     def _permutations(self, group: WeylGroup) -> tuple[tuple[int, ...], ...]:
         # Keyed by the group itself: the cache holds a reference, so a key
         # cannot be recycled for another group as an id() could.
@@ -138,8 +128,7 @@ class ExactPolytope:
         return self._perm_cache[group]
 
 
-def hull(points: Sequence[Sequence], gram: Matrix | None = None,
-         cap: int = DEFAULT_HULL_CAP) -> ExactPolytope:
+def hull(points: Sequence[Sequence], cap: int = DEFAULT_HULL_CAP) -> ExactPolytope:
     """Exact convex hull with complete face lattice.
 
     Points are deduplicated; the polytope is processed inside its affine hull,
@@ -170,7 +159,7 @@ def hull(points: Sequence[Sequence], gram: Matrix | None = None,
     if d == 0:
         face = PolytopeFace(vertex_indices=(0,), dim=0)
         return ExactPolytope(vertices=(pts[0],), ambient_dim=ambient_dim, affine_dim=0,
-                             gram=gram, facets=(), face_lattice={0: (face,)})
+                             facets=(), face_lattice={0: (face,)})
 
     # The reduced basis is the identity on its pivot columns, so a point's
     # affine coordinates are its offset from the base point read there.  Each
@@ -198,36 +187,31 @@ def hull(points: Sequence[Sequence], gram: Matrix | None = None,
     vertex_pts = [pts[i] for i in vertex_ids]
     old_to_new = {old: new for new, old in enumerate(vertex_ids)}
 
-    # Facet normal n = B^T (B G B^T)^-1 (-a) for the direction basis B: the
-    # pairing vector of the functional -a on coordinates.  Its primitive form
-    # comes from one integer matrix per hull; the values <n, v> are integer
-    # dot products of n^T G and the vertices, both scaled to integers.
-    pair_gram = mat_mul(dir_basis, transpose(dir_basis) if gram is None
-                        else mat_mul(gram, transpose(dir_basis)))
-    to_normal = integral_rows(mat_mul(transpose(dir_basis), inverse(pair_gram)))[0]
-    gram_t, gram_scale = integral_rows(transpose(gram)) if gram is not None else (None, 1)
+    # Facet normal n = B^T (B B^T)^-1 (-a) for the direction basis B, the
+    # vector of the direction space whose dot product is the functional -a on
+    # coordinates.  Its primitive form comes from one integer matrix per hull.
+    basis_t = transpose(dir_basis)
+    to_normal = integral_rows(mat_mul(basis_t, inverse(mat_mul(dir_basis, basis_t))))[0]
     vertex_ints, vertex_scale = integral_rows(vertex_pts)
-    value_scale = gram_scale * vertex_scale
 
     facets = []
     for a, tight in facet_data:
         normal = primitive([-int_dot(row, a) for row in to_normal])
-        paired = normal if gram_t is None else [int_dot(col, normal) for col in gram_t]
         vidx = tuple(sorted(old_to_new[i] for i in tight if i in old_to_new))
-        values = [int_dot(paired, v) for v in vertex_ints]
+        values = [int_dot(normal, v) for v in vertex_ints]
         top = values[vidx[0]]
         if max(values) > top:
             raise TheoremViolationError("facet normal conversion failed (bug)")
         if tuple(i for i, val in enumerate(values) if val == top) != vidx:
             raise TheoremViolationError("facet tight set mismatch (bug)")
-        facets.append((Facet(normal=vec(normal), offset=Fraction(top, value_scale),
+        facets.append((Facet(normal=vec(normal), offset=Fraction(top, vertex_scale),
                              vertex_indices=vidx), a))
     facets.sort(key=lambda fa: (fa[0].vertex_indices, fa[0].normal))
 
     lattice = _face_lattice([rows[i] for i in vertex_ids], [a for _, a in facets],
                             [_mask(f.vertex_indices) for f, _ in facets], d)
     poly = ExactPolytope(vertices=tuple(vertex_pts), ambient_dim=ambient_dim, affine_dim=d,
-                         gram=gram, facets=tuple(f for f, _ in facets), face_lattice=lattice)
+                         facets=tuple(f for f, _ in facets), face_lattice=lattice)
     if tuple(f.vertex_indices for f in lattice[0]) != tuple((i,) for i in range(len(vertex_pts))):
         raise TheoremViolationError("0-faces do not match the vertex set (bug)")
     return poly
@@ -339,19 +323,20 @@ def _face_lattice(lifted: Sequence[tuple[int, ...]], facet_rows: Sequence[tuple[
 
 
 def support_set(p: ExactPolytope, u: Sequence) -> tuple[PolytopeFace, Fraction]:
-    """Exposed face argmax_<.,u> together with the support value h_P(u)."""
+    """Exposed face argmax_v u . v with the support value h_P(u).  For u in
+    the root span the Killing form exposes the same face of a Kostant
+    polytope, with the value `killing_ratio` * h_P(u)."""
     uv = vec(u)
     if all(x == 0 for x in uv):
         raise InvalidInputError("exposed faces require nonzero u")
-    gu = uv if p.gram is None else mat_vec(p.gram, uv)
-    (gu_ints,), gu_scale = integral_rows([gu])
+    (u_ints,), u_scale = integral_rows([uv])
     vertex_ints, vertex_scale = p._integral_vertices
-    values = [int_dot(v, gu_ints) for v in vertex_ints]
+    values = [int_dot(v, u_ints) for v in vertex_ints]
     h = max(values)
     vidx = tuple(i for i, val in enumerate(values) if val == h)
     if not p.has_face(vidx):
         raise TheoremViolationError("support set %s is not a lattice face (bug)" % (vidx,))
-    return p.face(vidx), Fraction(h, gu_scale * vertex_scale)
+    return p.face(vidx), Fraction(h, u_scale * vertex_scale)
 
 
 def face_orbit(perms: Sequence[Sequence[int]],
@@ -404,17 +389,18 @@ def fixed_vector_in_cone(p: ExactPolytope, face: PolytopeFace) -> Vector:
     """A vector exposing exactly the given proper face, fixed by its stabilizer.
 
     Sums the outward normals of the facets containing the face, each scaled
-    by 1 / (offset - <normal, b>) for the barycenter b of the vertices.  That
-    scaling does not depend on the normal's length, and every symmetry of P
-    preserving the pairing fixes b and permutes the facets through the face
-    among themselves, so the sum is fixed by the face's stabilizer.
+    by 1 / (offset - normal . b) for the barycenter b of the vertices.  That
+    scaling does not depend on the normal's length, and every dot-orthogonal
+    symmetry of P (all of W, on a Kostant polytope) fixes b and permutes the
+    facets through the face, so the sum is fixed by the face's stabilizer.
+    With Killing offsets the same sum is this vector over `killing_ratio`.
     """
     if face.vertex_indices == p.top.vertex_indices:
         raise InvalidInputError("the whole polytope has no exposing vector")
     barycenter = vscale(Fraction(1, len(p.vertices)), lincomb([1] * len(p.vertices), p.vertices))
     u = zero_vec(p.ambient_dim)
     for f in facets_through(p, face):
-        u = vadd(u, vscale(1 / (f.offset - p.pair(f.normal, barycenter)), f.normal))
+        u = vadd(u, vscale(1 / (f.offset - dot(f.normal, barycenter)), f.normal))
     exposed, _ = support_set(p, u)
     if exposed.vertex_indices != face.vertex_indices:
         raise TheoremViolationError("scaled normal sum does not expose the face (bug)")

@@ -118,10 +118,6 @@ class KillingForm:
         total = sum(c * int_dot(row, iv) for c, row in zip(iu, self.matrix) if c)
         return Fraction(total, self.denominator * du * dv)
 
-    def gram(self) -> Matrix:
-        """The form's matrix in the ambient unit basis, as exact fractions."""
-        return tuple(tuple(Fraction(n, self.denominator) for n in row) for row in self.matrix)
-
 
 @dataclass(frozen=True)
 class RootSystem:
@@ -182,10 +178,6 @@ class RootSystem:
     def killing(self, u: Vector, v: Vector) -> Fraction:
         """The pairing <u,v> = -B(u,v), the sum over the full root set."""
         return self.killing_form(u, v)
-
-    def killing_ambient_gram(self) -> Matrix:
-        """Ambient Gram matrix of the Killing pairing (PSD; definite on the span)."""
-        return self.killing_form.gram()
 
     def root_label(self, i: int) -> str:
         return "a%d" % (i + 1)

@@ -20,18 +20,16 @@ from .roots import RootSystem
 
 class StratumDims(NamedTuple):
     stratum: int
-    face: int
     base: int
 
 
 def stratum_dim(rs: RootSystem, d: FaceDescriptor) -> StratumDims:
-    """dim S_B, dim F = dim k_F, and the flag-base dimension dim K - dim H_F."""
+    """dim S_B and the flag-base dimension dim K - dim H_F."""
     if d.improper:
         raise InvalidInputError("stratum dimensions are defined for proper faces only")
     dim_k = rs.dim_group
     dim_hf = rs.rank + 2 * len(d.sub_roots_J)
     return StratumDims(stratum=dim_k - d.dim_KprimeF - d.dim_ZF,
-                       face=d.dim_face,
                        base=dim_k - dim_hf)
 
 
@@ -45,11 +43,7 @@ class StratumPoset:
     order: frozenset[tuple[int, int]]
     cover_edges: tuple[tuple[int, int], ...]
     stratum_dims: dict[int, int]
-    face_dims: dict[int, int]
     base_flag_dims: dict[int, int]
-
-    def less(self, i: int, j: int) -> bool:
-        return (i, j) in self.order
 
 
 def build_poset(classification: FaceClassification) -> StratumPoset:
@@ -76,18 +70,16 @@ def build_poset(classification: FaceClassification) -> StratumPoset:
                 raise TheoremViolationError("face-type order is not antisymmetric (bug)")
 
     s_dims: dict[int, int] = {}
-    f_dims: dict[int, int] = {}
     b_dims: dict[int, int] = {}
     for idx, d in enumerate(nodes):
         if d.improper:
             continue
         dims = stratum_dim(rs, d)
         s_dims[idx] = dims.stratum
-        f_dims[idx] = dims.face
         b_dims[idx] = dims.base
-        # root-space bookkeeping of H_F = Z_F . K_F . K'_F
+        # root-space bookkeeping of H_F = Z_F . K_F . K'_F, dim K_F = dim F
         outside = rs.n_positive - len(d.sub_roots_J)
-        if rs.dim_group != d.dim_ZF + d.dim_KF + d.dim_KprimeF + 2 * outside:
+        if rs.dim_group != d.dim_ZF + d.dim_face + d.dim_KprimeF + 2 * outside:
             raise TheoremViolationError("dim K bookkeeping failed for I=%s" % (d.I,))
 
     order = frozenset((i, j) for i in range(n) for j in range(n) if rel[i][j])
@@ -100,4 +92,4 @@ def build_poset(classification: FaceClassification) -> StratumPoset:
     covers = tuple(sorted((i, j) for i, j in order
                           if not any((i, k) in order and (k, j) in order for k in range(n))))
     return StratumPoset(nodes=nodes, order=order, cover_edges=covers,
-                        stratum_dims=s_dims, face_dims=f_dims, base_flag_dims=b_dims)
+                        stratum_dims=s_dims, base_flag_dims=b_dims)

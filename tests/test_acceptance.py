@@ -44,7 +44,7 @@ def test_criterion_1_projective_space_face_count():
         idx = sorted((i for i, d in enumerate(poset.nodes) if d.proper),
                      key=lambda i: poset.nodes[i].dim_face)
         for a, b in zip(idx, idx[1:]):
-            assert poset.less(a, b)
+            assert (a, b) in poset.order
         elapsed = time.perf_counter() - start
         assert elapsed < 5.0, "P^%d run took %.1fs" % (n, elapsed)
     print("\n[criterion 1] PASS - P^n face counts n=2,3,4 with chain posets")
@@ -189,12 +189,11 @@ def test_criterion_8_numeric_cross_validation():
 
     # the three-component example: u = i diag(1,1,-2) on the su(3) flag orbit
     cl = get_classification("A", 2, (1, 1))
-    rs = cl.root_system
     u_vec = (Q(1), Q(1), Q(-2))
-    face, h_k = support_set(cl.polytope, u_vec)
+    face, h = support_set(cl.polytope, u_vec)
     d_max = psi_of_polytope_face(cl, face)
     assert d_max.I == (0,)  # the face class with alpha_1(u) = 0
-    h_trace = float(h_k / rs.killing_ratio)
+    h_trace = float(h)
     assert h_trace == 3.0
     # middle critical component: saddle by the block criterion, and its
     # Cartan shadow is not a face of the Kostant polytope

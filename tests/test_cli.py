@@ -175,6 +175,23 @@ def test_zero_numeric_seeds_exits_1(capsys):
     assert "--numeric-seeds" in line
 
 
+def test_huge_numeric_seeds_exits_1_before_numpy_is_imported():
+    """A seed count past the bound is an input error, not a MemoryError in
+    the stacked ascent."""
+    script = ("import sys\n"
+              "from orbitope.cli import main\n"
+              "code = main(['verify-all', '--type', 'A', '--rank', '2', '--point', '1,1',\n"
+              "             '--numeric-seeds', str(10**11)])\n"
+              "print(code, 'numpy' in sys.modules, file=sys.stderr)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 2, proc.stderr
+    assert lines[0] == "error: --numeric-seeds must be at most 10000, got 100000000000"
+    assert lines[1] == "1 False"
+
+
 def test_negative_orbit_cap_exits_1(capsys):
     line = _exits_1_with_one_error_line(capsys, _A2 + ["--orbit-cap", "-1"])
     assert "--orbit-cap" in line

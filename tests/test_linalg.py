@@ -7,7 +7,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from orbitope.linalg import (dot, frac_str, gram_matrix, identity, inverse,
+from orbitope.linalg import (dot, frac_str, identity, inverse,
                              mat_mul, mat_vec, nullspace, primitive,
                              project_onto_span, rank, rref, solve, vec)
 
@@ -63,12 +63,6 @@ def test_project_onto_span_is_idempotent_and_orthogonal():
     assert project_onto_span(basis, p) == p
     for b in basis:
         assert dot(b, tuple(a - c for a, c in zip(v, p))) == 0
-
-
-def test_gram_matrix_symmetric():
-    vs = [vec([1, 2]), vec([0, 1])]
-    g = gram_matrix(vs)
-    assert g[0][1] == g[1][0]
 
 
 def test_frac_str():

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from conftest import get_group, get_oracle, get_point, get_rs
 from orbitope import InvalidInputError, build_root_system, chamber_point
 from orbitope.integrality import sub_killing
-from orbitope.linalg import dot, solve, transpose, vadd, vec, vscale, zero_vec
+from orbitope.linalg import (dot, lincomb, solve, transpose, vadd, vec, vscale,
+                             zero_vec)
 from orbitope.roots import VALID_RANKS
 from orbitope.weyl import weyl_orbit
 
@@ -164,14 +165,42 @@ def _defining_sum(roots, u, v):
     return 2 * sum((dot(a, u) * dot(a, v) for a in roots), Q(0))
 
 
+def _units(m):
+    return [tuple(Q(int(i == j)) for j in range(m)) for i in range(m)]
+
+
 @pytest.mark.parametrize("label,rank", PAIRS)
 def test_killing_ambient_gram_equals_defining_sum(label, rank):
     rs = get_rs(label, rank)
     m = rs.ambient_dim
+    units = _units(m)
     # the defining sum at unit vectors e_i, e_j, where d(a, e_i) = a[i]
-    assert rs.killing_ambient_gram() == tuple(
+    assert tuple(tuple(rs.killing(e, f) for f in units) for e in units) == tuple(
         tuple(2 * sum((a[i] * a[j] for a in rs.positive_roots), Q(0)) for j in range(m))
         for i in range(m))
+
+
+@pytest.mark.parametrize("label,rank", PAIRS)
+def test_killing_is_ratio_times_dot_on_the_root_span(label, rank):
+    """The fact the polytope layer rests on: with u in the root span and v
+    anywhere in the ambient space, <u, v> = killing_ratio * d(u, v), and the
+    ratio is a positive integer.  So hulls, support sets and exposed faces
+    taken with the dot product are those of the Killing form."""
+    import random
+    rs = get_rs(label, rank)
+    ratio = rs.killing_ratio
+    assert ratio.denominator == 1 and ratio > 0
+    rng = random.Random(11)
+    us = list(rs.simple_roots) + [
+        lincomb([rng.randint(-3, 3) for _ in range(rank)], rs.simple_roots) for _ in range(3)]
+    # unit vectors and (1, ..., 1) reach off the root span for A, E6 and E7
+    vs = _units(rs.ambient_dim) + [vec([1] * rs.ambient_dim)] + [
+        tuple(Q(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rs.ambient_dim))
+        for _ in range(3)]
+    for u in us:
+        for v in vs:
+            assert rs.killing(u, v) == ratio * dot(u, v)
+            assert rs.killing(v, u) == ratio * dot(v, u)
 
 
 #: small rationals in the largest ambient dimension (9, for A8); each pair reads a prefix
