@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -284,8 +283,7 @@ def _build_parser() -> _Parser:
     parser.add_argument("--orbit-cap", type=int, default=DEFAULT_HULL_CAP,
                         help="maximum Weyl orbit size fed to the hull")
     parser.add_argument("--weyl-cap", type=int, default=None,
-                        help="maximum Weyl group order (default $ORBITOPE_CAP, "
-                             "else no cap)")
+                        help="maximum Weyl group order (default: no cap)")
     parser.add_argument("--grad-tol", type=float, default=1e-10)
     parser.add_argument("--value-tol", type=float, default=1e-8)
     parser.add_argument("--crit-tol", type=float, default=1e-8)
@@ -295,21 +293,12 @@ def _build_parser() -> _Parser:
 
 def parse_config(argv) -> RunConfig:
     args = _build_parser().parse_args(argv)
-    weyl_cap = args.weyl_cap
-    env_cap = os.environ.get("ORBITOPE_CAP")
-    if weyl_cap is None and env_cap is not None:
-        try:
-            weyl_cap = int(env_cap)
-        except ValueError:
-            raise InvalidInputError("ORBITOPE_CAP must be an integer, got %r" % env_cap) from None
-        if weyl_cap < 0:
-            raise InvalidInputError("ORBITOPE_CAP must be at least 0, got %d" % weyl_cap)
     return RunConfig(
         command=args.command, type_label=args.type_label, rank=args.rank,
         point=tuple(s.strip() for s in args.point.split(",")),
         fmt=args.fmt, out=args.out, seed=args.seed,
         numeric_seeds=args.numeric_seeds, numeric_faces=args.numeric_faces,
-        hull_cap=args.orbit_cap, weyl_cap=weyl_cap,
+        hull_cap=args.orbit_cap, weyl_cap=args.weyl_cap,
         grad_tol=args.grad_tol, value_tol=args.value_tol,
         crit_tol=args.crit_tol, fd_tol=args.fd_tol)
 

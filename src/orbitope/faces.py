@@ -52,10 +52,6 @@ class FaceDescriptor:
     def proper(self) -> bool:
         return not self.improper
 
-    def label(self, rs: RootSystem) -> str:
-        inner = ",".join(rs.root_label(i) for i in self.I)
-        return "I={%s}" % inner
-
 
 @dataclass
 class FaceClassification:

@@ -5,11 +5,13 @@ coordinate dot product (on su(n), the trace form; the Killing form is
 `killing_ratio` times it on the root span, so the ratio is the same), whose
 values on the simple roots are exactly the fundamental-weight coordinates.
 The induced face weight x1' solves <x1', y>_F = <x1, y> against the honest
-Killing form of k_F (the literal sum over Delta_I), and its verdict evaluates
-the induced functional on coroots; with these conventions an integral orbit
-induces an integral weight on every face, exactly.  Both the Knapp-style
-value and its half (the alternative display differing by the known factor of
-two) are emitted per root for audit.
+Killing form of k_F (the sum over Delta_I), and its verdict evaluates the
+induced functional on coroots; with these conventions an integral orbit
+induces an integral weight on every face, exactly.  Each Killing value is a
+per-factor ratio times the dot product, as argued in `roots`: on the factor
+of a component c of I the form of k_F is `killing_ratio_of(c)` times d.
+Both the Knapp-style value and its half (the alternative display differing
+by the known factor of two) are emitted per root for audit.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from fractions import Fraction
 from .errors import InvalidInputError
 from .faces import FaceDescriptor
 from .linalg import Vector, dot, lincomb, project_onto_span, solve, vscale
-from .roots import ChamberPoint, KillingForm, RootSystem
+from .roots import ChamberPoint, RootSystem
 
 
 @dataclass(frozen=True)
@@ -61,17 +63,12 @@ def check_integral(rs: RootSystem, x: ChamberPoint) -> WeightData:
                       pairings=tuple(rows))
 
 
-def sub_killing(rs: RootSystem, root_indices: tuple[int, ...]) -> KillingForm:
-    """The Killing pairing of the subalgebra spanned by a root subsystem."""
-    return KillingForm.of([rs.positive_roots[k] for k in root_indices], rs.ambient_dim)
-
-
 def induce_face_weight(rs: RootSystem, x: ChamberPoint, d: FaceDescriptor) -> FaceWeight:
     """Solve <x1', y>_F = <x1, y> for the face weight and audit its integrality.
 
     x1 is the orthogonal projection of x onto t intersect k_F = span(I).  Vertex
     faces (I empty) carry the trivial group K_F and are rejected; the improper
-    descriptor is allowed and returns x1' = x, the sub-Killing form being the
+    descriptor is allowed and returns x1' = x, the form of k_F being the
     ambient one.
     """
     if not d.I:
@@ -79,17 +76,22 @@ def induce_face_weight(rs: RootSystem, x: ChamberPoint, d: FaceDescriptor) -> Fa
             "vertex faces carry the trivial group K_F; no induced weight exists")
     basis = [rs.simple_roots[i] for i in d.I]
     x1 = project_onto_span(basis, x.vector)
-    pairing_f = sub_killing(rs, d.sub_roots_I)
-    gram = tuple(tuple(pairing_f(bi, bj) for bj in basis) for bi in basis)
-    rhs = tuple(rs.killing(x1, b) for b in basis)
+    # ratio_c of the component c of I holding each simple root; simple roots
+    # of different components are orthogonal, so one ratio serves a row
+    ratio = {i: rs.killing_ratio_of(c) for c in rs.components(d.I) for i in c}
+    gram = tuple(tuple(ratio[i] * dot(bi, bj) for bj in basis) for i, bi in zip(d.I, basis))
+    rhs = tuple(rs.killing_ratio * dot(x1, b) for b in basis)
     x1p = lincomb(solve(gram, rhs), basis)
 
     rows = []
     for k in d.sub_roots_I:
+        root = rs.positive_roots[k]
+        # a root of Delta_I lies in the span of one component
+        factor = ratio[next(i for i in d.I if rs.positive_coords[k][i])]
+        value = factor * dot(x1p, rs.coroot(root))
         for sign in (1, -1):
-            a = vscale(Fraction(sign), rs.positive_roots[k])
-            value = pairing_f(x1p, rs.coroot(a))
-            rows.append(PairingRow(root=a, knapp=value, half_display=value / 2))
+            rows.append(PairingRow(root=vscale(Fraction(sign), root), knapp=sign * value,
+                                   half_display=sign * value / 2))
     return FaceWeight(I=d.I, x1=x1, x1_prime=x1p, pairings=tuple(rows),
                       is_integral=all(r.knapp.denominator == 1 for r in rows))
 

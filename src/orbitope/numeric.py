@@ -13,11 +13,11 @@ matmul, solve, eigvalsh and trace give the bits of their 2-D calls, so each
 seed's result equals that of an ascent run from it alone (the tests keep the
 sequential loop as an oracle).  On su(n) the coordinate dot product is the
 trace form -tr(XY) on diagonal X and Y, so the polytope's facets and support
-values are compared as they are; the Killing form is 2n times it, a factor
-recorded once per run.  A polytope's facets and vertices are converted to
-floats once.  numpy is imported inside the functions that use it, so
-importing the package (and every run that never reaches the numeric check)
-does not load it.
+values are compared as they are; the Killing form is `killing_ratio` = 2n
+times it (the argument is in `roots`), a factor recorded once per run.  A
+polytope's facets and vertices are converted to floats once.  numpy is
+imported inside the functions that use it, so importing the package (and
+every run that never reaches the numeric check) does not load it.
 """
 
 from __future__ import annotations

@@ -23,10 +23,9 @@ element at all.
 Every inner product here is the coordinate dot product.  On a Kostant
 polytope that loses nothing: W.x lies in the root span, where W acts by
 reflections orthogonal for the dot product, and the Killing form is
-`killing_ratio` times it (on a simple type every W-invariant form on the root
-span is a multiple of it).  So facets, support sets and exposed faces are
-those of the Killing form; offsets and support values are its values divided
-by `killing_ratio`.
+`killing_ratio` times it (the argument is in `roots`).  So facets, support
+sets and exposed faces are those of the Killing form; offsets and support
+values are its values divided by `killing_ratio`.
 """
 
 from __future__ import annotations
@@ -209,7 +208,7 @@ def hull(points: Sequence[Sequence], cap: int = DEFAULT_HULL_CAP) -> ExactPolyto
     facets.sort(key=lambda fa: (fa[0].vertex_indices, fa[0].normal))
 
     lattice = _face_lattice([rows[i] for i in vertex_ids], [a for _, a in facets],
-                            [_mask(f.vertex_indices) for f, _ in facets], d)
+                            [vertex_mask(f.vertex_indices) for f, _ in facets], d)
     poly = ExactPolytope(vertices=tuple(vertex_pts), ambient_dim=ambient_dim, affine_dim=d,
                          facets=tuple(f for f, _ in facets), face_lattice=lattice)
     if tuple(f.vertex_indices for f in lattice[0]) != tuple((i,) for i in range(len(vertex_pts))):
@@ -217,7 +216,8 @@ def hull(points: Sequence[Sequence], cap: int = DEFAULT_HULL_CAP) -> ExactPolyto
     return poly
 
 
-def _mask(indices: Iterable[int]) -> int:
+def vertex_mask(indices: Iterable[int]) -> int:
+    """The bitmask of a set of vertex indices."""
     m = 0
     for i in indices:
         m |= 1 << i

@@ -7,9 +7,19 @@ the Cartan subalgebra t is represented by the ambient vector X with
 in these real coordinates the complexified chamber condition -i*alpha(v) > 0
 reads d(alpha, v) > 0.  The Killing pairing is the literal trace-form sum
 Sum_{alpha in Delta} d(alpha,u)*d(alpha,v), i.e. the honest -B restricted to t
-under that dictionary, not a short-root normalization.  It is held as the Gram
-matrix of that sum, computed once per root list and kept as integers over a
-common denominator, so every pairing equals the sum exactly.
+under that dictionary, not a short-root normalization.
+
+That sum is never taken at run time.  For a connected simple-root subset c,
+the Killing form <u, v>_c of its simple subalgebra (the sum over Delta_c) is
+W_c-invariant on span(c), on which W_c acts irreducibly, so it is ratio_c
+times d there; it is zero once one argument is orthogonal to span(c).  So
+with u in span(c) and v anywhere, <u, v>_c = ratio_c * d(u, v), and the form
+of a subset with several components is the sum of its factors' forms.
+Evaluating at a simple root alpha of c, where d(a, alpha) = <a, alpha^vee>
+d(alpha, alpha)/2, gives ratio_c = d(alpha, alpha)/2 * Sum_{a in Delta_c^+}
+<a, alpha^vee>^2, an integer sum read off the simple-root coordinates and
+the Cartan matrix (`killing_ratio_of`).  On the whole system this is
+`killing_ratio`.
 
 The root system is closed in simple-root coordinates, which are integers: the
 simple reflection s_i sends b to b - (Sum_j b_j C[j][i]) e_i, C the Cartan
@@ -26,8 +36,8 @@ from functools import cached_property
 from typing import Sequence
 
 from .errors import InvalidInputError, TheoremViolationError
-from .linalg import (Matrix, Vector, dot, int_dot, integral_rows, inverse,
-                     lincomb, mat_vec, transpose, vadd, vec, vscale, vsub)
+from .linalg import (Vector, dot, inverse, lincomb, mat_vec, transpose, vadd,
+                     vec, vscale, vsub)
 
 #: admissible ranks per Cartan letter (rank 8 is the desk-scale ceiling)
 VALID_RANKS = {
@@ -90,33 +100,14 @@ def _simple_root_realization(type_label: str, rank: int) -> tuple[int, tuple[Vec
     return m, ((a1, a2) + chain)[:rank]
 
 
-@dataclass(frozen=True)
-class KillingForm:
-    """The pairing 2 * Sum d(a,u)*d(a,v) over a list of positive roots a: the
-    Killing pairing of the (sub)algebra whose positive roots they are.
-
-    With the roots scaled to integers a' = d*a, the sum is u^T N v / d^2 for
-    N = 2 * Sum a' a'^T, so the form is held as the integer matrix N over d^2.
-    """
-
-    matrix: tuple[tuple[int, ...], ...]
-    denominator: int
-
-    @classmethod
-    def of(cls, roots: Sequence[Vector], dim: int) -> "KillingForm":
-        scaled, d = integral_rows(roots)
-        matrix = tuple(tuple(2 * sum(a[i] * a[j] for a in scaled) for j in range(dim))
-                       for i in range(dim))
-        return cls(matrix=matrix, denominator=d * d)
-
-    def __call__(self, u: Vector, v: Vector) -> Fraction:
-        if not len(u) == len(v) == len(self.matrix):
-            raise ValueError("dimension mismatch: %d, %d vs %d"
-                             % (len(u), len(v), len(self.matrix)))
-        (iu,), du = integral_rows([u])
-        (iv,), dv = integral_rows([v])
-        total = sum(c * int_dot(row, iv) for c, row in zip(iu, self.matrix) if c)
-        return Fraction(total, self.denominator * du * dv)
+def _killing_ratio(simples: Sequence[Vector], cartan: Sequence[Sequence[int]],
+                   coords: Sequence[Sequence[int]], comp: Sequence[int]) -> Fraction:
+    """ratio_c of the connected subset comp, given the simple-root coordinates
+    of its positive roots: d(alpha, alpha)/2 * Sum <a, alpha^vee>^2 at alpha =
+    the first simple root of comp."""
+    i = comp[0]
+    total = sum(sum(bj * cartan[j][i] for j, bj in enumerate(b)) ** 2 for b in coords)
+    return dot(simples[i], simples[i]) / 2 * total
 
 
 @dataclass(frozen=True)
@@ -131,8 +122,6 @@ class RootSystem:
     #: integer coefficients of each positive root on the simple basis
     positive_coords: tuple[tuple[int, ...], ...]
     cartan_matrix: tuple[tuple[int, ...], ...]
-    #: Gram matrix of the simple coroots under the Killing pairing
-    killing_gram: Matrix
     fundamental_weights: tuple[Vector, ...]
     fundamental_coweights: tuple[Vector, ...]
     #: Killing / coordinate-dot ratio on the root span (a positive integer)
@@ -170,14 +159,10 @@ class RootSystem:
         """d(a, a) of each positive root, computed once per system."""
         return tuple(dot(a, a) for a in self.positive_roots)
 
-    @cached_property
-    def killing_form(self) -> KillingForm:
-        """The Killing pairing of the positive roots, built once per system."""
-        return KillingForm.of(self.positive_roots, self.ambient_dim)
-
-    def killing(self, u: Vector, v: Vector) -> Fraction:
-        """The pairing <u,v> = -B(u,v), the sum over the full root set."""
-        return self.killing_form(u, v)
+    def killing_ratio_of(self, comp: Sequence[int]) -> Fraction:
+        """The Killing / dot ratio ratio_c of one connected simple-root subset."""
+        coords = [self.positive_coords[k] for k in self.subsystem_positive(comp)]
+        return _killing_ratio(self.simple_roots, self.cartan_matrix, coords, comp)
 
     def root_label(self, i: int) -> str:
         return "a%d" % (i + 1)
@@ -294,9 +279,6 @@ def build_root_system(type_label: str, rank: int) -> RootSystem:
 
     pos_roots = tuple(lincomb(b, simples) for b in coords)
     coroots = tuple(RootSystem.coroot(a) for a in simples)
-    form = KillingForm.of(pos_roots, ambient_dim)
-    killing_gram = tuple(tuple(form(bi, bj) for bj in coroots) for bi in coroots)
-    ratio = form(simples[0], simples[0]) / dot(simples[0], simples[0])
 
     # Fundamental weights (dual to simple coroots) and coweights (dual to
     # simple roots), both inside the root span.
@@ -319,18 +301,14 @@ def build_root_system(type_label: str, rank: int) -> RootSystem:
         positive_roots=pos_roots,
         positive_coords=tuple(coords),
         cartan_matrix=cartan,
-        killing_gram=killing_gram,
         fundamental_weights=tuple(weights),
         fundamental_coweights=tuple(coweights),
-        killing_ratio=ratio,
+        killing_ratio=_killing_ratio(simples, cartan, coords, range(rank)),
     )
-    rs.__dict__["killing_form"] = form  # the cache of the killing_form property
     for i in range(rank):
         for j in range(rank):
             if dot(rs.fundamental_weights[i], rs.coroot(simples[j])) != (1 if i == j else 0):
                 raise TheoremViolationError("fundamental weight duality failed (bug)")
-        if rs.killing_gram[i][i] <= 0:
-            raise TheoremViolationError("killing gram not positive definite (bug)")
     return rs
 
 

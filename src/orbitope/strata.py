@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 from .errors import InvalidInputError, TheoremViolationError
 from .faces import FaceClassification, FaceDescriptor, phi_of_descriptor
+from .polytope import vertex_mask
 from .roots import RootSystem
 
 
@@ -51,8 +52,8 @@ def build_poset(classification: FaceClassification) -> StratumPoset:
     stratification dimension inequalities."""
     rs = classification.root_system
     nodes = classification.descriptors
-    masks = [sum(1 << i for i in d.sigma.vertex_indices) for d in nodes]
-    images = [{sum(1 << i for i in m) for m in phi_of_descriptor(classification, d).members}
+    masks = [vertex_mask(d.sigma.vertex_indices) for d in nodes]
+    images = [{vertex_mask(m) for m in phi_of_descriptor(classification, d).members}
               for d in nodes]
 
     n = len(nodes)

@@ -21,8 +21,7 @@ from math import prod
 from typing import Sequence
 
 from .errors import CapExceededError, InvalidInputError, TheoremViolationError
-from .linalg import (Vector, common_denominator, int_dot, integral_rows,
-                     lincomb, nullspace, vscale)
+from .linalg import Vector, int_dot, integral_rows, lincomb, nullspace, vscale
 from .roots import ChamberPoint, RootSystem
 
 Labels = tuple[int, ...]
@@ -89,8 +88,7 @@ def weyl_orbit(group: WeylGroup, x: ChamberPoint, cap: int | None = None) -> tup
     size = group.orbit_size(x)
     if cap is not None and size > cap:
         raise CapExceededError("hull input has %d points, cap is %d" % (size, cap))
-    scale = common_denominator(x.coords)
-    start = tuple(int(c * scale) for c in x.coords)
+    (start,), scale = integral_rows([x.coords])
     seen = {start}
     frontier = [start]
     while frontier:

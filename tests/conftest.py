@@ -1,4 +1,4 @@
-"""Cached builders shared across the test modules.
+"""Cached builders and the Killing-form oracle shared across the test modules.
 
 Everything in the package is pure and deterministic, so memoizing by the
 construction arguments is safe and keeps the suite fast.
@@ -6,11 +6,20 @@ construction arguments is safe and keeps the suite fast.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 
 from orbitope import (build_root_system, build_weyl_group, chamber_point,
                       classify_faces)
+from orbitope.linalg import dot
 from weyl_oracle import WeylOracle
+
+
+def defining_sum(roots, u, v):
+    """Oracle: the Killing pairing 2 * Sum d(a,u)*d(a,v) over the positive
+    roots given, the literal sum over the roots and their negatives.  The
+    package never takes this sum; it reads each value off a ratio times d."""
+    return 2 * sum((dot(a, u) * dot(a, v) for a in roots), Fraction(0))
 
 
 @lru_cache(maxsize=None)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from orbitope.cli import RunConfig, main, parse_config, run
+from orbitope.cli import RunConfig, main, run
 
 
 def _cfg(**kw):
@@ -64,13 +64,11 @@ def test_weyl_cap_exits_1():
     assert "cap" in text
 
 
-def test_orbitope_cap_env(monkeypatch):
+def test_weyl_cap_is_read_from_the_flag_only(capsys, monkeypatch):
+    """An ORBITOPE_CAP in the environment caps nothing: only --weyl-cap does."""
     monkeypatch.setenv("ORBITOPE_CAP", "5")
-    cfg = parse_config(["faces", "--type", "A", "--rank", "2", "--point", "1,1"])
-    assert cfg.weyl_cap == 5
-    monkeypatch.delenv("ORBITOPE_CAP")
-    cfg = parse_config(["faces", "--type", "A", "--rank", "2", "--point", "1,1"])
-    assert cfg.weyl_cap is None
+    assert main(["verify-all", "--type", "A", "--rank", "2", "--point", "1,1"]) == 0
+    assert "verdict: PASS" in capsys.readouterr().out
 
 
 def test_e6_verifies_under_default_caps():
@@ -238,23 +236,11 @@ def test_bad_fd_tol_exits_1(capsys):
         assert "--fd-tol" in line
 
 
-def test_non_integer_orbitope_cap_env_exits_1(capsys, monkeypatch):
-    monkeypatch.setenv("ORBITOPE_CAP", "abc")
-    line = _exits_1_with_one_error_line(capsys, _A2)
-    assert "ORBITOPE_CAP" in line
-
-
 @pytest.mark.parametrize("command", ["verify-all", "verify-numeric"])
 def test_point_beyond_float_range_exits_1(capsys, command):
     line = _exits_1_with_one_error_line(
         capsys, [command, "--type", "A", "--rank", "2", "--point", "1,1e400"])
     assert "float range" in line
-
-
-def test_negative_orbitope_cap_env_exits_1(capsys, monkeypatch):
-    monkeypatch.setenv("ORBITOPE_CAP", "-5")
-    line = _exits_1_with_one_error_line(capsys, _A2)
-    assert "ORBITOPE_CAP" in line and "--weyl-cap" not in line
 
 
 def test_out_into_missing_directory_exits_1(capsys, tmp_path):

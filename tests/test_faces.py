@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import get_classification, get_point, get_rs
+from conftest import defining_sum, get_classification, get_point, get_rs
 from orbitope import (InvalidInputError, parabolic_report, phi_of_descriptor,
                       psi_of_polytope_face, saturate, support_set,
                       x_connected_subsets)
@@ -133,7 +133,8 @@ def test_support_function_is_orbit_maximum():
         if all(c == 0 for c in u):
             continue
         _, h = support_set(cl.polytope, u)
-        assert rs.killing_ratio * h == max(rs.killing(v, u) for v in cl.polytope.vertices)
+        assert rs.killing_ratio * h == max(defining_sum(rs.positive_roots, v, u)
+                                           for v in cl.polytope.vertices)
 
 
 def test_psi_on_hexagon_and_triangle():

@@ -6,10 +6,10 @@ from fractions import Fraction as Q
 
 import pytest
 
-from conftest import get_classification, get_point, get_rs
+from conftest import defining_sum, get_classification, get_point, get_rs
 from orbitope import InvalidInputError, check_integral, induce_face_weight
-from orbitope.integrality import sub_killing
-from orbitope.linalg import vsub
+from orbitope.linalg import dot, vsub
+from tests_util_det import det
 
 
 def test_fundamental_weights_are_integral():
@@ -85,21 +85,28 @@ def test_induced_weight_rejects_vertex_faces():
 
 
 def test_defining_equation_holds():
-    """<x1', y>_F = <x1, y> on the Cartan part of k_F, exactly."""
-    rs = get_rs("A", 4)
-    x = get_point("A", 4, (0, 5, 0, 0))
-    cl = get_classification("A", 4, (0, 5, 0, 0))
-    for d in cl.proper_descriptors:
-        if not d.I:
-            continue
-        fw = induce_face_weight(rs, x, d)
-        pairing_f = sub_killing(rs, d.sub_roots_I)
-        for i in d.I:
-            y = rs.simple_roots[i]
-            assert pairing_f(fw.x1_prime, y) == rs.killing(fw.x1, y)
-        # x - x1 is Killing-orthogonal to t /\ k_F
-        for i in d.I:
-            assert rs.killing(vsub(x.vector, fw.x1), rs.simple_roots[i]) == 0
+    """<x1', y>_F = <x1, y> on the Cartan part of k_F, exactly, with both
+    sides the literal sums: over Delta_I on the left, over Delta on the right."""
+    for args in [("A", 4, (0, 5, 0, 0)), ("B", 3, (1, 0, 1)), ("G", 2, (1, 1)),
+                 ("C", 3, ("1/2", 0, 3))]:
+        rs = get_rs(args[0], args[1])
+        x = get_point(*args)
+        for d in get_classification(*args).descriptors:
+            if not d.I:
+                continue
+            fw = induce_face_weight(rs, x, d)
+            roots_i = [rs.positive_roots[k] for k in d.sub_roots_I]
+            for i in d.I:
+                y = rs.simple_roots[i]
+                assert defining_sum(roots_i, fw.x1_prime, y) == \
+                    defining_sum(rs.positive_roots, fw.x1, y), (args, d.I)
+            # x - x1 is Killing-orthogonal to t /\ k_F
+            for i in d.I:
+                assert defining_sum(rs.positive_roots, vsub(x.vector, fw.x1),
+                                    rs.simple_roots[i]) == 0
+            # each audited value is <x1', a^vee>_F
+            for row in fw.pairings:
+                assert row.knapp == defining_sum(roots_i, fw.x1_prime, rs.coroot(row.root))
 
 
 def test_sub_killing_gram_positive_definite():
@@ -108,11 +115,13 @@ def test_sub_killing_gram_positive_definite():
     for d in cl.proper_descriptors:
         if not d.I:
             continue
-        pairing_f = sub_killing(rs, d.sub_roots_I)
+        roots_i = [rs.positive_roots[k] for k in d.sub_roots_I]
         basis = [rs.simple_roots[i] for i in d.I]
-        gram = [[pairing_f(a, b) for b in basis] for a in basis]
+        gram = [[defining_sum(roots_i, a, b) for b in basis] for a in basis]
+        # the Gram matrix induce_face_weight solves with, one ratio per factor
+        ratio = {i: rs.killing_ratio_of(c) for c in rs.components(d.I) for i in c}
+        assert gram == [[ratio[i] * dot(a, b) for b in basis] for i, a in zip(d.I, basis)]
         # exact Cholesky-style positivity: all leading minors positive
-        from tests_util_det import det  # local helper below
         for k in range(1, len(basis) + 1):
             assert det([row[:k] for row in gram[:k]]) > 0
 

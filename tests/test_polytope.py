@@ -8,7 +8,7 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
-from conftest import get_group, get_oracle, get_point, get_rs
+from conftest import defining_sum, get_group, get_oracle, get_point, get_rs
 from orbitope import (CapExceededError, InvalidInputError, act_on_faces,
                       fixed_vector_in_cone, hull, support_set, weyl_orbit)
 from orbitope.linalg import dot, nullspace, vec
@@ -106,7 +106,7 @@ def test_support_at_regular_point_is_its_vertex():
     """Oracle: the six inner products <wx, x> are maximized at x only."""
     rs, _, p = _orbit_polytope("A", 2, (1, 1))
     x = get_point("A", 2, (1, 1)).vector
-    values = [rs.killing(v, x) for v in p.vertices]
+    values = [defining_sum(rs.positive_roots, v, x) for v in p.vertices]
     best = max(values)
     assert values.count(best) == 1
     face, h = support_set(p, x)

@@ -8,11 +8,10 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from conftest import get_group, get_oracle, get_point, get_rs
+from conftest import defining_sum, get_group, get_oracle, get_point, get_rs
 from orbitope import InvalidInputError, build_root_system, chamber_point
-from orbitope.integrality import sub_killing
-from orbitope.linalg import (dot, lincomb, solve, transpose, vadd, vec, vscale,
-                             zero_vec)
+from orbitope.linalg import (dot, lincomb, project_onto_span, solve, transpose,
+                             vadd, vec, vscale, zero_vec)
 from orbitope.roots import VALID_RANKS
 from orbitope.weyl import weyl_orbit
 
@@ -53,33 +52,13 @@ def test_cartan_matrix_g2_has_triple_bond():
     assert c[0][1] * c[1][0] == 3
 
 
-def test_killing_gram_symmetric_positive_definite():
-    for label, rank in [("A", 2), ("B", 3), ("G", 2), ("D", 4)]:
-        g = get_rs(label, rank).killing_gram
-        n = len(g)
-        assert all(g[i][j] == g[j][i] for i in range(n) for j in range(n))
-        # leading principal minors by exact elimination
-        for k in range(1, n + 1):
-            sub = tuple(tuple(g[i][j] for j in range(k)) for i in range(k))
-            det = _det(sub)
-            assert det > 0
-
-
-def _det(m):
-    if len(m) == 1:
-        return m[0][0]
-    return sum((-1) ** j * m[0][j] * _det(tuple(tuple(row[k] for k in range(len(m)) if k != j)
-                                                for row in m[1:]))
-               for j in range(len(m)))
-
-
 def test_killing_pairing_a1_coroot_by_defining_sum():
     """Oracle: evaluate the defining sum over Delta = {a, -a} directly."""
     rs = get_rs("A", 1)
     alpha = rs.simple_roots[0]
     h = rs.coroot(alpha)
     expected = sum(dot(g, h) * dot(g, h) for g in (alpha, vscale(Q(-1), alpha)))
-    assert rs.killing(vec(h), vec(h)) == expected == 8
+    assert rs.killing_ratio * dot(h, h) == expected == 8
 
 
 def test_killing_gram_a2_offdiagonal_by_defining_sum():
@@ -93,13 +72,7 @@ def test_killing_gram_a2_offdiagonal_by_defining_sum():
                 deltas.append(tuple(a - b for a, b in zip(e(i), e(j))))
     b1, b2 = (rs.coroot(a) for a in rs.simple_roots)
     expected = sum(dot(g, b1) * dot(g, b2) for g in deltas)
-    assert rs.killing_gram[0][1] == expected == -6
-
-
-def test_killing_is_bilinear_and_vanishes_at_zero():
-    rs = get_rs("B", 2)
-    h = rs.fundamental_weights[0]
-    assert rs.killing(vec(zero_vec(rs.ambient_dim)), vec(h)) == 0
+    assert rs.killing_ratio * dot(b1, b2) == expected == -6
 
 
 def test_killing_weyl_invariance():
@@ -109,7 +82,9 @@ def test_killing_weyl_invariance():
     for w in oracle.words:
         for a in roots[:4]:
             for b in roots[:4]:
-                assert rs.killing(oracle.apply(w, a), oracle.apply(w, b)) == rs.killing(a, b)
+                value = defining_sum(rs.positive_roots, oracle.apply(w, a), oracle.apply(w, b))
+                assert value == defining_sum(rs.positive_roots, a, b)
+                assert value == rs.killing_ratio * dot(a, b)
 
 
 def test_simple_reflection_fixes_hyperplane_and_negates_root():
@@ -160,36 +135,35 @@ def test_fundamental_weight_coweight_duality():
             assert dot(w, a) == (1 if i == j else 0)
 
 
-def _defining_sum(roots, u, v):
-    """Oracle: the Killing pairing 2 * Sum d(a,u)*d(a,v) over the positive roots given."""
-    return 2 * sum((dot(a, u) * dot(a, v) for a in roots), Q(0))
-
-
 def _units(m):
     return [tuple(Q(int(i == j)) for j in range(m)) for i in range(m)]
 
 
 @pytest.mark.parametrize("label,rank", PAIRS)
 def test_killing_ambient_gram_equals_defining_sum(label, rank):
+    """Off the root span (A, E6, E7) the Killing form only sees the projection
+    P onto it: <u, v> = killing_ratio * d(Pu, Pv) on the whole ambient space."""
     rs = get_rs(label, rank)
     m = rs.ambient_dim
-    units = _units(m)
+    projected = [project_onto_span(rs.simple_roots, e) for e in _units(m)]
     # the defining sum at unit vectors e_i, e_j, where d(a, e_i) = a[i]
-    assert tuple(tuple(rs.killing(e, f) for f in units) for e in units) == tuple(
-        tuple(2 * sum((a[i] * a[j] for a in rs.positive_roots), Q(0)) for j in range(m))
-        for i in range(m))
+    assert tuple(tuple(rs.killing_ratio * dot(p, q) for q in projected) for p in projected) \
+        == tuple(tuple(2 * sum((a[i] * a[j] for a in rs.positive_roots), Q(0)) for j in range(m))
+                 for i in range(m))
 
 
 @pytest.mark.parametrize("label,rank", PAIRS)
 def test_killing_is_ratio_times_dot_on_the_root_span(label, rank):
     """The fact the polytope layer rests on: with u in the root span and v
     anywhere in the ambient space, <u, v> = killing_ratio * d(u, v), and the
-    ratio is a positive integer.  So hulls, support sets and exposed faces
-    taken with the dot product are those of the Killing form."""
+    ratio is a positive integer, the per-factor ratio of all simple roots.
+    So hulls, support sets and exposed faces taken with the dot product are
+    those of the Killing form."""
     import random
     rs = get_rs(label, rank)
     ratio = rs.killing_ratio
     assert ratio.denominator == 1 and ratio > 0
+    assert rs.killing_ratio_of(range(rank)) == ratio
     rng = random.Random(11)
     us = list(rs.simple_roots) + [
         lincomb([rng.randint(-3, 3) for _ in range(rank)], rs.simple_roots) for _ in range(3)]
@@ -199,8 +173,8 @@ def test_killing_is_ratio_times_dot_on_the_root_span(label, rank):
         for _ in range(3)]
     for u in us:
         for v in vs:
-            assert rs.killing(u, v) == ratio * dot(u, v)
-            assert rs.killing(v, u) == ratio * dot(v, u)
+            assert defining_sum(rs.positive_roots, u, v) == ratio * dot(u, v)
+            assert defining_sum(rs.positive_roots, v, u) == ratio * dot(v, u)
 
 
 #: small rationals in the largest ambient dimension (9, for A8); each pair reads a prefix
@@ -212,15 +186,17 @@ _VECTORS = st.lists(st.builds(Q, st.integers(-6, 6), st.integers(1, 4)), min_siz
           phases=(Phase.explicit, Phase.generate))
 @given(u=_VECTORS, v=_VECTORS, subset=st.sets(st.integers(0, 7)))
 def test_killing_form_equals_defining_sum(u, v, subset):
-    """On every admitted pair, the Killing form and the form of the subsystem
-    on a simple-root subset agree exactly with the sum over the roots."""
+    """On every admitted pair and each component c of a simple-root subset,
+    with u in span(c) and v anywhere, the sum over the roots of c equals
+    killing_ratio_of(c) * d(u, v) exactly."""
     for label, rank in PAIRS:
         rs = get_rs(label, rank)
-        uu, vv = tuple(u[:rs.ambient_dim]), tuple(v[:rs.ambient_dim])
-        assert rs.killing(uu, vv) == _defining_sum(rs.positive_roots, uu, vv), rs.name
-        idx = rs.subsystem_positive([i for i in subset if i < rank])
-        roots = [rs.positive_roots[k] for k in idx]
-        assert sub_killing(rs, idx)(uu, vv) == _defining_sum(roots, uu, vv), rs.name
+        vv = tuple(v[:rs.ambient_dim])
+        for c in rs.components([i for i in subset if i < rank]):
+            uu = lincomb(u[:len(c)], [rs.simple_roots[i] for i in c])
+            roots = [rs.positive_roots[k] for k in rs.subsystem_positive(c)]
+            assert defining_sum(roots, uu, vv) == rs.killing_ratio_of(c) * dot(uu, vv), \
+                (rs.name, c)
 
 
 def _closure_oracle(simples):
