@@ -14,8 +14,8 @@ from .faces import (FaceClassification, FaceDescriptor, classify_faces,
                     saturate, x_connected_subsets)
 from .integrality import (FaceWeight, WeightData, check_integral,
                           induce_face_weight)
-from .numeric import (AscentResult, HessianReport, MatrixOrbitPoint, ascend,
-                      hessian_signature, matrix_orbit_point, verify_face_numeric)
+from .numeric import (AscentResult, HessianReport, ascend, hessian_signature,
+                      matrix_orbit_point, verify_face_numeric)
 from .polytope import (ExactPolytope, FaceOrbit, Facet, PolytopeFace,
                        act_on_faces, fixed_vector_in_cone, hull, support_set)
 from .roots import ChamberPoint, RootSystem, build_root_system, chamber_point
@@ -27,9 +27,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AscentResult", "CapExceededError", "ChamberPoint", "ExactPolytope",
     "FaceClassification", "FaceDescriptor", "FaceOrbit", "FaceWeight", "Facet",
-    "HessianReport", "InvalidInputError", "MatrixOrbitPoint", "OrbitopeError",
-    "PolytopeFace", "RootSystem", "StratumDims", "StratumPoset",
-    "TheoremViolationError", "WeightData", "WeylGroup",
+    "HessianReport", "InvalidInputError", "OrbitopeError", "PolytopeFace",
+    "RootSystem", "StratumDims", "StratumPoset", "TheoremViolationError",
+    "WeightData", "WeylGroup",
     "act_on_faces", "ascend", "build_poset", "build_root_system",
     "build_weyl_group", "chamber_point", "check_integral", "classify_faces",
     "fixed_vector_in_cone", "hessian_signature", "hull",

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,19 +46,21 @@ class RunConfig:
     numeric_faces: int = 5
     hull_cap: int = DEFAULT_HULL_CAP
     weyl_cap: int | None = None
-    grad_tol: float = 1e-10
-    value_tol: float = 1e-8
-    crit_tol: float = 1e-8
-    fd_tol: float = 1e-5
 
 
 def _vec_strs(v) -> list[str]:
     return [frac_str(Fraction(c)) for c in v]
 
 
+def _pairing_rows(rows) -> list[dict]:
+    """Report rows of the root pairings of a point or of a face weight."""
+    return [{"root": _vec_strs(r.root), "knapp": frac_str(r.knapp),
+             "half": frac_str(r.half_display)} for r in rows]
+
+
 def _check_config(config: RunConfig) -> None:
-    """Reject seed, count, cap and tolerance settings outside their range
-    before any work; an unset Weyl cap means no cap."""
+    """Reject seed, count and cap settings outside their range before any
+    work; an unset Weyl cap means no cap."""
     for flag, value, low, high in (("--seed", config.seed, 0, None),
                                    ("--numeric-seeds", config.numeric_seeds, 1, MAX_NUMERIC_SEEDS),
                                    ("--numeric-faces", config.numeric_faces, 0, None),
@@ -69,10 +70,6 @@ def _check_config(config: RunConfig) -> None:
             raise InvalidInputError("%s must be at least %d, got %d" % (flag, low, value))
         if high is not None and value > high:
             raise InvalidInputError("%s must be at most %d, got %d" % (flag, high, value))
-    for flag, tol in (("--grad-tol", config.grad_tol), ("--value-tol", config.value_tol),
-                      ("--crit-tol", config.crit_tol), ("--fd-tol", config.fd_tol)):
-        if not (math.isfinite(tol) and tol > 0):
-            raise InvalidInputError("%s must be a finite positive number, got %r" % (flag, tol))
 
 
 def build_report(config: RunConfig) -> dict:
@@ -82,6 +79,8 @@ def build_report(config: RunConfig) -> dict:
     """
     _check_config(config)
     rs = build_root_system(config.type_label, config.rank)
+    if config.command == "verify-numeric" and rs.type_label != "A":
+        raise InvalidInputError("numeric verification is realized for type A only")
     try:
         coords = [Fraction(c) for c in config.point]
     except (ValueError, ZeroDivisionError) as exc:
@@ -148,16 +147,11 @@ def build_report(config: RunConfig) -> dict:
     if config.command in ("integrality", "verify-all"):
         report["integrality"] = {
             "integral": point_weight.is_integral,
-            "pairings": [{"root": _vec_strs(r.root), "knapp": frac_str(r.knapp),
-                          "half": frac_str(r.half_display)}
-                         for r in point_weight.pairings],
+            "pairings": _pairing_rows(point_weight.pairings),
             "faces": [{"I": [rs.root_label(i) for i in fw.I],
                        "x1_prime": _vec_strs(fw.x1_prime),
                        "integral": fw.is_integral,
-                       "pairings": [{"root": _vec_strs(r.root),
-                                     "knapp": frac_str(r.knapp),
-                                     "half": frac_str(r.half_display)}
-                                    for r in fw.pairings]}
+                       "pairings": _pairing_rows(fw.pairings)}
                       for idx, fw in sorted(face_weights.items())],
         }
 
@@ -167,17 +161,11 @@ def build_report(config: RunConfig) -> dict:
                 raise TheoremViolationError(
                     "integrality descent failed on face I=%s" % (fw.I,))
 
-    if config.command == "verify-numeric" or \
-            (config.command == "verify-all" and rs.type_label == "A"):
-        if rs.type_label != "A":
-            raise InvalidInputError("numeric verification is realized for type A only")
+    if config.command in ("verify-numeric", "verify-all") and rs.type_label == "A":
         numeric_faces = []
         for d in classification.proper_descriptors[:config.numeric_faces]:
             numeric_faces.append(verify_face_numeric(
-                classification, d, seeds=config.numeric_seeds,
-                seed_base=config.seed, crit_tol=config.crit_tol,
-                value_tol=config.value_tol, grad_tol=config.grad_tol,
-                fd_tol=config.fd_tol))
+                classification, d, seeds=config.numeric_seeds, seed_base=config.seed))
         report["numeric"] = {
             "trace_killing_factor": int(rs.killing_ratio),
             "seed": config.seed,
@@ -284,10 +272,6 @@ def _build_parser() -> _Parser:
                         help="maximum Weyl orbit size fed to the hull")
     parser.add_argument("--weyl-cap", type=int, default=None,
                         help="maximum Weyl group order (default: no cap)")
-    parser.add_argument("--grad-tol", type=float, default=1e-10)
-    parser.add_argument("--value-tol", type=float, default=1e-8)
-    parser.add_argument("--crit-tol", type=float, default=1e-8)
-    parser.add_argument("--fd-tol", type=float, default=1e-5)
     return parser
 
 
@@ -298,9 +282,7 @@ def parse_config(argv) -> RunConfig:
         point=tuple(s.strip() for s in args.point.split(",")),
         fmt=args.fmt, out=args.out, seed=args.seed,
         numeric_seeds=args.numeric_seeds, numeric_faces=args.numeric_faces,
-        hull_cap=args.orbit_cap, weyl_cap=args.weyl_cap,
-        grad_tol=args.grad_tol, value_tol=args.value_tol,
-        crit_tol=args.crit_tol, fd_tol=args.fd_tol)
+        hull_cap=args.orbit_cap, weyl_cap=args.weyl_cap)
 
 
 def main(argv=None) -> int:

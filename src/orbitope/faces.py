@@ -62,6 +62,8 @@ class FaceClassification:
     polytope: ExactPolytope
     descriptors: tuple[FaceDescriptor, ...]
     orbits: dict[int, tuple[FaceOrbit, ...]]
+    #: vertex set -> its W-orbit, for every face of the lattice
+    orbit_of: dict[tuple[int, ...], FaceOrbit]
     #: I -> canonical W-class representative of sigma, proper descriptors only
     matching: dict[tuple[int, ...], tuple[int, ...]]
     bijection_verified: bool
@@ -183,11 +185,7 @@ def classify_faces(rs: RootSystem, group: WeylGroup, x: ChamberPoint,
             improper=improper))
 
     orbits = act_on_faces(group, poly)
-    rep_of: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for dim, orbs in orbits.items():
-        for o in orbs:
-            for m in o.members:
-                rep_of[m] = o.representative
+    orbit_of = {m: o for orbs in orbits.values() for o in orbs for m in o.members}
     top_key = poly.top.vertex_indices
     proper_reps = sorted(rep for rep in {o.representative for orbs in orbits.values()
                                          for o in orbs} if rep != top_key)
@@ -198,7 +196,7 @@ def classify_faces(rs: RootSystem, group: WeylGroup, x: ChamberPoint,
             if d.sigma.vertex_indices != top_key:
                 raise TheoremViolationError("J = Pi descriptor is not the top face")
             continue
-        matching[d.I] = rep_of[d.sigma.vertex_indices]
+        matching[d.I] = orbit_of[d.sigma.vertex_indices].representative
     hit = sorted(matching.values())
     if len(set(hit)) != len(hit):
         raise TheoremViolationError(
@@ -209,7 +207,7 @@ def classify_faces(rs: RootSystem, group: WeylGroup, x: ChamberPoint,
 
     classification = FaceClassification(
         x=x, group=group, polytope=poly, descriptors=tuple(descriptors),
-        orbits=orbits, matching=matching, bijection_verified=True)
+        orbits=orbits, orbit_of=orbit_of, matching=matching, bijection_verified=True)
 
     # psi . phi = id, checked on every class representative.
     for d in classification.proper_descriptors:
@@ -236,8 +234,7 @@ def psi_of_polytope_face(classification: FaceClassification,
     sigma = poly.face(sigma.vertex_indices)  # InvalidInputError unless a face of poly
     if sigma.vertex_indices == poly.top.vertex_indices:
         raise InvalidInputError("psi is defined on proper faces only")
-    rep = next((o.representative for o in classification.orbits[sigma.dim]
-                if sigma.vertex_indices in o.members), None)
+    rep = classification.orbit_of[sigma.vertex_indices].representative
     found = next((d for d in classification.proper_descriptors
                   if classification.matching[d.I] == rep), None)
     if found is None:
@@ -259,11 +256,7 @@ def phi_of_descriptor(classification: FaceClassification,
                       d: FaceDescriptor) -> FaceOrbit:
     """The W-class of sigma = conv(W_J.x); the improper descriptor yields the
     top face's singleton class (callers must respect the improper flag)."""
-    rep = d.sigma.vertex_indices if d.improper else classification.matching[d.I]
-    for o in classification.orbits.get(d.sigma.dim, ()):
-        if o.representative == rep:
-            return o
-    raise TheoremViolationError("descriptor's face class is missing from the orbits")
+    return classification.orbit_of[d.sigma.vertex_indices]
 
 
 def parabolic_report(classification: FaceClassification, d: FaceDescriptor) -> dict:

@@ -43,7 +43,7 @@ def ascend_one(x0: np.ndarray, u: np.ndarray, seed: int = 0,
         raise InvalidInputError("u must be a nonzero diagonal matrix")
     if g0 is None:
         g0 = random_special_unitary(n, np.random.default_rng(seed))
-    p = matrix_orbit_point(x0, g0).point
+    p = matrix_orbit_point(x0, g0)
     start = p.copy()
     eye = np.eye(n, dtype=complex)
     tau = 1.0 / (np.linalg.norm(u) + 1.0)

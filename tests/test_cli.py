@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+import orbitope.cli
+import orbitope.numeric
 from orbitope.cli import RunConfig, main, run
 
 
@@ -109,10 +111,22 @@ def test_verify_numeric_requires_type_a():
     assert code == 1
 
 
-def test_unattainable_tolerance_exits_2():
+def test_verify_numeric_rejects_non_a_before_classifying(capsys, monkeypatch):
+    """A non-A verify-numeric run is an input error found from the type
+    alone, before any face is classified."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("classify_faces was called")
+
+    monkeypatch.setattr(orbitope.cli, "classify_faces", unreachable)
+    line = _exits_1_with_one_error_line(
+        capsys, ["verify-numeric", "--type", "B", "--rank", "2", "--point", "1,1"])
+    assert line == "error: numeric verification is realized for type A only"
+
+
+def test_unattainable_tolerance_exits_2(monkeypatch):
     """A forced cross-check failure must surface as the theorem-violation code."""
-    code, text = run(_cfg(command="verify-numeric", numeric_seeds=1,
-                          numeric_faces=1, crit_tol=1e-30, grad_tol=1e-31))
+    monkeypatch.setattr(orbitope.numeric, "_GRAD_TOL", 1e-31)
+    code, text = run(_cfg(command="verify-numeric", numeric_seeds=1, numeric_faces=1))
     assert code == 2
     assert "theorem violation" in text
 
@@ -212,28 +226,11 @@ def test_negative_seed_exits_1(capsys):
     assert "--seed" in _exits_1_with_one_error_line(capsys, numeric + ["--seed", "-1"])
 
 
-def test_bad_grad_tol_exits_1(capsys):
-    for value in ("0", "nan", "-1e-10"):
-        line = _exits_1_with_one_error_line(capsys, _A2 + ["--grad-tol", value])
-        assert "--grad-tol" in line
-
-
-def test_bad_value_tol_exits_1(capsys):
-    for value in ("-1", "inf"):
-        line = _exits_1_with_one_error_line(capsys, _A2 + ["--value-tol", value])
-        assert "--value-tol" in line
-
-
-def test_bad_crit_tol_exits_1(capsys):
-    for value in ("0", "-inf"):
-        line = _exits_1_with_one_error_line(capsys, _A2 + ["--crit-tol", value])
-        assert "--crit-tol" in line
-
-
-def test_bad_fd_tol_exits_1(capsys):
-    for value in ("-1", "nan"):
-        line = _exits_1_with_one_error_line(capsys, _A2 + ["--fd-tol", value])
-        assert "--fd-tol" in line
+@pytest.mark.parametrize("flag", ["--grad-tol", "--value-tol", "--crit-tol", "--fd-tol"])
+def test_tolerance_flags_are_not_accepted(capsys, flag):
+    """The numeric tolerances are fixed: no flag sets them."""
+    line = _exits_1_with_one_error_line(capsys, _A2 + [flag, "1e-8"])
+    assert flag in line
 
 
 @pytest.mark.parametrize("command", ["verify-all", "verify-numeric"])

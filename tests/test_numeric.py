@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import orbitope.numeric
 from ascent_oracle import ascend_one
 from conftest import get_classification, get_rs
 from orbitope import (InvalidInputError, TheoremViolationError, ascend,
@@ -18,8 +19,8 @@ def test_matrix_orbit_point_validation():
     x0 = su_from_cartan([1, 0, -1])
     g = random_special_unitary(3, np.random.default_rng(0))
     pt = matrix_orbit_point(x0, g)
-    assert pt.n == 3
-    assert abs(np.trace(pt.point)) < 1e-12
+    assert pt.shape == (3, 3)
+    assert abs(np.trace(pt)) < 1e-12
     with pytest.raises(InvalidInputError):
         matrix_orbit_point(x0, np.diag([2.0, 1.0, 1.0]).astype(complex))
 
@@ -218,12 +219,12 @@ def test_verify_face_numeric_rejects_improper_and_non_a():
         verify_face_numeric(clb, clb.proper_descriptors[0])
 
 
-def test_verify_face_numeric_detects_wrong_tolerance():
+def test_verify_face_numeric_detects_wrong_tolerance(monkeypatch):
     """Impossible tolerance must surface as a theorem-violation diagnostic."""
+    monkeypatch.setattr(orbitope.numeric, "_GRAD_TOL", 1e-19)
     cl = get_classification("A", 2, (1, 1))
     with pytest.raises(TheoremViolationError):
-        verify_face_numeric(cl, cl.proper_descriptors[0], seeds=2, crit_tol=1e-18,
-                            grad_tol=1e-19)
+        verify_face_numeric(cl, cl.proper_descriptors[0], seeds=2)
 
 
 def test_verify_face_numeric_rejects_zero_seeds():
