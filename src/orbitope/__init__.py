@@ -16,8 +16,9 @@ from .integrality import (FaceWeight, WeightData, check_integral,
                           induce_face_weight)
 from .numeric import (AscentResult, HessianReport, ascend, hessian_signature,
                       matrix_orbit_point, verify_face_numeric)
-from .polytope import (ExactPolytope, FaceOrbit, Facet, PolytopeFace,
-                       act_on_faces, fixed_vector_in_cone, hull, support_set)
+from .polytope import (ExactPolytope, FaceOrbit, Facet, KostantPolytope,
+                       PolytopeFace, act_on_faces, fixed_vector_in_cone, hull,
+                       support_set)
 from .roots import ChamberPoint, RootSystem, build_root_system, chamber_point
 from .strata import StratumDims, StratumPoset, build_poset, stratum_dim
 from .weyl import WeylGroup, build_weyl_group, weyl_orbit
@@ -27,7 +28,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AscentResult", "CapExceededError", "ChamberPoint", "ExactPolytope",
     "FaceClassification", "FaceDescriptor", "FaceOrbit", "FaceWeight", "Facet",
-    "HessianReport", "InvalidInputError", "OrbitopeError", "PolytopeFace",
+    "HessianReport", "InvalidInputError", "KostantPolytope", "OrbitopeError",
+    "PolytopeFace",
     "RootSystem", "StratumDims", "StratumPoset", "TheoremViolationError",
     "WeightData", "WeylGroup",
     "act_on_faces", "ascend", "build_poset", "build_root_system",

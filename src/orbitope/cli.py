@@ -16,14 +16,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidInputError, TheoremViolationError
-from .faces import classify_faces, parabolic_report
+from .faces import build_kostant_polytope, classify_faces, parabolic_report
 from .integrality import check_integral, induce_face_weight
 from .linalg import frac_str
-from .numeric import verify_face_numeric
-from .polytope import DEFAULT_HULL_CAP, hull
+from .numeric import draw_starts, verify_face_numeric
+from .polytope import DEFAULT_HULL_CAP
 from .roots import build_root_system, chamber_point
 from .strata import build_poset
-from .weyl import build_weyl_group, weyl_orbit
+from .weyl import build_weyl_group
 
 COMMANDS = ("faces", "polytope", "strata", "integrality", "verify-numeric", "verify-all")
 
@@ -94,8 +94,7 @@ def build_report(config: RunConfig) -> dict:
     }
 
     if config.command == "polytope":
-        orbit = weyl_orbit(group, x, cap=config.hull_cap)
-        poly = hull(orbit, cap=config.hull_cap)
+        poly = build_kostant_polytope(group, x, config.hull_cap)
     else:
         classification = classify_faces(rs, group, x, hull_cap=config.hull_cap)
         poly = classification.polytope
@@ -162,10 +161,12 @@ def build_report(config: RunConfig) -> dict:
                     "integrality descent failed on face I=%s" % (fw.I,))
 
     if config.command in ("verify-numeric", "verify-all") and rs.type_label == "A":
-        numeric_faces = []
-        for d in classification.proper_descriptors[:config.numeric_faces]:
-            numeric_faces.append(verify_face_numeric(
-                classification, d, seeds=config.numeric_seeds, seed_base=config.seed))
+        faces = classification.proper_descriptors[:config.numeric_faces]
+        # every face ascends from the same seeded start points
+        starts = draw_starts(classification, config.numeric_seeds, config.seed) if faces else None
+        numeric_faces = [verify_face_numeric(classification, d, seeds=config.numeric_seeds,
+                                             seed_base=config.seed, starts=starts)
+                         for d in faces]
         report["numeric"] = {
             "trace_killing_factor": int(rs.killing_ratio),
             "seed": config.seed,

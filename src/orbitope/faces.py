@@ -8,10 +8,18 @@ polytope faces, containment order) run against that shadow in exact rational
 arithmetic.  Extreme sets in the Lie algebra are never materialized: they are
 infinite orbits and the pair (I, J) determines them.
 
-Each combinatorial fact is derived once.  W_J.x is the closure of x's vertex
-index under the generator permutations of J, the same permutations that
-partition every lattice level into W-classes (`act_on_faces`); psi and phi
-read that partition instead of closing orbits again.
+Only the faces of P through x are built (`build_kostant_polytope`), from the
+hull of the vertex figure at x.  That loses no class: W is transitive on the
+vertices, so every W-class of faces has members through x, and two faces
+through x are W-conjugate iff they are conjugate under the stabilizer W_S of
+x, S the singular set of x.  (A face is exposed by some u; moving u into the
+dominant chamber shows that the face's vertex set is a W_K-orbit, so its
+stabilizer is transitive on its vertices, and an element taking one face
+through x to another can be corrected to fix x.)  Neither fact uses
+x-connectedness, so the polytope side stays independent of the
+classification.  W_J.x is the closure of x's vertex index under the
+generator permutations of J; the W_S-classes are closures under those of S
+(`act_on_faces`), and psi and phi read that partition.
 """
 
 from __future__ import annotations
@@ -21,9 +29,10 @@ from typing import Sequence
 
 from .errors import InvalidInputError, TheoremViolationError
 from .linalg import Vector, dot, lincomb
-from .polytope import (DEFAULT_HULL_CAP, ExactPolytope, FaceOrbit,
-                       PolytopeFace, act_on_faces, face_orbit, facets_through,
-                       hull, support_set)
+from .polytope import (DEFAULT_HULL_CAP, FaceOrbit, KostantPolytope,
+                       PolytopeFace, act_on_faces, face_orbit,
+                       from_vertex_figure, hull, support_set,
+                       vertex_figure_points)
 from .roots import ChamberPoint, RootSystem
 from .weyl import WeylGroup, weyl_orbit
 
@@ -59,12 +68,13 @@ class FaceClassification:
 
     x: ChamberPoint
     group: WeylGroup
-    polytope: ExactPolytope
+    polytope: KostantPolytope
     descriptors: tuple[FaceDescriptor, ...]
-    orbits: dict[int, tuple[FaceOrbit, ...]]
-    #: vertex set -> its W-orbit, for every face of the lattice
-    orbit_of: dict[tuple[int, ...], FaceOrbit]
-    #: I -> canonical W-class representative of sigma, proper descriptors only
+    #: the W_S-classes of the faces through x, per dimension: one per W-class
+    classes: dict[int, tuple[FaceOrbit, ...]]
+    #: vertex set -> its W_S-class, for every face through x
+    class_of: dict[tuple[int, ...], FaceOrbit]
+    #: I -> least member of the W-class of sigma, proper descriptors only
     matching: dict[tuple[int, ...], tuple[int, ...]]
     bijection_verified: bool
 
@@ -132,6 +142,16 @@ def largest_x_connected_subset(rs: RootSystem, x: ChamberPoint,
     return tuple(sorted(keep))
 
 
+def build_kostant_polytope(group: WeylGroup, x: ChamberPoint,
+                           hull_cap: int = DEFAULT_HULL_CAP) -> KostantPolytope:
+    """The Kostant polytope conv(W.x), built from the exact hull of its
+    vertex figure at x over all |W.x| - 1 other orbit points."""
+    orbit = weyl_orbit(group, x, cap=hull_cap)
+    x_index = orbit.index(x.vector)
+    figure = hull(vertex_figure_points(orbit, x_index), cap=hull_cap)
+    return from_vertex_figure(group, orbit, x_index, figure)
+
+
 def classify_faces(rs: RootSystem, group: WeylGroup, x: ChamberPoint,
                    hull_cap: int = DEFAULT_HULL_CAP) -> FaceClassification:
     """Classify all faces of conv(K.x) up to conjugation and verify the
@@ -142,13 +162,9 @@ def classify_faces(rs: RootSystem, group: WeylGroup, x: ChamberPoint,
     """
     if x.root_system is not rs:
         raise InvalidInputError("chamber point belongs to a different root system")
-    orbit = weyl_orbit(group, x, cap=hull_cap)
-    poly = hull(orbit, cap=hull_cap)
-    if poly.vertices != orbit:
-        raise TheoremViolationError(
-            "Kostant polytope vertices differ from the Weyl orbit (ext P = W.x failed)")
-    perms = poly._permutations(group)
-    x_vertex = (poly.vertices.index(x.vector),)
+    poly = build_kostant_polytope(group, x, hull_cap)
+    perms = poly.perms
+    x_vertex = (poly.x_index,)
 
     descriptors = []
     for I in x_connected_subsets(rs, x):
@@ -184,19 +200,24 @@ def classify_faces(rs: RootSystem, group: WeylGroup, x: ChamberPoint,
             marked=tuple(i for i in I if i not in x.singular_set),
             improper=improper))
 
-    orbits = act_on_faces(group, poly)
-    orbit_of = {m: o for orbs in orbits.values() for o in orbs for m in o.members}
-    top_key = poly.top.vertex_indices
-    proper_reps = sorted(rep for rep in {o.representative for orbs in orbits.values()
-                                         for o in orbs} if rep != top_key)
+    classes = act_on_faces([perms[s] for s in x.singular_set], poly.faces_through_x)
+    class_of = {m: c for cs in classes.values() for c in cs for m in c.members}
+    # A W-class's members through vertex 0 are the images of its members
+    # through x under any element taking x to vertex 0, and its least member
+    # contains vertex 0.
+    to_0 = poly.x_to_vertex_0
+    least = {c: min(tuple(sorted(to_0[i] for i in m)) for m in c.members)
+             for cs in classes.values() for c in cs}
+    proper_reps = sorted(least[c] for dim, cs in classes.items()
+                         if dim < poly.affine_dim for c in cs)
 
     matching: dict[tuple[int, ...], tuple[int, ...]] = {}
     for d in descriptors:
         if d.improper:
-            if d.sigma.vertex_indices != top_key:
+            if d.sigma.vertex_indices != poly.top.vertex_indices:
                 raise TheoremViolationError("J = Pi descriptor is not the top face")
             continue
-        matching[d.I] = orbit_of[d.sigma.vertex_indices].representative
+        matching[d.I] = least[class_of[d.sigma.vertex_indices]]
     hit = sorted(matching.values())
     if len(set(hit)) != len(hit):
         raise TheoremViolationError(
@@ -207,7 +228,7 @@ def classify_faces(rs: RootSystem, group: WeylGroup, x: ChamberPoint,
 
     classification = FaceClassification(
         x=x, group=group, polytope=poly, descriptors=tuple(descriptors),
-        orbits=orbits, orbit_of=orbit_of, matching=matching, bijection_verified=True)
+        classes=classes, class_of=class_of, matching=matching, bijection_verified=True)
 
     # psi . phi = id, checked on every class representative.
     for d in classification.proper_descriptors:
@@ -220,8 +241,8 @@ def classify_faces(rs: RootSystem, group: WeylGroup, x: ChamberPoint,
 
 def psi_of_polytope_face(classification: FaceClassification,
                          sigma: PolytopeFace) -> FaceDescriptor:
-    """Map a proper polytope face to its descriptor: find its W-class among
-    the classified orbits, and the descriptor that phi sends to that class.
+    """Map a proper polytope face to its descriptor: move it to a face
+    through x, find its W_S-class, and the descriptor whose sigma is in it.
 
     Also re-derives (I, J) from the roots vanishing on the orthogonal
     complement of the descriptor's face sigma and cross-checks it.  That
@@ -232,16 +253,16 @@ def psi_of_polytope_face(classification: FaceClassification,
     rs = classification.root_system
     poly = classification.polytope
     sigma = poly.face(sigma.vertex_indices)  # InvalidInputError unless a face of poly
-    if sigma.vertex_indices == poly.top.vertex_indices:
+    if sigma.dim == poly.affine_dim:
         raise InvalidInputError("psi is defined on proper faces only")
-    rep = classification.orbit_of[sigma.vertex_indices].representative
+    cls = classification.class_of[poly.at_x(sigma.vertex_indices)]
     found = next((d for d in classification.proper_descriptors
-                  if classification.matching[d.I] == rep), None)
+                  if classification.class_of[d.sigma.vertex_indices] is cls), None)
     if found is None:
         raise TheoremViolationError(
             "no Weyl conjugate of the face matches a descriptor "
             "(every face class must arise from an x-connected subset)")
-    normals = [f.normal for f in facets_through(poly, found.sigma)]
+    normals = [f.normal for f in poly.facets_through(found.sigma)]
     E = tuple(i for i in range(rs.rank)
               if all(dot(rs.simple_roots[i], n) == 0 for n in normals))
     I = largest_x_connected_subset(rs, classification.x, E)
@@ -254,9 +275,10 @@ def psi_of_polytope_face(classification: FaceClassification,
 
 def phi_of_descriptor(classification: FaceClassification,
                       d: FaceDescriptor) -> FaceOrbit:
-    """The W-class of sigma = conv(W_J.x); the improper descriptor yields the
-    top face's singleton class (callers must respect the improper flag)."""
-    return classification.orbit_of[d.sigma.vertex_indices]
+    """The W_S-class of sigma = conv(W_J.x): the faces through x in its
+    W-class.  The improper descriptor yields the top face's singleton class
+    (callers must respect the improper flag)."""
+    return classification.class_of[d.sigma.vertex_indices]
 
 
 def parabolic_report(classification: FaceClassification, d: FaceDescriptor) -> dict:

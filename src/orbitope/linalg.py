@@ -6,6 +6,7 @@ is pure and deterministic; no floats anywhere.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -44,7 +45,7 @@ def vscale(c: Fraction, u: Sequence[Fraction]) -> Vector:
 
 def int_dot(u: Sequence[int], v: Sequence[int]) -> int:
     """Dot product of integer vectors, without the Fraction coercion of `dot`."""
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(operator.mul, u, v))
 
 
 def lincomb(coeffs: Sequence[Fraction], vectors: Sequence[Vector]) -> Vector:

@@ -20,6 +20,9 @@ fraction of a millisecond against the ascent.  The tolerances are fixed
 module constants, not settings.  numpy is imported inside the functions that
 use it, so importing the package (and every run that never reaches the
 numeric check) does not load it.
+
+Every face of a run ascends from the same seeded Haar start points, which a
+run draws once (`draw_starts`).
 """
 
 from __future__ import annotations
@@ -152,10 +155,24 @@ def _norms(z: np.ndarray) -> np.ndarray:
     return np.sqrt(sq[:, 0, 0])
 
 
+def haar_starts(x0: np.ndarray, seeds: Sequence[int]) -> np.ndarray:
+    """One Haar-random point of the orbit of x0 per seed, each drawn from a
+    generator seeded with it, stacked in the order of `seeds`."""
+    import numpy as np
+    n = x0.shape[0]
+    return np.array([
+        matrix_orbit_point(x0, random_special_unitary(n, np.random.default_rng(s)))
+        for s in seeds])
+
+
 def ascend(x0: np.ndarray, u: np.ndarray, seeds: Iterable[int],
-           grad_tol: float = _GRAD_TOL, max_iter: int = _MAX_ITER) -> AscentResult:
+           grad_tol: float = _GRAD_TOL, max_iter: int = _MAX_ITER,
+           starts: np.ndarray | None = None) -> AscentResult:
     """Maximize mu_u over the orbit of x0 from one Haar-random start per seed,
     by Cayley-retraction gradient ascent run on all seeds in lockstep.
+
+    `starts`, when given, must be `haar_starts(x0, seeds)`; ascents for
+    several u then share one draw.
 
     The ascent generator at p is Z = [p, u]; criticality is ||[u, p]|| -> 0.
     The update p <- Q p Q* with Q = (I - tau/2 Z)^{-1}(I + tau/2 Z) stays on
@@ -173,9 +190,8 @@ def ascend(x0: np.ndarray, u: np.ndarray, seeds: Iterable[int],
         raise InvalidInputError("the ascent needs at least one seed")
     if min(seeds) < 0:
         raise InvalidInputError("seeds must be nonnegative, got %d" % min(seeds))
-    starts = np.array([
-        matrix_orbit_point(x0, random_special_unitary(n, np.random.default_rng(s)))
-        for s in seeds])
+    if starts is None:
+        starts = haar_starts(x0, seeds)
     count = len(seeds)
     p = starts.copy()
     eye = np.eye(n, dtype=complex)
@@ -330,8 +346,18 @@ def hessian_signature(x_crit, u) -> HessianReport:
                          is_max=pos == 0, is_min=neg == 0)
 
 
+def draw_starts(classification: FaceClassification, seeds: int = 20,
+                seed_base: int = 0) -> np.ndarray:
+    """The `haar_starts` of x on su(n) for the seeds seed_base, ...,
+    seed_base + seeds - 1: the start points of every face's ascent in a
+    run, so a run draws them once."""
+    return haar_starts(su_from_cartan(classification.x.vector),
+                       range(seed_base, seed_base + seeds))
+
+
 def verify_face_numeric(classification: FaceClassification, d: FaceDescriptor,
-                        seeds: int = 20, seed_base: int = 0) -> dict:
+                        seeds: int = 20, seed_base: int = 0,
+                        starts: np.ndarray | None = None) -> dict:
     """Cross-validate one face class on the su(n) realization.
 
     Runs multi-seed ascent for the face's exposing vector and checks:
@@ -340,7 +366,8 @@ def verify_face_numeric(classification: FaceClassification, d: FaceDescriptor,
     of all Cartan projections, the value ceiling, membership of the
     maximizers in sigma, and the Hessian block signs, all at the module's
     fixed tolerances.  Any mismatch raises TheoremViolationError with a
-    counterexample summary.
+    counterexample summary.  `starts`, when given, must be
+    `draw_starts(classification, seeds, seed_base)`.
     """
     import numpy as np
     rs = classification.root_system
@@ -370,7 +397,7 @@ def verify_face_numeric(classification: FaceClassification, d: FaceDescriptor,
         blocks.setdefault(c, []).append(i)
 
     res = ascend(x0, u, seeds=range(seed_base, seed_base + seeds),
-                 grad_tol=_GRAD_TOL)
+                 grad_tol=_GRAD_TOL, starts=starts)
     # every per-seed quantity the checks read, for all seeds at once
     escapes, exceeds, shadows = {}, {}, {}
     for name, q in (("start", res.start_points), ("maximizer", res.points)):

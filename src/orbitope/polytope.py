@@ -14,6 +14,11 @@ read off those facets (`facets_through`).  This module is the independent
 oracle the combinatorial face classification is checked against, so there is
 no floating point anywhere.
 
+A Kostant polytope is held by its faces through one vertex x
+(`KostantPolytope`): they are the faces of the vertex figure at x, so `hull`
+of |W.x| - 1 points builds them, and every other face and facet is a
+W-image of one of them.  The full lattice of `hull` stays as the oracle.
+
 The Weyl group reaches a polytope only through the r simple-reflection
 permutations of its vertices (`act_on_faces`, `face_orbit`).  An exposing
 vector fixed by a face's stabilizer is a sum of facet normals, each divided
@@ -73,7 +78,39 @@ class FaceOrbit:
     members: tuple[tuple[int, ...], ...]
 
 
-class ExactPolytope:
+class _Polytope:
+    """What both kinds of polytope answer: faces by vertex set, the top face
+    and the vertices as scaled integers.  A subclass sets `vertices`,
+    `ambient_dim` and `affine_dim`, and finds a face by its sorted vertex set."""
+
+    vertices: tuple[Vector, ...]
+    ambient_dim: int
+    affine_dim: int
+
+    def _lookup(self, key: tuple[int, ...]) -> PolytopeFace | None:
+        raise NotImplementedError
+
+    @cached_property
+    def _integral_vertices(self) -> tuple[list[tuple[int, ...]], int]:
+        """The vertices times their common denominator, and that denominator."""
+        return integral_rows(self.vertices)
+
+    @property
+    def top(self) -> PolytopeFace:
+        return PolytopeFace(vertex_indices=tuple(range(len(self.vertices))), dim=self.affine_dim)
+
+    def face(self, vertex_indices: Iterable[int]) -> PolytopeFace:
+        key = tuple(sorted(vertex_indices))
+        found = self._lookup(key)
+        if found is None:
+            raise InvalidInputError("no face with vertex set %s" % (key,))
+        return found
+
+    def has_face(self, vertex_indices: Iterable[int]) -> bool:
+        return self._lookup(tuple(sorted(vertex_indices))) is not None
+
+
+class ExactPolytope(_Polytope):
     """Exact polytope with full face lattice; immutable after construction."""
 
     def __init__(self, vertices: tuple[Vector, ...], ambient_dim: int, affine_dim: int,
@@ -85,46 +122,131 @@ class ExactPolytope:
         self.facets = facets
         self.face_lattice = face_lattice
         self._by_vertices = {f.vertex_indices: f for fs in face_lattice.values() for f in fs}
-        self._perm_cache: dict[WeylGroup, tuple[tuple[int, ...], ...]] = {}
 
-    @cached_property
-    def _integral_vertices(self) -> tuple[list[tuple[int, ...]], int]:
-        """The vertices times their common denominator, and that denominator."""
-        return integral_rows(self.vertices)
-
-    # -- basic queries ------------------------------------------------------
-
-    @property
-    def top(self) -> PolytopeFace:
-        return self.face_lattice[self.affine_dim][0]
-
-    def face(self, vertex_indices: Iterable[int]) -> PolytopeFace:
-        key = tuple(sorted(vertex_indices))
-        if key not in self._by_vertices:
-            raise InvalidInputError("no face with vertex set %s" % (key,))
-        return self._by_vertices[key]
-
-    def has_face(self, vertex_indices: Iterable[int]) -> bool:
-        return tuple(sorted(vertex_indices)) in self._by_vertices
+    def _lookup(self, key: tuple[int, ...]) -> PolytopeFace | None:
+        return self._by_vertices.get(key)
 
     def proper_faces(self) -> tuple[PolytopeFace, ...]:
-        out = []
-        for d in sorted(self.face_lattice):
-            for f in self.face_lattice[d]:
-                if f is not self.top:
-                    out.append(f)
-        return tuple(out)
+        return tuple(f for d in sorted(self.face_lattice) if d < self.affine_dim
+                     for f in self.face_lattice[d])
 
     def f_vector(self) -> tuple[int, ...]:
         """Face counts per dimension, top face included."""
         return tuple(len(self.face_lattice[d]) for d in sorted(self.face_lattice))
 
-    def _permutations(self, group: WeylGroup) -> tuple[tuple[int, ...], ...]:
-        # Keyed by the group itself: the cache holds a reference, so a key
-        # cannot be recycled for another group as an id() could.
-        if group not in self._perm_cache:
-            self._perm_cache[group] = vertex_permutations(group, self.vertices)
-        return self._perm_cache[group]
+    def facets_through(self, face: PolytopeFace) -> tuple[Facet, ...]:
+        """The facets containing the face, in the order of `facets`."""
+        vertices = set(face.vertex_indices)
+        return tuple(f for f in self.facets if vertices.issubset(f.vertex_indices))
+
+
+class KostantPolytope(_Polytope):
+    """The orbit polytope P = conv(W.x), held by its faces through the vertex x.
+
+    W is transitive on the vertices, so every face of P is a W-image of a
+    face through x (`from_vertex_figure` builds those).  A vertex set is
+    looked up by moving its least vertex to x along a path of simple
+    reflections, which a breadth-first search of the orbit from x records.
+    A face F through x stands for |W.x| / |F| faces of its dimension: each
+    face has |F| vertices, and as many faces of a kind pass through every
+    vertex as through x.  The f-vector is checked to be integral and to
+    satisfy Euler-Poincare.  The facets away from x are W-images of the
+    facets through x, closed on first use.
+    """
+
+    def __init__(self, vertices: tuple[Vector, ...], x_index: int,
+                 perms: Sequence[Sequence[int]],
+                 faces_through_x: dict[int, tuple[PolytopeFace, ...]],
+                 facets_through_x: tuple[Facet, ...]):
+        self.vertices = vertices
+        self.ambient_dim = len(vertices[0])
+        self.affine_dim = max(faces_through_x)
+        self.x_index = x_index
+        #: entry s sends the index of v to the index of s(v), s simple
+        self.perms = perms
+        self.faces_through_x = faces_through_x
+        self.facets_through_x = facets_through_x
+        self._by_vertices = {f.vertex_indices: f for fs in faces_through_x.values() for f in fs}
+        # the simple reflections moving each vertex to x, first applied first
+        paths = {x_index: ()}
+        frontier = [x_index]
+        for v in frontier:
+            for s, perm in enumerate(perms):
+                if perm[v] not in paths:
+                    paths[perm[v]] = (s,) + paths[v]
+                    frontier.append(perm[v])
+        if len(paths) != len(vertices):
+            raise TheoremViolationError("the vertices are not one orbit of the generators (bug)")
+        self._paths = [paths[v] for v in range(len(vertices))]
+        counts = {dim: sum(Fraction(len(vertices), len(f.vertex_indices)) for f in fs)
+                  for dim, fs in faces_through_x.items()}
+        if any(c.denominator != 1 for c in counts.values()):
+            raise TheoremViolationError("face counts %s are not integers (bug)" % (counts,))
+        if sum((-1) ** dim * c for dim, c in counts.items()) != 1:
+            raise TheoremViolationError("f-vector fails Euler-Poincare (bug)")
+        self._f_vector = tuple(int(counts[dim]) for dim in sorted(counts))
+
+    def at_x(self, vertex_indices: Iterable[int]) -> tuple[int, ...]:
+        """The sorted image of a nonempty vertex set under the path of simple
+        reflections moving its least vertex to x."""
+        image = list(vertex_indices)
+        for s in self._paths[min(image)]:
+            perm = self.perms[s]
+            image = [perm[i] for i in image]
+        return tuple(sorted(image))
+
+    @cached_property
+    def x_to_vertex_0(self) -> tuple[int, ...]:
+        """The vertex permutation of an element of W taking x to vertex 0."""
+        image = list(range(len(self.vertices)))
+        for s in reversed(self._paths[0]):
+            perm = self.perms[s]
+            image = [perm[i] for i in image]
+        return tuple(image)
+
+    def _lookup(self, key: tuple[int, ...]) -> PolytopeFace | None:
+        if not key or key[0] < 0 or key[-1] >= len(self.vertices):
+            return None
+        found = self._by_vertices.get(self.at_x(key))
+        if found is None or found.vertex_indices == key:
+            return found
+        return PolytopeFace(vertex_indices=key, dim=found.dim)
+
+    def f_vector(self) -> tuple[int, ...]:
+        """Face counts per dimension, top face included."""
+        return self._f_vector
+
+    @cached_property
+    def facets(self) -> tuple[Facet, ...]:
+        """Every facet of P, closed from the facets through x under the simple
+        reflections, in the order `hull` gives.  Each reflection is the one
+        in the dot-orthogonal complement of v - s(v), for a vertex v it moves."""
+        mirrors = []
+        for perm in self.perms:
+            moved = next((i for i, j in enumerate(perm) if i != j), None)
+            mirrors.append(None if moved is None
+                           else vsub(self.vertices[moved], self.vertices[perm[moved]]))
+        found = {f.vertex_indices: f for f in self.facets_through_x}
+        frontier = list(found.values())
+        while frontier:
+            facet = frontier.pop()
+            for perm, a in zip(self.perms, mirrors):
+                key = tuple(sorted(perm[i] for i in facet.vertex_indices))
+                if key in found:  # always so when the generator moves no vertex
+                    continue
+                n = facet.normal
+                normal = vec(primitive(vsub(n, vscale(2 * dot(n, a) / dot(a, a), a))))
+                found[key] = Facet(normal=normal, offset=dot(normal, self.vertices[key[0]]),
+                                   vertex_indices=key)
+                frontier.append(found[key])
+        return tuple(sorted(found.values(), key=lambda f: (f.vertex_indices, f.normal)))
+
+    def facets_through(self, face: PolytopeFace) -> tuple[Facet, ...]:
+        """The facets containing the face, in the order of `facets`; only a
+        face away from x needs the facets away from x."""
+        pool = self.facets_through_x if self.x_index in face.vertex_indices else self.facets
+        vertices = set(face.vertex_indices)
+        return tuple(f for f in pool if vertices.issubset(f.vertex_indices))
 
 
 def hull(points: Sequence[Sequence], cap: int = DEFAULT_HULL_CAP) -> ExactPolytope:
@@ -322,7 +444,84 @@ def _face_lattice(lifted: Sequence[tuple[int, ...]], facet_rows: Sequence[tuple[
             for dim, fs in sorted(levels.items())}
 
 
-def support_set(p: ExactPolytope, u: Sequence) -> tuple[PolytopeFace, Fraction]:
+def vertex_figure_points(vertices: Sequence[Vector], x_index: int) -> list[Vector]:
+    """The points q_v = (v - x) / (x.x - x.v) of the vertices v other than x.
+
+    They generate the cone of P at x and lie on the hyperplane x.q = -1, so
+    their hull is the vertex figure P/x, whose faces are those of P through x
+    (G. M. Ziegler, Lectures on Polytopes, 2.1).  Every other vertex is taken,
+    not only the neighbours of x.  Raises unless x.x > x.v for every v, which
+    makes x a vertex, exposed by x itself; on a W-orbit every point is then a
+    vertex.
+    """
+    vertex_ints, scale = integral_rows(vertices)
+    x = vertex_ints[x_index]
+    xx = int_dot(x, x)
+    points = []
+    for i, v in enumerate(vertex_ints):
+        if i != x_index:
+            gap = xx - int_dot(x, v)  # scale**2 (x.x - x.v)
+            if gap <= 0:
+                raise TheoremViolationError(
+                    "x.x <= x.v at orbit point %d: x is not a vertex (ext P = W.x failed)" % i)
+            points.append(tuple(Fraction(scale * (a - b), gap) for a, b in zip(v, x)))
+    return points
+
+
+def from_vertex_figure(group: WeylGroup, vertices: tuple[Vector, ...], x_index: int,
+                       figure: ExactPolytope) -> KostantPolytope:
+    """P = conv(vertices), a W-orbit, from the hull of its vertex figure at x.
+
+    A facet m.q <= c of the figure gives the facet of P through x with normal
+    m + c(x - b), b the barycenter: b is fixed by W, so x - b lies in the
+    direction space of P, and the normal takes the value m.q - c <= 0 at each
+    figure point.  Its vertices are all v on which it is tight, found over
+    the whole orbit, since the far vertices of a facet are not neighbours of
+    x and so are not vertices of the figure.  A face G of the figure gives
+    the face of P through x, of dimension dim G + 1, on the vertices of
+    every facet of P whose figure facet contains G; a point figure (P a
+    segment) has one facet, its empty face 0.q <= 1.
+    """
+    perms = vertex_permutations(group, vertices)
+    vertex_ints, scale = integral_rows(vertices)
+    n = len(vertices)
+    barycenter = tuple(Fraction(sum(c), n * scale) for c in zip(*vertex_ints))
+    x_dir = vsub(vertices[x_index], barycenter)
+    bounds = ([(f.normal, f.offset) for f in figure.facets] if figure.affine_dim
+              else [(zero_vec(len(x_dir)), Fraction(1))])
+    facets = []
+    for m, c in bounds:
+        normal = primitive(vadd(m, vscale(c, x_dir)))
+        values = [int_dot(normal, v) for v in vertex_ints]
+        top = values[x_index]
+        if max(values) > top:
+            raise TheoremViolationError("a facet of the vertex figure cuts the orbit (bug)")
+        facets.append(Facet(normal=vec(normal), offset=Fraction(top, scale),
+                            vertex_indices=tuple(i for i, val in enumerate(values) if val == top)))
+
+    facet_masks = [vertex_mask(f.vertex_indices) for f in facets]
+    through_vertex = [0] * len(figure.vertices)
+    for k, f in enumerate(figure.facets):
+        for i in f.vertex_indices:
+            through_vertex[i] |= 1 << k
+    levels: dict[int, list[PolytopeFace]] = {0: [PolytopeFace((x_index,), 0)]}
+    for dim, faces in figure.face_lattice.items():
+        for g in faces:
+            through = (1 << len(figure.facets)) - 1
+            for i in g.vertex_indices:
+                through &= through_vertex[i]
+            mask = (1 << n) - 1
+            for k in _bits(through):
+                mask &= facet_masks[k]
+            levels.setdefault(dim + 1, []).append(PolytopeFace(_bits(mask), dim + 1))
+    return KostantPolytope(
+        vertices=vertices, x_index=x_index, perms=perms,
+        faces_through_x={dim: tuple(sorted(fs, key=lambda f: f.vertex_indices))
+                         for dim, fs in sorted(levels.items())},
+        facets_through_x=tuple(sorted(facets, key=lambda f: (f.vertex_indices, f.normal))))
+
+
+def support_set(p: _Polytope, u: Sequence) -> tuple[PolytopeFace, Fraction]:
     """Exposed face argmax_v u . v with the support value h_P(u).  For u in
     the root span the Killing form exposes the same face of a Kostant
     polytope, with the value `killing_ratio` * h_P(u)."""
@@ -335,7 +534,7 @@ def support_set(p: ExactPolytope, u: Sequence) -> tuple[PolytopeFace, Fraction]:
     h = max(values)
     vidx = tuple(i for i, val in enumerate(values) if val == h)
     if not p.has_face(vidx):
-        raise TheoremViolationError("support set %s is not a lattice face (bug)" % (vidx,))
+        raise TheoremViolationError("support set %s is not a face (bug)" % (vidx,))
     return p.face(vidx), Fraction(h, u_scale * vertex_scale)
 
 
@@ -355,37 +554,34 @@ def face_orbit(perms: Sequence[Sequence[int]],
     return tuple(sorted(seen))
 
 
-def act_on_faces(group: WeylGroup, p: ExactPolytope) -> dict[int, tuple[FaceOrbit, ...]]:
-    """Partition every lattice level into orbits of the group action.
+def act_on_faces(perms: Sequence[Sequence[int]],
+                 levels: dict[int, Sequence[PolytopeFace]]) -> dict[int, tuple[FaceOrbit, ...]]:
+    """Partition each level of faces into orbits of the group the vertex
+    permutations generate.
 
-    Each orbit is the closure of a face under the simple reflections; the
-    polytope's vertex set has to be stable under the group.
+    Each orbit is the closure of a face under the permutations, and every
+    image must be a face of the same level: the whole lattice under the r
+    simple reflections, or the faces through x under those fixing x.
     """
-    perms = p._permutations(group)
     out: dict[int, tuple[FaceOrbit, ...]] = {}
-    for dim in sorted(p.face_lattice):
+    for dim in sorted(levels):
+        keys = {f.vertex_indices for f in levels[dim]}
         assigned: set[tuple[int, ...]] = set()
         orbits = []
         # Levels are sorted, so each orbit is met first at its least member.
-        for f in p.face_lattice[dim]:
+        for f in levels[dim]:
             if f.vertex_indices in assigned:
                 continue
             members = face_orbit(perms, f.vertex_indices)
-            if not all(p.has_face(m) for m in members):
-                raise TheoremViolationError("group action left the face lattice (bug)")
+            if not keys.issuperset(members):
+                raise TheoremViolationError("group action left the faces it acts on (bug)")
             assigned.update(members)
             orbits.append(FaceOrbit(dim=dim, representative=members[0], members=members))
         out[dim] = tuple(orbits)
     return out
 
 
-def facets_through(p: ExactPolytope, face: PolytopeFace) -> tuple[Facet, ...]:
-    """The facets of P containing the face, in the order of `p.facets`."""
-    vertices = set(face.vertex_indices)
-    return tuple(f for f in p.facets if vertices.issubset(f.vertex_indices))
-
-
-def fixed_vector_in_cone(p: ExactPolytope, face: PolytopeFace) -> Vector:
+def fixed_vector_in_cone(p: _Polytope, face: PolytopeFace) -> Vector:
     """A vector exposing exactly the given proper face, fixed by its stabilizer.
 
     Sums the outward normals of the facets containing the face, each scaled
@@ -399,7 +595,7 @@ def fixed_vector_in_cone(p: ExactPolytope, face: PolytopeFace) -> Vector:
         raise InvalidInputError("the whole polytope has no exposing vector")
     barycenter = vscale(Fraction(1, len(p.vertices)), lincomb([1] * len(p.vertices), p.vertices))
     u = zero_vec(p.ambient_dim)
-    for f in facets_through(p, face):
+    for f in p.facets_through(face):
         u = vadd(u, vscale(1 / (f.offset - dot(f.normal, barycenter)), f.normal))
     exposed, _ = support_set(p, u)
     if exposed.vertex_indices != face.vertex_indices:

@@ -6,6 +6,11 @@ sigma(B2).  Stratum dimensions come from dim S_B = dim K - dim K'_F - dim Z_F;
 strict monotonicity along the order is asserted, being a theorem.  That the
 strata partition the boundary (each boundary point lies in exactly one open
 face) is a recorded consequence and is not re-tested numerically.
+
+The order needs only the faces through x.  Both sigmas pass through x, and
+W_J, J the saturation of B2, is transitive on the vertices of sigma(B2), so
+a translate inside sigma(B2) can be moved to one through x, that is, into
+the W_S-class of sigma(B1).
 """
 
 from __future__ import annotations
@@ -48,8 +53,8 @@ class StratumPoset:
 
 
 def build_poset(classification: FaceClassification) -> StratumPoset:
-    """Order the face types through the polytope lattice and check the
-    stratification dimension inequalities."""
+    """Order the face types through the W_S-classes of the faces through x
+    and check the stratification dimension inequalities."""
     rs = classification.root_system
     nodes = classification.descriptors
     masks = [vertex_mask(d.sigma.vertex_indices) for d in nodes]
@@ -63,8 +68,8 @@ def build_poset(classification: FaceClassification) -> StratumPoset:
             if i == j:
                 continue
             rel[i][j] = any((im & masks[j]) == im for im in images[i])
-    # Transitive as it stands: images are whole W-classes, and g.s_i <= s_j,
-    # h.s_j <= s_k give hg.s_i <= s_k.  So no closure is taken.
+    # Transitive as it stands: the relation is W-conjugate containment, and
+    # g.s_i <= s_j, h.s_j <= s_k give hg.s_i <= s_k.  So no closure is taken.
     for i in range(n):
         for j in range(i + 1, n):
             if rel[i][j] and rel[j][i]:

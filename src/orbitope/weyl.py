@@ -21,7 +21,7 @@ from math import prod
 from typing import Sequence
 
 from .errors import CapExceededError, InvalidInputError, TheoremViolationError
-from .linalg import Vector, int_dot, integral_rows, lincomb, nullspace, vscale
+from .linalg import Vector, int_dot, integral_rows, lincomb, nullspace
 from .roots import ChamberPoint, RootSystem
 
 Labels = tuple[int, ...]
@@ -102,8 +102,11 @@ def weyl_orbit(group: WeylGroup, x: ChamberPoint, cap: int | None = None) -> tup
     if len(seen) != size:
         raise TheoremViolationError("orbit closure has %d points, |W|/|W_S| = %d (bug)"
                                     % (len(seen), size))
-    weights = [vscale(Fraction(1, scale), w) for w in rs.fundamental_weights]
-    return tuple(sorted(lincomb(labels, weights) for labels in seen))
+    # integer points over one common denominator sort as the vectors do
+    weights, weight_scale = integral_rows(rs.fundamental_weights)
+    columns = tuple(zip(*weights))
+    points = sorted(tuple(int_dot(labels, c) for c in columns) for labels in seen)
+    return tuple(tuple(Fraction(c, scale * weight_scale) for c in p) for p in points)
 
 
 def vertex_permutations(group: WeylGroup, vectors: Sequence[Vector]) -> tuple[tuple[int, ...], ...]:

@@ -131,6 +131,20 @@ def test_unattainable_tolerance_exits_2(monkeypatch):
     assert "theorem violation" in text
 
 
+def test_a_run_draws_the_numeric_start_points_once(monkeypatch):
+    """Every numeric face of a run ascends from one draw of the seeds' Haar
+    start points."""
+    draws = []
+    original = orbitope.numeric.haar_starts
+    monkeypatch.setattr(orbitope.numeric, "haar_starts",
+                        lambda *args: draws.append(args) or original(*args))
+    code, text = run(_cfg(command="verify-numeric", rank=3, point=("1", "1", "1"),
+                          numeric_seeds=2))
+    assert code == 0
+    assert len(json.loads(text)["numeric"]["faces"]) == 5
+    assert len(draws) == 1
+
+
 def test_verify_all_non_a_omits_numeric():
     code, text = run(_cfg(command="verify-all", type_label="B", point=("1", "1")))
     assert code == 0

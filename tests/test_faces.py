@@ -5,9 +5,9 @@ from __future__ import annotations
 import pytest
 
 from conftest import defining_sum, get_classification, get_point, get_rs
-from orbitope import (InvalidInputError, parabolic_report, phi_of_descriptor,
-                      psi_of_polytope_face, saturate, support_set,
-                      x_connected_subsets)
+from orbitope import (InvalidInputError, hull, parabolic_report,
+                      phi_of_descriptor, psi_of_polytope_face, saturate,
+                      support_set, x_connected_subsets)
 from orbitope.linalg import dot
 
 
@@ -73,8 +73,8 @@ def test_classify_a2_regular():
     assert [d.I for d in cl.descriptors] == [(), (0,), (1,), (0, 1)]
     assert [d.sigma.dim for d in cl.descriptors] == [0, 1, 1, 2]
     assert cl.top_descriptor.improper
-    orbits = cl.orbits
-    assert [len(orbits[d]) for d in (0, 1)] == [1, 2]
+    classes = cl.classes
+    assert [len(classes[d]) for d in (0, 1)] == [1, 2]
 
 
 def test_classify_pn_counts():
@@ -143,14 +143,14 @@ def test_psi_on_hexagon_and_triangle():
     x = cl.x.vector
     vertex = hexa.face((hexa.vertices.index(x),))
     assert psi_of_polytope_face(cl, vertex).I == ()
-    rs = cl.root_system
-    for edge in hexa.face_lattice[1]:
+    # every edge, most of them away from x, from the full hull's lattice
+    for edge in hull(hexa.vertices).face_lattice[1]:
         d = psi_of_polytope_face(cl, edge)
         assert len(d.I) == 1
     # the triangle's edges all belong to the unique |I| = 1 class
     cl2 = get_classification("A", 2, (1, 0))
     tri = cl2.polytope
-    for edge in tri.face_lattice[1]:
+    for edge in hull(tri.vertices).face_lattice[1]:
         assert psi_of_polytope_face(cl2, edge).I == (0,)
 
 
@@ -173,7 +173,7 @@ def test_psi_rejects_top():
 def test_psi_rejects_a_face_of_another_polytope():
     """An edge of the B3 orbitope's polytope is no face of the A2 hexagon."""
     cl = get_classification("A", 2, (1, 1))
-    foreign = get_classification("B", 3, (1, 1, 1)).polytope
+    foreign = hull(get_classification("B", 3, (1, 1, 1)).polytope.vertices)
     edge = next(e for e in foreign.face_lattice[1]
                 if not cl.polytope.has_face(e.vertex_indices))
     with pytest.raises(InvalidInputError):

@@ -12,7 +12,8 @@ from orbitope import (InvalidInputError, TheoremViolationError, ascend,
                       build_weyl_group, chamber_point, classify_faces,
                       hessian_signature, matrix_orbit_point,
                       verify_face_numeric)
-from orbitope.numeric import mu_height, random_special_unitary, su_from_cartan
+from orbitope.numeric import (haar_starts, mu_height, random_special_unitary,
+                              su_from_cartan)
 
 
 def test_matrix_orbit_point_validation():
@@ -152,6 +153,18 @@ def test_lockstep_ascent_matches_the_sequential_oracle(name):
             if "grad_tol" in kw:
                 # every seed leaves through the endgame, before any cap
                 assert not one.converged and one.iterations < 10000
+
+
+def test_ascend_from_given_starts_matches_drawing_them():
+    """Start points drawn once and passed in give the ascent the same bits as
+    start points drawn inside it."""
+    x0, u = su_from_cartan(_REGULAR[0]), su_from_cartan(_REGULAR[1])
+    seeds = (5, 2, 17, 0)
+    shared = ascend(x0, u, seeds=seeds, starts=haar_starts(x0, seeds))
+    own = ascend(x0, u, seeds=seeds)
+    for name in ("points", "start_points", "values", "grad_norms", "spectral_drifts",
+                 "iteration_counts", "converged_flags"):
+        assert np.array_equal(getattr(shared, name), getattr(own, name))
 
 
 def test_ascend_iteration_cap_reports_gradient():

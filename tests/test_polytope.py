@@ -12,6 +12,7 @@ from conftest import defining_sum, get_group, get_oracle, get_point, get_rs
 from orbitope import (CapExceededError, InvalidInputError, act_on_faces,
                       fixed_vector_in_cone, hull, support_set, weyl_orbit)
 from orbitope.linalg import dot, nullspace, vec
+from orbitope.weyl import vertex_permutations
 
 
 def _orbit_polytope(label, rank, coords):
@@ -129,11 +130,11 @@ def test_support_rejects_zero():
 
 def test_act_on_faces_orbit_counts():
     _, group, hexa = _orbit_polytope("A", 2, (1, 1))
-    orbits = act_on_faces(group, hexa)
+    orbits = act_on_faces(vertex_permutations(group, hexa.vertices), hexa.face_lattice)
     assert [len(orbits[d]) for d in (0, 1, 2)] == [1, 2, 1]
     assert sorted(len(o.members) for o in orbits[1]) == [3, 3]
     _, group2, tri = _orbit_polytope("A", 2, (1, 0))
-    orbits2 = act_on_faces(group2, tri)
+    orbits2 = act_on_faces(vertex_permutations(group2, tri.vertices), tri.face_lattice)
     assert [len(orbits2[d]) for d in (0, 1, 2)] == [1, 1, 1]
 
 
@@ -144,7 +145,8 @@ def test_act_on_faces_matches_enumerated_group():
                  ("D", 4, (0, 1, 0, 0))]:
         _, group, p = _orbit_polytope(*args)
         images = get_oracle(*args[:2]).vertex_images(p.vertices)
-        for dim, orbits in act_on_faces(group, p).items():
+        perms = vertex_permutations(group, p.vertices)
+        for dim, orbits in act_on_faces(perms, p.face_lattice).items():
             assert sorted(m for o in orbits for m in o.members) == \
                 [f.vertex_indices for f in p.face_lattice[dim]]
             for o in orbits:
@@ -157,7 +159,18 @@ def test_act_on_faces_rejects_unstable_vertices():
     group = get_group("A", 2)
     p = hull([(0, 0, 0), (1, 0, -1), (1, -1, 0)])
     with pytest.raises(InvalidInputError):
-        act_on_faces(group, p)
+        act_on_faces(vertex_permutations(group, p.vertices), p.face_lattice)
+
+
+def test_act_on_faces_rejects_images_outside_the_faces():
+    """The faces through a regular x are closed under no simple reflection."""
+    from orbitope import TheoremViolationError
+    from orbitope.faces import build_kostant_polytope
+    poly = build_kostant_polytope(get_group("A", 2), get_point("A", 2, (1, 1)))
+    edge = poly.faces_through_x[1][0]
+    assert act_on_faces([], poly.faces_through_x)[1][0].members == (edge.vertex_indices,)
+    with pytest.raises(TheoremViolationError):
+        act_on_faces(poly.perms, poly.faces_through_x)
 
 
 def _fixed_subspace_dim(oracle, words):
@@ -238,18 +251,6 @@ def test_d4_regular_hull_f_vector():
     assert p.f_vector() == (192, 384, 240, 48, 1)
 
 
-def test_permutation_cache_keeps_distinct_groups_apart():
-    """The vertex-permutation cache is keyed by the group object, not by id()."""
-    from orbitope import build_weyl_group
-    rs, group, p = _orbit_polytope("A", 2, (1, 1))
-    other = build_weyl_group(rs)
-    first = p._permutations(group)
-    second = p._permutations(other)
-    assert set(map(id, p._perm_cache)) == {id(group), id(other)}
-    assert p._perm_cache[group] is first and p._perm_cache[other] is second
-    assert p._permutations(group) is first
-
-
 # Hulls whose points are not integral, so the integer core has to scale the
 # lifted rows, the facet values and the offsets by common denominators.
 _SQUARE_IN_THIRDS = [(Q(1, 3), Q(-2, 3)), (Q(5, 3), Q(-2, 3)), (Q(1, 3), Q(1, 3)),
@@ -299,11 +300,10 @@ def test_facet_normals_span_face_complement(name):
     span a space of the complementary dimension: the fact psi reads the
     face's orthogonal complement from."""
     from orbitope.linalg import rank, vsub
-    from orbitope.polytope import facets_through
     p = _FACET_NORMAL_HULLS[name]()
     directions = [vsub(v, p.vertices[0]) for v in p.vertices[1:]]
     for f in p.proper_faces():
-        normals = [fct.normal for fct in facets_through(p, f)]
+        normals = [fct.normal for fct in p.facets_through(f)]
         vs = [p.vertices[i] for i in f.vertex_indices]
         for n in normals:
             for v in vs[1:]:

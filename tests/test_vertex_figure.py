@@ -1,0 +1,111 @@
+"""The faces through x against the whole face lattice, as an oracle.
+
+`classify_faces` builds only the faces of the Kostant polytope P = conv(W.x)
+through x, from the hull of the vertex figure at x, and classes them under
+the stabilizer W_S of x.  The oracle is the hull of the whole orbit, with
+every face classed under all r simple reflections; the two must agree on all
+that the reports read: the faces through x, the f-vector, the classes and
+their least members, the containment order and the facets through each
+sigma.
+"""
+
+from __future__ import annotations
+
+import json
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from conftest import get_group, get_rs
+from orbitope import (act_on_faces, build_poset, chamber_point, classify_faces,
+                      hull, phi_of_descriptor)
+from orbitope.polytope import DEFAULT_HULL_CAP
+from orbitope.weyl import vertex_permutations
+
+
+def _verify_all_cases() -> list[tuple[str, int, tuple[str, ...]]]:
+    """The golden `verify-all` cases that pass, as (type, rank, point)."""
+    golden = json.loads(Path(__file__).with_name("golden_reports.json").read_text())
+    cases = []
+    for line, record in golden.items():
+        argv = line.split()
+        if argv[0] == "verify-all" and record["exit"] == 0:
+            flags = dict(zip(argv[1::2], argv[2::2]))
+            cases.append((flags["--type"], int(flags["--rank"]),
+                          tuple(flags["--point"].split(","))))
+    return cases
+
+
+CASES = _verify_all_cases() + [("E", 6, ("0", "1", "0", "0", "0", "0"))]
+
+
+def _compare_with_full_lattice(type_label, rank, coords):
+    rs = get_rs(type_label, rank)
+    group = get_group(type_label, rank)
+    cl = classify_faces(rs, group, chamber_point(rs, coords))
+    poly = cl.polytope
+    full = hull(poly.vertices)
+    assert full.vertices == poly.vertices
+    x = poly.x_index
+
+    through_x = {dim: tuple(f for f in faces if x in f.vertex_indices)
+                 for dim, faces in full.face_lattice.items()}
+    assert poly.faces_through_x == through_x
+    assert poly.f_vector() == full.f_vector()
+    assert poly.facets_through_x == tuple(f for f in full.facets if x in f.vertex_indices)
+
+    orbits = act_on_faces(vertex_permutations(group, full.vertices), full.face_lattice)
+    orbit_of = {m: o for os in orbits.values() for o in os for m in o.members}
+    assert sum(map(len, cl.classes.values())) == sum(map(len, orbits.values()))
+    assert sorted(cl.matching.values()) == sorted(
+        o.representative for dim, os in orbits.items() if dim < full.affine_dim for o in os)
+    for d in cl.proper_descriptors:
+        orbit = orbit_of[d.sigma.vertex_indices]
+        assert cl.matching[d.I] == orbit.representative
+        assert phi_of_descriptor(cl, d).members == tuple(m for m in orbit.members if x in m)
+        assert poly.facets_through(d.sigma) == full.facets_through(d.sigma)
+
+    nodes = cl.descriptors
+    contained = {(i, j) for i, a in enumerate(nodes) for j, b in enumerate(nodes)
+                 if i != j and any(set(m) <= set(b.sigma.vertex_indices)
+                                   for m in orbit_of[a.sigma.vertex_indices].members)}
+    assert build_poset(cl).order == contained
+    return poly, full
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda c: "%s%d %s" % (c[0], c[1], ",".join(c[2])))
+def test_faces_through_x_match_the_full_lattice(case):
+    _compare_with_full_lattice(*case)
+
+
+def test_facets_away_from_x_are_images_of_those_through_x():
+    """The facets the numeric check reads, closed from those through x."""
+    for case in [("A", 3, ("1", "1", "1")), ("A", 4, ("0", "1", "1", "0")),
+                 ("G", 2, ("3/2", "1")), ("A", 1, ("1",))]:
+        poly, full = _compare_with_full_lattice(*case)
+        assert poly.facets == full.facets
+
+
+_SMALL_PAIRS = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+                ("C", 3), ("C", 4), ("D", 4), ("F", 4), ("G", 2)]
+
+
+@st.composite
+def _full_points(draw):
+    type_label, rank = draw(st.sampled_from(_SMALL_PAIRS))
+    labels = draw(st.lists(st.sampled_from((0, Fraction(1, 2), 1, 2)),
+                           min_size=rank, max_size=rank))
+    assume(any(labels))
+    assume(get_group(type_label, rank).orbit_size(
+        chamber_point(get_rs(type_label, rank), labels)) <= DEFAULT_HULL_CAP)
+    return type_label, rank, tuple(str(c) for c in labels)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=25,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(_full_points())
+def test_random_full_points_match_the_full_lattice(case):
+    _compare_with_full_lattice(*case)
