@@ -36,7 +36,6 @@ class PairingRow:
 class WeightData:
     """Integrality audit of the point x."""
 
-    lambda_coords: Vector
     is_integral: bool
     pairings: tuple[PairingRow, ...]
 
@@ -58,8 +57,7 @@ def check_integral(rs: RootSystem, x: ChamberPoint) -> WeightData:
     for a in rs.all_roots():
         knapp = 2 * dot(x.vector, a) / dot(a, a)
         rows.append(PairingRow(root=a, knapp=knapp, half_display=knapp / 2))
-    return WeightData(lambda_coords=x.coords,
-                      is_integral=all(r.knapp.denominator == 1 for r in rows),
+    return WeightData(is_integral=all(r.knapp.denominator == 1 for r in rows),
                       pairings=tuple(rows))
 
 

@@ -15,11 +15,15 @@ sequential loop as an oracle).  On su(n) the coordinate dot product is the
 trace form -tr(XY) on diagonal X and Y, so the polytope's facets and support
 values are compared as they are; the Killing form is `killing_ratio` = 2n
 times it (the argument is in `roots`), a factor recorded once per run.
-Each check converts the polytope's facets and vertices to floats afresh, a
-fraction of a millisecond against the ascent.  The tolerances are fixed
-module constants, not settings.  numpy is imported inside the functions that
-use it, so importing the package (and every run that never reaches the
-numeric check) does not load it.
+A momentum shadow y is tested on the facets through x alone: every facet is
+a W-image of one, and W = S_n permutes the coordinates, so the largest value
+of a W-image of a normal m at y is sort(m) . sort(y), by the rearrangement
+inequality (Hardy, Littlewood and Polya, Inequalities, 10.2).
+Each check converts the facets through x and the vertices to floats afresh,
+a fraction of a millisecond against the ascent.  The tolerances and the
+iteration cap are fixed module constants, not settings or arguments.  numpy
+is imported inside the functions that use it, so importing the package (and
+every run that never reaches the numeric check) does not load it.
 
 Every face of a run ascends from the same seeded Haar start points, which a
 run draws once (`draw_starts`).
@@ -33,7 +37,7 @@ from typing import Iterable, Sequence
 
 from .errors import InvalidInputError, TheoremViolationError
 from .faces import FaceClassification, FaceDescriptor
-from .polytope import support_set
+from .polytope import KostantPolytope, support_set
 
 _HERM_TOL = 1e-10
 #: a seed has converged once ||[p, u]|| falls below this.  Convergence is
@@ -166,7 +170,6 @@ def haar_starts(x0: np.ndarray, seeds: Sequence[int]) -> np.ndarray:
 
 
 def ascend(x0: np.ndarray, u: np.ndarray, seeds: Iterable[int],
-           grad_tol: float = _GRAD_TOL, max_iter: int = _MAX_ITER,
            starts: np.ndarray | None = None) -> AscentResult:
     """Maximize mu_u over the orbit of x0 from one Haar-random start per seed,
     by Cayley-retraction gradient ascent run on all seeds in lockstep.
@@ -204,7 +207,7 @@ def ascend(x0: np.ndarray, u: np.ndarray, seeds: Iterable[int],
     z = p @ u - u @ p
     grad_norm = _norms(z)
     grad_sq = np.zeros(count)
-    converged = grad_norm < grad_tol
+    converged = grad_norm < _GRAD_TOL
     # Once value improvements shrink below float resolution, Armijo on the
     # height stalls around 1e-8 criticality; the endgame instead accepts
     # steps that strictly shrink the gradient norm (the same vector field).
@@ -216,13 +219,13 @@ def ascend(x0: np.ndarray, u: np.ndarray, seeds: Iterable[int],
     while True:
         new = np.flatnonzero(fresh)
         fresh[new] = False
-        capped = iterations[new] >= max_iter
+        capped = iterations[new] >= _MAX_ITER
         live[new[capped]] = False
         new = new[~capped]
         iterations[new] += 1
         z[new] = p[new] @ u - u @ p[new]
         grad_norm[new] = _norms(z[new])
-        done = grad_norm[new] < grad_tol
+        done = grad_norm[new] < _GRAD_TOL
         converged[new[done]] = True
         live[new[done]] = False
         new = new[~done]
@@ -346,6 +349,14 @@ def hessian_signature(x_crit, u) -> HessianReport:
                          is_max=pos == 0, is_min=neg == 0)
 
 
+def shadows_escape(poly: KostantPolytope, shadows: np.ndarray) -> np.ndarray:
+    """Whether each shadow lies beyond a facet of P by more than `_INSIDE_TOL`."""
+    import numpy as np
+    normals = np.sort([[float(c) for c in f.normal] for f in poly.facets_through_x], axis=1)
+    offsets = np.array([float(f.offset) for f in poly.facets_through_x])
+    return ~(np.sort(shadows, axis=1) @ normals.T <= offsets + _INSIDE_TOL).all(axis=1)
+
+
 def draw_starts(classification: FaceClassification, seeds: int = 20,
                 seed_base: int = 0) -> np.ndarray:
     """The `haar_starts` of x on su(n) for the seeds seed_base, ...,
@@ -387,8 +398,6 @@ def verify_face_numeric(classification: FaceClassification, d: FaceDescriptor,
     u = su_from_cartan(u_exact)
     _, h = support_set(poly, u_exact)
     h_trace = float(h)
-    facets = np.array([[float(c) for c in f.normal] for f in poly.facets])
-    offsets = np.array([float(f.offset) for f in poly.facets])
     vertices = np.array([[float(c) for c in v] for v in poly.vertices])
     u_floats = np.array([float(c) for c in u_exact])
     sigma_set = set(d.sigma.vertex_indices)
@@ -396,13 +405,12 @@ def verify_face_numeric(classification: FaceClassification, d: FaceDescriptor,
     for i, c in enumerate(u_exact):
         blocks.setdefault(c, []).append(i)
 
-    res = ascend(x0, u, seeds=range(seed_base, seed_base + seeds),
-                 grad_tol=_GRAD_TOL, starts=starts)
+    res = ascend(x0, u, seeds=range(seed_base, seed_base + seeds), starts=starts)
     # every per-seed quantity the checks read, for all seeds at once
     escapes, exceeds, shadows = {}, {}, {}
     for name, q in (("start", res.start_points), ("maximizer", res.points)):
         shadows[name] = np.imag(np.diagonal(q, axis1=1, axis2=2))
-        escapes[name] = ~(shadows[name] @ facets.T <= offsets + _INSIDE_TOL).all(axis=1)
+        escapes[name] = shadows_escape(poly, shadows[name])
         exceeds[name] = _heights(q, u) > h_trace + _INSIDE_TOL
     plane_gap = np.abs(shadows["maximizer"] @ u_floats - h_trace)
     # block-diagonalize within the eigenspaces of u and round to the orbit

@@ -16,8 +16,8 @@ no floating point anywhere.
 
 A Kostant polytope is held by its faces through one vertex x
 (`KostantPolytope`): they are the faces of the vertex figure at x, so `hull`
-of |W.x| - 1 points builds them, and every other face and facet is a
-W-image of one of them.  The full lattice of `hull` stays as the oracle.
+of |W.x| - 1 points builds them; every other face and facet is a W-image of
+one of them, never built.  The full lattice of `hull` stays as the oracle.
 
 The Weyl group reaches a polytope only through the r simple-reflection
 permutations of its vertices (`act_on_faces`, `face_orbit`).  An exposing
@@ -150,8 +150,7 @@ class KostantPolytope(_Polytope):
     A face F through x stands for |W.x| / |F| faces of its dimension: each
     face has |F| vertices, and as many faces of a kind pass through every
     vertex as through x.  The f-vector is checked to be integral and to
-    satisfy Euler-Poincare.  The facets away from x are W-images of the
-    facets through x, closed on first use.
+    satisfy Euler-Poincare.
     """
 
     def __init__(self, vertices: tuple[Vector, ...], x_index: int,
@@ -216,37 +215,12 @@ class KostantPolytope(_Polytope):
         """Face counts per dimension, top face included."""
         return self._f_vector
 
-    @cached_property
-    def facets(self) -> tuple[Facet, ...]:
-        """Every facet of P, closed from the facets through x under the simple
-        reflections, in the order `hull` gives.  Each reflection is the one
-        in the dot-orthogonal complement of v - s(v), for a vertex v it moves."""
-        mirrors = []
-        for perm in self.perms:
-            moved = next((i for i, j in enumerate(perm) if i != j), None)
-            mirrors.append(None if moved is None
-                           else vsub(self.vertices[moved], self.vertices[perm[moved]]))
-        found = {f.vertex_indices: f for f in self.facets_through_x}
-        frontier = list(found.values())
-        while frontier:
-            facet = frontier.pop()
-            for perm, a in zip(self.perms, mirrors):
-                key = tuple(sorted(perm[i] for i in facet.vertex_indices))
-                if key in found:  # always so when the generator moves no vertex
-                    continue
-                n = facet.normal
-                normal = vec(primitive(vsub(n, vscale(2 * dot(n, a) / dot(a, a), a))))
-                found[key] = Facet(normal=normal, offset=dot(normal, self.vertices[key[0]]),
-                                   vertex_indices=key)
-                frontier.append(found[key])
-        return tuple(sorted(found.values(), key=lambda f: (f.vertex_indices, f.normal)))
-
     def facets_through(self, face: PolytopeFace) -> tuple[Facet, ...]:
-        """The facets containing the face, in the order of `facets`; only a
-        face away from x needs the facets away from x."""
-        pool = self.facets_through_x if self.x_index in face.vertex_indices else self.facets
+        """The facets containing a face through x, in `facets_through_x` order."""
+        if self.x_index not in face.vertex_indices:
+            raise InvalidInputError("face %s does not contain x" % (face.vertex_indices,))
         vertices = set(face.vertex_indices)
-        return tuple(f for f in pool if vertices.issubset(f.vertex_indices))
+        return tuple(f for f in self.facets_through_x if vertices.issubset(f.vertex_indices))
 
 
 def hull(points: Sequence[Sequence], cap: int = DEFAULT_HULL_CAP) -> ExactPolytope:
@@ -526,6 +500,9 @@ def support_set(p: _Polytope, u: Sequence) -> tuple[PolytopeFace, Fraction]:
     the root span the Killing form exposes the same face of a Kostant
     polytope, with the value `killing_ratio` * h_P(u)."""
     uv = vec(u)
+    if len(uv) != p.ambient_dim:
+        raise InvalidInputError("u has %d coordinates, the polytope lives in %d"
+                                % (len(uv), p.ambient_dim))
     if all(x == 0 for x in uv):
         raise InvalidInputError("exposed faces require nonzero u")
     (u_ints,), u_scale = integral_rows([uv])

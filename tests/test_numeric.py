@@ -129,15 +129,21 @@ _ORACLE_CASES = {
 }
 
 
+#: the module constant the lockstep kernel reads for each oracle argument
+_ORACLE_CONSTANTS = {"max_iter": "_MAX_ITER", "grad_tol": "_GRAD_TOL"}
+
+
 @pytest.mark.parametrize("name", list(_ORACLE_CASES))
-def test_lockstep_ascent_matches_the_sequential_oracle(name):
+def test_lockstep_ascent_matches_the_sequential_oracle(name, monkeypatch):
     """Each seed of the lockstep kernel follows, bit for bit, the ascent the
     sequential loop runs from that seed alone."""
     pairs, seeds, kw = _ORACLE_CASES[name]
+    for key, value in kw.items():
+        monkeypatch.setattr(orbitope.numeric, _ORACLE_CONSTANTS[key], value)
     pairs = pairs() if callable(pairs) else [(su_from_cartan(x), su_from_cartan(u))
                                              for x, u in pairs]
     for x0, u in pairs:
-        res = ascend(x0, u, seeds=seeds, **kw)
+        res = ascend(x0, u, seeds=seeds)
         assert res.seeds == tuple(seeds)
         for k, seed in enumerate(seeds):
             one = ascend_one(x0, u, seed=seed, **kw)
@@ -167,10 +173,11 @@ def test_ascend_from_given_starts_matches_drawing_them():
         assert np.array_equal(getattr(shared, name), getattr(own, name))
 
 
-def test_ascend_iteration_cap_reports_gradient():
+def test_ascend_iteration_cap_reports_gradient(monkeypatch):
+    monkeypatch.setattr(orbitope.numeric, "_MAX_ITER", 2)
     x0 = su_from_cartan([1, 0, -1])
     u = su_from_cartan([3, 1, -4])
-    res = ascend(x0, u, seeds=[1], max_iter=2)
+    res = ascend(x0, u, seeds=[1])
     assert not res.converged
     assert res.grad_norms[0] > 0
 
@@ -244,3 +251,12 @@ def test_verify_face_numeric_rejects_zero_seeds():
     cl = get_classification("A", 2, (1, 1))
     with pytest.raises(InvalidInputError):
         verify_face_numeric(cl, cl.proper_descriptors[0], seeds=0)
+
+
+def test_verify_face_numeric_detects_an_escaping_start():
+    """Start points off the orbit, at 1.05 x, have shadows outside P."""
+    cl = get_classification("A", 2, (1, 1))
+    x0 = su_from_cartan(cl.x.vector)
+    with pytest.raises(TheoremViolationError, match="start momentum shadow escapes P"):
+        verify_face_numeric(cl, cl.proper_descriptors[0], seeds=2,
+                            starts=np.array([1.05 * x0] * 2))

@@ -128,6 +128,14 @@ def test_support_rejects_zero():
         support_set(p, (0, 0, 0))
 
 
+def test_support_rejects_u_of_another_length():
+    """A shorter or longer u is not paired on the common coordinates."""
+    p = hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    for u in ((1,), (1, 0, 0, 5)):
+        with pytest.raises(InvalidInputError):
+            support_set(p, u)
+
+
 def test_act_on_faces_orbit_counts():
     _, group, hexa = _orbit_polytope("A", 2, (1, 1))
     orbits = act_on_faces(vertex_permutations(group, hexa.vertices), hexa.face_lattice)

@@ -6,7 +6,8 @@ the stabilizer W_S of x.  The oracle is the hull of the whole orbit, with
 every face classed under all r simple reflections; the two must agree on all
 that the reports read: the faces through x, the f-vector, the classes and
 their least members, the containment order and the facets through each
-sigma.
+sigma.  The numeric check's escape test, which reads only the facets through
+x, must agree with every facet of that hull.
 """
 
 from __future__ import annotations
@@ -15,13 +16,16 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import get_group, get_rs
-from orbitope import (act_on_faces, build_poset, chamber_point, classify_faces,
-                      hull, phi_of_descriptor)
+import orbitope.numeric
+from conftest import get_classification, get_group, get_rs
+from orbitope import (InvalidInputError, act_on_faces, build_poset, chamber_point,
+                      classify_faces, hull, phi_of_descriptor)
+from orbitope.numeric import shadows_escape
 from orbitope.polytope import DEFAULT_HULL_CAP
 from orbitope.weyl import vertex_permutations
 
@@ -81,12 +85,40 @@ def test_faces_through_x_match_the_full_lattice(case):
     _compare_with_full_lattice(*case)
 
 
-def test_facets_away_from_x_are_images_of_those_through_x():
-    """The facets the numeric check reads, closed from those through x."""
-    for case in [("A", 3, ("1", "1", "1")), ("A", 4, ("0", "1", "1", "0")),
-                 ("G", 2, ("3/2", "1")), ("A", 1, ("1",))]:
-        poly, full = _compare_with_full_lattice(*case)
-        assert poly.facets == full.facets
+_MEMBERSHIP_CASES = [("A", 1, ("1",)), ("A", 2, ("3/2", "0")), ("A", 3, ("1", "1", "1")),
+                     ("A", 3, ("1", "0", "1")), ("A", 4, ("0", "1", "1", "0")),
+                     ("A", 5, ("1", "0", "1", "0", "1"))]
+
+
+@pytest.mark.parametrize("case", _MEMBERSHIP_CASES,
+                         ids=lambda c: "%s%d %s" % (c[0], c[1], ",".join(c[2])))
+def test_sorted_escape_test_matches_every_facet(case):
+    """The numeric check's escape test reads only the facets through x; on
+    float points near the boundary it must agree with all facets of the hull
+    of the whole orbit."""
+    poly = get_classification(*case).polytope
+    full = hull(poly.vertices)
+    vertices = np.array([[float(c) for c in v] for v in poly.vertices])
+    rng = np.random.default_rng(0)
+    points = []
+    for _ in range(2000):
+        chosen = rng.choice(len(vertices), size=min(len(vertices), rng.integers(1, 4)),
+                            replace=False)
+        mix = rng.dirichlet(np.ones(len(chosen))) @ vertices[chosen]
+        points.append(rng.uniform(0.97, 1.03) * mix)
+    points = np.array(points)
+    normals = np.array([[float(c) for c in f.normal] for f in full.facets])
+    offsets = np.array([float(f.offset) for f in full.facets])
+    outside = ~(points @ normals.T <= offsets + orbitope.numeric._INSIDE_TOL).all(axis=1)
+    assert 0 < outside.sum() < len(points)
+    assert np.array_equal(shadows_escape(poly, points), outside)
+
+
+def test_facets_through_needs_a_face_through_x():
+    poly = get_classification("A", 2, ("1", "1")).polytope
+    away = poly.face([next(i for i in range(len(poly.vertices)) if i != poly.x_index)])
+    with pytest.raises(InvalidInputError):
+        poly.facets_through(away)
 
 
 _SMALL_PAIRS = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
