@@ -44,7 +44,7 @@ class RunConfig:
     seed: int = 0
     numeric_seeds: int = 20
     numeric_faces: int = 5
-    hull_cap: int = DEFAULT_HULL_CAP
+    orbit_cap: int = DEFAULT_HULL_CAP
     weyl_cap: int | None = None
 
 
@@ -64,7 +64,7 @@ def _check_config(config: RunConfig) -> None:
     for flag, value, low, high in (("--seed", config.seed, 0, None),
                                    ("--numeric-seeds", config.numeric_seeds, 1, MAX_NUMERIC_SEEDS),
                                    ("--numeric-faces", config.numeric_faces, 0, None),
-                                   ("--orbit-cap", config.hull_cap, 0, None),
+                                   ("--orbit-cap", config.orbit_cap, 0, None),
                                    ("--weyl-cap", config.weyl_cap, 0, None)):
         if value is not None and value < low:
             raise InvalidInputError("%s must be at least %d, got %d" % (flag, low, value))
@@ -94,9 +94,9 @@ def build_report(config: RunConfig) -> dict:
     }
 
     if config.command == "polytope":
-        poly = build_kostant_polytope(group, x, config.hull_cap)
+        poly = build_kostant_polytope(group, x, config.orbit_cap)
     else:
-        classification = classify_faces(rs, group, x, hull_cap=config.hull_cap)
+        classification = classify_faces(rs, group, x, orbit_cap=config.orbit_cap)
         poly = classification.polytope
     report["polytope"] = {
         "n_vertices": len(poly.vertices),
@@ -270,7 +270,7 @@ def _build_parser() -> _Parser:
     parser.add_argument("--numeric-faces", type=int, default=5,
                         help="number of face classes to verify numerically")
     parser.add_argument("--orbit-cap", type=int, default=DEFAULT_HULL_CAP,
-                        help="maximum Weyl orbit size fed to the hull")
+                        help="maximum Weyl orbit size |W.x|")
     parser.add_argument("--weyl-cap", type=int, default=None,
                         help="maximum Weyl group order (default: no cap)")
     return parser
@@ -283,7 +283,7 @@ def parse_config(argv) -> RunConfig:
         point=tuple(s.strip() for s in args.point.split(",")),
         fmt=args.fmt, out=args.out, seed=args.seed,
         numeric_seeds=args.numeric_seeds, numeric_faces=args.numeric_faces,
-        hull_cap=args.orbit_cap, weyl_cap=args.weyl_cap)
+        orbit_cap=args.orbit_cap, weyl_cap=args.weyl_cap)
 
 
 def main(argv=None) -> int:

@@ -9,7 +9,8 @@ arithmetic.  Extreme sets in the Lie algebra are never materialized: they are
 infinite orbits and the pair (I, J) determines them.
 
 Only the faces of P through x are built (`build_kostant_polytope`), from the
-hull of the vertex figure at x.  That loses no class: W is transitive on the
+hull of the vertex figure at x over the neighbours s_beta.x, certified
+against the whole orbit.  That loses no class: W is transitive on the
 vertices, so every W-class of faces has members through x, and two faces
 through x are W-conjugate iff they are conjugate under the stabilizer W_S of
 x, S the singular set of x.  (A face is exposed by some u; moving u into the
@@ -24,6 +25,7 @@ generator permutations of J; the W_S-classes are closures under those of S
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -34,7 +36,7 @@ from .polytope import (DEFAULT_HULL_CAP, FaceOrbit, KostantPolytope,
                        from_vertex_figure, hull, support_set,
                        vertex_figure_points)
 from .roots import ChamberPoint, RootSystem
-from .weyl import WeylGroup, weyl_orbit
+from .weyl import WeylGroup, reflection_neighbours, weyl_orbit
 
 
 @dataclass(frozen=True)
@@ -143,17 +145,26 @@ def largest_x_connected_subset(rs: RootSystem, x: ChamberPoint,
 
 
 def build_kostant_polytope(group: WeylGroup, x: ChamberPoint,
-                           hull_cap: int = DEFAULT_HULL_CAP) -> KostantPolytope:
+                           orbit_cap: int = DEFAULT_HULL_CAP) -> KostantPolytope:
     """The Kostant polytope conv(W.x), built from the exact hull of its
-    vertex figure at x over all |W.x| - 1 other orbit points."""
-    orbit = weyl_orbit(group, x, cap=hull_cap)
-    x_index = orbit.index(x.vector)
-    figure = hull(vertex_figure_points(orbit, x_index), cap=hull_cap)
+    vertex figure at x over the neighbours s_beta.x, beta in Delta+, only,
+    certified against the whole orbit.
+
+    Every edge of P at the dominant x ends at some s_beta.x, so at most
+    |Delta+| points give the whole figure; that fact is not trusted, as
+    `from_vertex_figure` checks the hull against every orbit point.  A
+    neighbour set has fewer than DEFAULT_HULL_CAP points, so `orbit_cap`
+    bounds only the orbit.
+    """
+    orbit = weyl_orbit(group, x, cap=orbit_cap)
+    x_index = bisect_left(orbit, x.vector)
+    neighbours = [orbit[i] for i in reflection_neighbours(group, x, orbit)]
+    figure = hull(vertex_figure_points(x.vector, neighbours))
     return from_vertex_figure(group, orbit, x_index, figure)
 
 
 def classify_faces(rs: RootSystem, group: WeylGroup, x: ChamberPoint,
-                   hull_cap: int = DEFAULT_HULL_CAP) -> FaceClassification:
+                   orbit_cap: int = DEFAULT_HULL_CAP) -> FaceClassification:
     """Classify all faces of conv(K.x) up to conjugation and verify the
     bijection with Weyl classes of Kostant-polytope faces.
 
@@ -162,7 +173,7 @@ def classify_faces(rs: RootSystem, group: WeylGroup, x: ChamberPoint,
     """
     if x.root_system is not rs:
         raise InvalidInputError("chamber point belongs to a different root system")
-    poly = build_kostant_polytope(group, x, hull_cap)
+    poly = build_kostant_polytope(group, x, orbit_cap)
     perms = poly.perms
     x_vertex = (poly.x_index,)
 

@@ -25,10 +25,23 @@ def zero_vec(n: int) -> Vector:
 
 
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    """Standard coordinate dot product."""
+    """Standard coordinate dot product.
+
+    The integer products are summed over one running common denominator and
+    reduced once at the end, not once per term."""
     if len(u) != len(v):
         raise ValueError("dimension mismatch: %d vs %d" % (len(u), len(v)))
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+    num, den = 0, 1
+    for a, b in zip(u, v):
+        n = a.numerator * b.numerator
+        if n:
+            d = a.denominator * b.denominator
+            if den % d:
+                m = lcm(den, d)
+                num *= m // den
+                den = m
+            num += n * (den // d)
+    return Fraction(num, den)
 
 
 def vadd(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
@@ -49,9 +62,10 @@ def int_dot(u: Sequence[int], v: Sequence[int]) -> int:
 
 
 def lincomb(coeffs: Sequence[Fraction], vectors: Sequence[Vector]) -> Vector:
-    """The combination sum_i coeffs[i] * vectors[i] of a nonempty vector list."""
-    return tuple(sum((c * v[j] for c, v in zip(coeffs, vectors)), Fraction(0))
-                 for j in range(len(vectors[0])))
+    """The combination sum_i coeffs[i] * vectors[i] of a nonempty vector list,
+    one `dot` per coordinate; raises ValueError unless there is one
+    coefficient per vector."""
+    return tuple(dot(coeffs, column) for column in zip(*vectors))
 
 
 def identity(n: int) -> Matrix:

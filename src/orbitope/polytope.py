@@ -16,8 +16,10 @@ no floating point anywhere.
 
 A Kostant polytope is held by its faces through one vertex x
 (`KostantPolytope`): they are the faces of the vertex figure at x, so `hull`
-of |W.x| - 1 points builds them; every other face and facet is a W-image of
-one of them, never built.  The full lattice of `hull` stays as the oracle.
+of the neighbours s_beta.x of x builds them, at most one per positive root,
+certified against the whole orbit (`from_vertex_figure`); every other face
+and facet is a W-image of one of them, never built.  The full lattice of
+`hull` stays as the oracle.
 
 The Weyl group reaches a polytope only through the r simple-reflection
 permutations of its vertices (`act_on_faces`, `face_orbit`).  An exposing
@@ -41,9 +43,9 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import CapExceededError, InvalidInputError, TheoremViolationError
-from .linalg import (Vector, dot, int_dot, int_rank, integral_rows, inverse,
-                     lincomb, mat_mul, primitive, rref, transpose, vadd, vec,
-                     vscale, vsub, zero_vec)
+from .linalg import (Vector, dot, frac_str, int_dot, int_rank, integral_rows,
+                     inverse, lincomb, mat_mul, nullspace, primitive, rref,
+                     transpose, vadd, vec, vscale, vsub, zero_vec)
 from .weyl import WeylGroup, vertex_permutations
 
 #: desk-scale guard on hull input size
@@ -418,43 +420,52 @@ def _face_lattice(lifted: Sequence[tuple[int, ...]], facet_rows: Sequence[tuple[
             for dim, fs in sorted(levels.items())}
 
 
-def vertex_figure_points(vertices: Sequence[Vector], x_index: int) -> list[Vector]:
-    """The points q_v = (v - x) / (x.x - x.v) of the vertices v other than x.
+def vertex_figure_points(x: Vector, neighbours: Sequence[Vector]) -> list[Vector]:
+    """The points q_v = (v - x) / (x.x - x.v) of the given vertices v != x.
 
-    They generate the cone of P at x and lie on the hyperplane x.q = -1, so
-    their hull is the vertex figure P/x, whose faces are those of P through x
-    (G. M. Ziegler, Lectures on Polytopes, 2.1).  Every other vertex is taken,
-    not only the neighbours of x.  Raises unless x.x > x.v for every v, which
-    makes x a vertex, exposed by x itself; on a W-orbit every point is then a
-    vertex.
+    They lie on the hyperplane x.q = -1, and over all the vertices other than
+    x they generate the cone of P at x: their hull is the vertex figure P/x,
+    whose faces are those of P through x (G. M. Ziegler, Lectures on
+    Polytopes, 2.1).  Only the neighbours s_beta.x of x are passed
+    (`faces.build_kostant_polytope`), certified against the whole orbit by
+    `from_vertex_figure`.  Raises unless x.x > x.v for each v given, as holds
+    for every v != x on a W-orbit.
     """
-    vertex_ints, scale = integral_rows(vertices)
-    x = vertex_ints[x_index]
-    xx = int_dot(x, x)
+    (x_ints, *ints), scale = integral_rows([x, *neighbours])
+    xx = int_dot(x_ints, x_ints)
     points = []
-    for i, v in enumerate(vertex_ints):
-        if i != x_index:
-            gap = xx - int_dot(x, v)  # scale**2 (x.x - x.v)
-            if gap <= 0:
-                raise TheoremViolationError(
-                    "x.x <= x.v at orbit point %d: x is not a vertex (ext P = W.x failed)" % i)
-            points.append(tuple(Fraction(scale * (a - b), gap) for a, b in zip(v, x)))
+    for v, v_ints in zip(neighbours, ints):
+        gap = xx - int_dot(x_ints, v_ints)  # scale**2 (x.x - x.v)
+        if gap <= 0:
+            raise TheoremViolationError(
+                "x.x <= x.v at the orbit point %s: x is not a vertex (ext P = W.x failed)"
+                % _point_str(v))
+        points.append(tuple(Fraction(scale * (a - b), gap) for a, b in zip(v_ints, x_ints)))
     return points
+
+
+def _point_str(v: Sequence) -> str:
+    return "(%s)" % ",".join(frac_str(Fraction(c)) for c in v)
 
 
 def from_vertex_figure(group: WeylGroup, vertices: tuple[Vector, ...], x_index: int,
                        figure: ExactPolytope) -> KostantPolytope:
-    """P = conv(vertices), a W-orbit, from the hull of its vertex figure at x.
+    """P = conv(vertices), a W-orbit, from the hull of a vertex figure at x.
 
     A facet m.q <= c of the figure gives the facet of P through x with normal
-    m + c(x - b), b the barycenter: b is fixed by W, so x - b lies in the
-    direction space of P, and the normal takes the value m.q - c <= 0 at each
-    figure point.  Its vertices are all v on which it is tight, found over
-    the whole orbit, since the far vertices of a facet are not neighbours of
-    x and so are not vertices of the figure.  A face G of the figure gives
-    the face of P through x, of dimension dim G + 1, on the vertices of
-    every facet of P whose figure facet contains G; a point figure (P a
-    segment) has one facet, its empty face 0.q <= 1.
+    N = m + c(x - b), b the barycenter: b is fixed by W, so x - b lies in the
+    direction space of P.  As (x - b).(v - x) = x.v - x.x, N.(v - x) = (x.x -
+    x.v)(m.q_v - c) at every orbit point v.  So the figure may be the hull of
+    the q_v of any subset of the orbit: it is certified, and is then the hull
+    of every q_v, when each N holds on the whole orbit and each v - x lies in
+    the span of the figure.  A failure is a TheoremViolationError naming the
+    first orbit point that breaks it.  The vertices of a facet are all v on
+    which it is tight, found over the whole orbit, since the far vertices of
+    a facet are not neighbours of x and so are not vertices of the figure.
+    A face G of the figure gives the face of P through x, of dimension
+    dim G + 1, on the vertices of every facet of P whose figure facet
+    contains G; a point figure (P a segment) has one facet, its empty face
+    0.q <= 1.
     """
     perms = vertex_permutations(group, vertices)
     vertex_ints, scale = integral_rows(vertices)
@@ -463,13 +474,26 @@ def from_vertex_figure(group: WeylGroup, vertices: tuple[Vector, ...], x_index: 
     x_dir = vsub(vertices[x_index], barycenter)
     bounds = ([(f.normal, f.offset) for f in figure.facets] if figure.affine_dim
               else [(zero_vec(len(x_dir)), Fraction(1))])
+    x_ints = vertex_ints[x_index]
+    for z in map(primitive, nullspace(figure.vertices)):
+        zx = int_dot(z, x_ints)
+        off = next((i for i, v in enumerate(vertex_ints) if int_dot(z, v) != zx), None)
+        if off is not None:
+            raise TheoremViolationError(
+                "vertex-figure certificate failed: orbit point %d %s is off the span of "
+                "the figure at x, the hyperplane %s.v = %s" % (
+                    off, _point_str(vertices[off]), _point_str(z), frac_str(Fraction(zx, scale))))
     facets = []
     for m, c in bounds:
         normal = primitive(vadd(m, vscale(c, x_dir)))
         values = [int_dot(normal, v) for v in vertex_ints]
         top = values[x_index]
-        if max(values) > top:
-            raise TheoremViolationError("a facet of the vertex figure cuts the orbit (bug)")
+        cut = next((i for i, val in enumerate(values) if val > top), None)
+        if cut is not None:
+            raise TheoremViolationError(
+                "vertex-figure certificate failed: orbit point %d %s cuts the facet "
+                "%s.v <= %s through x" % (cut, _point_str(vertices[cut]),
+                                          _point_str(normal), frac_str(Fraction(top, scale))))
         facets.append(Facet(normal=vec(normal), offset=Fraction(top, scale),
                             vertex_indices=tuple(i for i, val in enumerate(values) if val == top)))
 

@@ -8,20 +8,24 @@ coordinates.  `weyl_orbit` closes W.x on integer label tuples and converts
 each point to an ambient vector once; `vertex_permutations` reads each
 vertex's labels once and returns the r simple reflections as permutations of
 the vertex indices, through which every orbit of faces and of a parabolic
-subgroup W_J is closed.  The order |W| is the product of the degrees, read
+subgroup W_J is closed; `reflection_neighbours` finds the points s_beta.x,
+beta a positive root, by the same integer step with beta's labels in place of
+a Cartan row.  The order |W| is the product of the degrees, read
 off the root heights (Kostant); the same formula on the singular set S of x
 gives |W_S| and so the orbit size |W.x| = |W| / |W_S|.  Nothing enumerates W.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from math import prod
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import CapExceededError, InvalidInputError, TheoremViolationError
-from .linalg import Vector, int_dot, integral_rows, lincomb, nullspace
+from .linalg import (Vector, dot, frac_str, int_dot, integral_rows, lincomb,
+                     nullspace)
 from .roots import ChamberPoint, RootSystem
 
 Labels = tuple[int, ...]
@@ -102,11 +106,50 @@ def weyl_orbit(group: WeylGroup, x: ChamberPoint, cap: int | None = None) -> tup
     if len(seen) != size:
         raise TheoremViolationError("orbit closure has %d points, |W|/|W_S| = %d (bug)"
                                     % (len(seen), size))
+    return _sorted_vectors(rs, seen, scale)
+
+
+def _sorted_vectors(rs: RootSystem, points: Iterable[Labels], scale: int) -> tuple[Vector, ...]:
+    """The ambient vectors of Dynkin label tuples divided by `scale`, sorted."""
     # integer points over one common denominator sort as the vectors do
     weights, weight_scale = integral_rows(rs.fundamental_weights)
     columns = tuple(zip(*weights))
-    points = sorted(tuple(int_dot(labels, c) for c in columns) for labels in seen)
-    return tuple(tuple(Fraction(c, scale * weight_scale) for c in p) for p in points)
+    ints = sorted(tuple(int_dot(labels, c) for c in columns) for labels in points)
+    return tuple(tuple(Fraction(c, scale * weight_scale) for c in p) for p in ints)
+
+
+def reflection_neighbours(group: WeylGroup, x: ChamberPoint,
+                          orbit: Sequence[Vector]) -> tuple[int, ...]:
+    """The indices in `orbit`, the sorted W.x, of the points s_beta.x other
+    than x, beta a positive root, in increasing order and without repeats.
+
+    On Dynkin labels s_beta(lambda) = lambda - <lambda, beta^vee> b, where
+    beta = Sum_j c_j alpha_j has the labels b = Sum_j c_j (row j of the
+    Cartan matrix), b_j = <beta, alpha_j^vee>.  With l_j = alpha_j.alpha_j,
+    lambda.alpha_j = lambda_j l_j / 2 and beta.alpha_j = b_j l_j / 2, so
+    <lambda, beta^vee> = 2 lambda.beta / beta.beta is the integer
+    2 Sum_j c_j lambda_j l_j / Sum_j c_j b_j l_j.  Each image is found in
+    the orbit by bisection; one that is not there raises.
+    """
+    rs = group.root_system
+    (labels,), scale = integral_rows([x.coords])
+    (lengths,), _ = integral_rows([[dot(a, a) for a in rs.simple_roots]])
+    weighted = [lam * ln for lam, ln in zip(labels, lengths)]
+    images = set()
+    for coeffs in rs.positive_coords:
+        root = [int_dot(coeffs, column) for column in zip(*rs.cartan_matrix)]
+        pairing = (2 * int_dot(coeffs, weighted)
+                   // int_dot(coeffs, [b * ln for b, ln in zip(root, lengths)]))
+        if pairing:
+            images.add(tuple(lam - pairing * b for lam, b in zip(labels, root)))
+    out = []
+    for v in _sorted_vectors(rs, images, scale):
+        i = bisect_left(orbit, v)
+        if i == len(orbit) or orbit[i] != v:
+            raise TheoremViolationError("reflection image (%s) of x is not in W.x (bug)"
+                                        % ",".join(map(frac_str, v)))
+        out.append(i)
+    return tuple(out)
 
 
 def vertex_permutations(group: WeylGroup, vectors: Sequence[Vector]) -> tuple[tuple[int, ...], ...]:

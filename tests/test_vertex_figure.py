@@ -1,8 +1,10 @@
 """The faces through x against the whole face lattice, as an oracle.
 
 `classify_faces` builds only the faces of the Kostant polytope P = conv(W.x)
-through x, from the hull of the vertex figure at x, and classes them under
-the stabilizer W_S of x.  The oracle is the hull of the whole orbit, with
+through x, from the hull of the vertex figure at x over the neighbours
+s_beta.x, and classes them under the stabilizer W_S of x.  That hull must
+equal the hull of the whole figure, and a neighbour set that misses a
+vertex of the figure must fail the certificate.  The oracle is the hull of the whole orbit, with
 every face classed under all r simple reflections; the two must agree on all
 that the reports read: the faces through x, the f-vector, the classes and
 their least members, the containment order and the facets through each
@@ -21,13 +23,16 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import orbitope.faces
 import orbitope.numeric
 from conftest import get_classification, get_group, get_rs
-from orbitope import (InvalidInputError, act_on_faces, build_poset, chamber_point,
-                      classify_faces, hull, phi_of_descriptor)
+from orbitope import (InvalidInputError, RootSystem, act_on_faces, build_poset,
+                      chamber_point, classify_faces, hull, phi_of_descriptor,
+                      weyl_orbit)
+from orbitope.cli import RunConfig, run
 from orbitope.numeric import shadows_escape
-from orbitope.polytope import DEFAULT_HULL_CAP
-from orbitope.weyl import vertex_permutations
+from orbitope.polytope import DEFAULT_HULL_CAP, vertex_figure_points
+from orbitope.weyl import reflection_neighbours, vertex_permutations
 
 
 def _verify_all_cases() -> list[tuple[str, int, tuple[str, ...]]]:
@@ -83,6 +88,54 @@ def _compare_with_full_lattice(type_label, rank, coords):
 @pytest.mark.parametrize("case", CASES, ids=lambda c: "%s%d %s" % (c[0], c[1], ",".join(c[2])))
 def test_faces_through_x_match_the_full_lattice(case):
     _compare_with_full_lattice(*case)
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda c: "%s%d %s" % (c[0], c[1], ",".join(c[2])))
+def test_neighbour_hull_is_the_whole_figure(case):
+    """The label step finds the ambient reflections s_beta.x != x, at most
+    one per positive root, and their figure points have the hull of the
+    points of every other orbit point."""
+    type_label, rank, coords = case
+    rs, group = get_rs(type_label, rank), get_group(type_label, rank)
+    x = chamber_point(rs, coords)
+    orbit = weyl_orbit(group, x)
+    x_index = orbit.index(x.vector)
+    found = reflection_neighbours(group, x, orbit)
+    assert len(found) <= rs.n_positive
+    assert found == tuple(sorted({orbit.index(RootSystem.reflect(beta, x.vector))
+                                  for beta in rs.positive_roots} - {x_index}))
+    near = hull(vertex_figure_points(x.vector, [orbit[i] for i in found]))
+    whole = hull(vertex_figure_points(x.vector, orbit[:x_index] + orbit[x_index + 1:]))
+    assert near.vertices == whole.vertices
+    assert near.facets == whole.facets
+    assert near.f_vector() == whole.f_vector()
+
+
+@pytest.mark.parametrize("type_label,rank,point,message", [
+    ("D", 4, "1,1,1,1", "cuts the facet"),
+    ("A", 3, "1,0,1", "cuts the facet"),
+    ("A", 2, "1,0", "is off the span of the figure"),
+])
+def test_a_neighbour_set_without_s1_x_fails_the_certificate(monkeypatch, type_label, rank,
+                                                           point, message):
+    """Dropping the simple neighbour s_1.x leaves out a vertex of the figure;
+    on A2 (1,0) that leaves one point, so the figure loses a dimension."""
+    original = reflection_neighbours
+
+    def without_s1_x(group, x, orbit):
+        rs = group.root_system
+        s1_x = orbit.index(RootSystem.reflect(rs.simple_roots[0], x.vector))
+        found = original(group, x, orbit)
+        assert s1_x in found
+        return tuple(i for i in found if i != s1_x)
+
+    monkeypatch.setattr(orbitope.faces, "reflection_neighbours", without_s1_x)
+    for command in ("polytope", "verify-all"):
+        code, text = run(RunConfig(command=command, type_label=type_label, rank=rank,
+                                   point=tuple(point.split(",")), fmt="json"))
+        assert code == 2
+        assert text.startswith("theorem violation: vertex-figure certificate failed: orbit point ")
+        assert message in text
 
 
 _MEMBERSHIP_CASES = [("A", 1, ("1",)), ("A", 2, ("3/2", "0")), ("A", 3, ("1", "1", "1")),
