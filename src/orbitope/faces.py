@@ -20,12 +20,12 @@ through x to another can be corrected to fix x.)  Neither fact uses
 x-connectedness, so the polytope side stays independent of the
 classification.  W_J.x is the closure of x's vertex index under the
 generator permutations of J; the W_S-classes are closures under those of S
-(`act_on_faces`), and psi and phi read that partition.
+(`act_on_faces`), and psi and phi read that partition.  The orbit is closed
+once, on integer Dynkin labels (`weyl_orbit`), and every step reads it as is.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -157,10 +157,8 @@ def build_kostant_polytope(group: WeylGroup, x: ChamberPoint,
     bounds only the orbit.
     """
     orbit = weyl_orbit(group, x, cap=orbit_cap)
-    x_index = bisect_left(orbit, x.vector)
-    neighbours = [orbit[i] for i in reflection_neighbours(group, x, orbit)]
-    figure = hull(vertex_figure_points(x.vector, neighbours))
-    return from_vertex_figure(group, orbit, x_index, figure)
+    figure = hull(vertex_figure_points(orbit, reflection_neighbours(group, orbit)))
+    return from_vertex_figure(group, orbit, figure)
 
 
 def classify_faces(rs: RootSystem, group: WeylGroup, x: ChamberPoint,

@@ -5,7 +5,8 @@ lifted cone.  The points are taken in coordinates of their affine hull and
 lifted to primitive integer rows, so the double description, the facet tight
 and cut tests, the vertex test, the facet values and the grading of the face
 lattice all run on Python ints; only the reported facet normals and offsets
-are turned back into exact fractions.  The face lattice is the closure of the
+are turned back into exact fractions, and every polytope keeps its vertices
+as integer rows over one denominator.  The face lattice is the closure of the
 facet/vertex incidences under intersection, graded by the fraction-free rank
 of the rows of the facets through each face.  A face is just its vertex set
 and its dimension: its affine hull is the intersection of the facets through
@@ -14,12 +15,12 @@ read off those facets (`facets_through`).  This module is the independent
 oracle the combinatorial face classification is checked against, so there is
 no floating point anywhere.
 
-A Kostant polytope is held by its faces through one vertex x
-(`KostantPolytope`): they are the faces of the vertex figure at x, so `hull`
-of the neighbours s_beta.x of x builds them, at most one per positive root,
-certified against the whole orbit (`from_vertex_figure`); every other face
-and facet is a W-image of one of them, never built.  The full lattice of
-`hull` stays as the oracle.
+A Kostant polytope is held by the integer rows of its orbit (`weyl.Orbit`)
+and its faces through one vertex x (`KostantPolytope`): they are the faces
+of the vertex figure at x, so `hull` of the neighbours s_beta.x of x builds
+them, at most one per positive root, certified against the whole orbit
+(`from_vertex_figure`); every other face and facet is a W-image of one of
+them, never built.  The full lattice of `hull` stays as the oracle.
 
 The Weyl group reaches a polytope only through the r simple-reflection
 permutations of its vertices (`act_on_faces`, `face_orbit`).  An exposing
@@ -46,7 +47,7 @@ from .errors import CapExceededError, InvalidInputError, TheoremViolationError
 from .linalg import (Vector, dot, frac_str, int_dot, int_rank, integral_rows,
                      inverse, lincomb, mat_mul, nullspace, primitive, rref,
                      transpose, vadd, vec, vscale, vsub, zero_vec)
-from .weyl import WeylGroup, vertex_permutations
+from .weyl import Orbit, WeylGroup, vertex_permutations
 
 #: desk-scale guard on hull input size
 DEFAULT_HULL_CAP = 200
@@ -81,21 +82,18 @@ class FaceOrbit:
 
 
 class _Polytope:
-    """What both kinds of polytope answer: faces by vertex set, the top face
-    and the vertices as scaled integers.  A subclass sets `vertices`,
+    """What both kinds of polytope answer: faces by vertex set and the top
+    face.  A subclass sets `vertices`, their `vertex_ints` over `vertex_scale`,
     `ambient_dim` and `affine_dim`, and finds a face by its sorted vertex set."""
 
     vertices: tuple[Vector, ...]
+    vertex_ints: Sequence[tuple[int, ...]]
+    vertex_scale: int
     ambient_dim: int
     affine_dim: int
 
     def _lookup(self, key: tuple[int, ...]) -> PolytopeFace | None:
         raise NotImplementedError
-
-    @cached_property
-    def _integral_vertices(self) -> tuple[list[tuple[int, ...]], int]:
-        """The vertices times their common denominator, and that denominator."""
-        return integral_rows(self.vertices)
 
     @property
     def top(self) -> PolytopeFace:
@@ -115,10 +113,10 @@ class _Polytope:
 class ExactPolytope(_Polytope):
     """Exact polytope with full face lattice; immutable after construction."""
 
-    def __init__(self, vertices: tuple[Vector, ...], ambient_dim: int, affine_dim: int,
-                 facets: tuple[Facet, ...],
+    def __init__(self, vertices: tuple[Vector, ...], vertex_ints: Sequence[tuple[int, ...]],
+                 vertex_scale: int, ambient_dim: int, affine_dim: int, facets: tuple[Facet, ...],
                  face_lattice: dict[int, tuple[PolytopeFace, ...]]):
-        self.vertices = vertices
+        self.vertices, self.vertex_ints, self.vertex_scale = vertices, vertex_ints, vertex_scale
         self.ambient_dim = ambient_dim
         self.affine_dim = affine_dim
         self.facets = facets
@@ -155,14 +153,13 @@ class KostantPolytope(_Polytope):
     satisfy Euler-Poincare.
     """
 
-    def __init__(self, vertices: tuple[Vector, ...], x_index: int,
-                 perms: Sequence[Sequence[int]],
+    def __init__(self, orbit: Orbit, perms: Sequence[Sequence[int]],
                  faces_through_x: dict[int, tuple[PolytopeFace, ...]],
                  facets_through_x: tuple[Facet, ...]):
-        self.vertices = vertices
-        self.ambient_dim = len(vertices[0])
+        self.vertices, self.vertex_ints, self.vertex_scale = orbit.vectors, orbit.ints, orbit.scale
+        self.ambient_dim = len(orbit.vectors[0])
         self.affine_dim = max(faces_through_x)
-        self.x_index = x_index
+        self.x_index = x_index = orbit.x_index
         #: entry s sends the index of v to the index of s(v), s simple
         self.perms = perms
         self.faces_through_x = faces_through_x
@@ -176,10 +173,10 @@ class KostantPolytope(_Polytope):
                 if perm[v] not in paths:
                     paths[perm[v]] = (s,) + paths[v]
                     frontier.append(perm[v])
-        if len(paths) != len(vertices):
+        if len(paths) != len(orbit):
             raise TheoremViolationError("the vertices are not one orbit of the generators (bug)")
-        self._paths = [paths[v] for v in range(len(vertices))]
-        counts = {dim: sum(Fraction(len(vertices), len(f.vertex_indices)) for f in fs)
+        self._paths = [paths[v] for v in range(len(orbit))]
+        counts = {dim: sum(Fraction(len(orbit), len(f.vertex_indices)) for f in fs)
                   for dim, fs in faces_through_x.items()}
         if any(c.denominator != 1 for c in counts.values()):
             raise TheoremViolationError("face counts %s are not integers (bug)" % (counts,))
@@ -254,9 +251,9 @@ def hull(points: Sequence[Sequence], cap: int = DEFAULT_HULL_CAP) -> ExactPolyto
     d = len(dir_basis)
 
     if d == 0:
-        face = PolytopeFace(vertex_indices=(0,), dim=0)
-        return ExactPolytope(vertices=(pts[0],), ambient_dim=ambient_dim, affine_dim=0,
-                             facets=(), face_lattice={0: (face,)})
+        vertex_ints, vertex_scale = integral_rows(pts[:1])
+        return ExactPolytope((pts[0],), vertex_ints, vertex_scale, ambient_dim, affine_dim=0,
+                             facets=(), face_lattice={0: (PolytopeFace((0,), 0),)})
 
     # The reduced basis is the identity on its pivot columns, so a point's
     # affine coordinates are its offset from the base point read there.  Each
@@ -307,7 +304,7 @@ def hull(points: Sequence[Sequence], cap: int = DEFAULT_HULL_CAP) -> ExactPolyto
 
     lattice = _face_lattice([rows[i] for i in vertex_ids], [a for _, a in facets],
                             [vertex_mask(f.vertex_indices) for f, _ in facets], d)
-    poly = ExactPolytope(vertices=tuple(vertex_pts), ambient_dim=ambient_dim, affine_dim=d,
+    poly = ExactPolytope(tuple(vertex_pts), vertex_ints, vertex_scale, ambient_dim, affine_dim=d,
                          facets=tuple(f for f, _ in facets), face_lattice=lattice)
     if tuple(f.vertex_indices for f in lattice[0]) != tuple((i,) for i in range(len(vertex_pts))):
         raise TheoremViolationError("0-faces do not match the vertex set (bug)")
@@ -420,8 +417,8 @@ def _face_lattice(lifted: Sequence[tuple[int, ...]], facet_rows: Sequence[tuple[
             for dim, fs in sorted(levels.items())}
 
 
-def vertex_figure_points(x: Vector, neighbours: Sequence[Vector]) -> list[Vector]:
-    """The points q_v = (v - x) / (x.x - x.v) of the given vertices v != x.
+def vertex_figure_points(orbit: Orbit, neighbours: Sequence[int]) -> list[Vector]:
+    """The points q_v = (v - x) / (x.x - x.v) of the given orbit points v != x.
 
     They lie on the hyperplane x.q = -1, and over all the vertices other than
     x they generate the cone of P at x: their hull is the vertex figure P/x,
@@ -431,15 +428,16 @@ def vertex_figure_points(x: Vector, neighbours: Sequence[Vector]) -> list[Vector
     `from_vertex_figure`.  Raises unless x.x > x.v for each v given, as holds
     for every v != x on a W-orbit.
     """
-    (x_ints, *ints), scale = integral_rows([x, *neighbours])
+    x_ints, scale = orbit.ints[orbit.x_index], orbit.scale
     xx = int_dot(x_ints, x_ints)
     points = []
-    for v, v_ints in zip(neighbours, ints):
+    for k in neighbours:
+        v_ints = orbit.ints[k]
         gap = xx - int_dot(x_ints, v_ints)  # scale**2 (x.x - x.v)
         if gap <= 0:
             raise TheoremViolationError(
                 "x.x <= x.v at the orbit point %s: x is not a vertex (ext P = W.x failed)"
-                % _point_str(v))
+                % _point_str(orbit.vectors[k]))
         points.append(tuple(Fraction(scale * (a - b), gap) for a, b in zip(v_ints, x_ints)))
     return points
 
@@ -448,9 +446,8 @@ def _point_str(v: Sequence) -> str:
     return "(%s)" % ",".join(frac_str(Fraction(c)) for c in v)
 
 
-def from_vertex_figure(group: WeylGroup, vertices: tuple[Vector, ...], x_index: int,
-                       figure: ExactPolytope) -> KostantPolytope:
-    """P = conv(vertices), a W-orbit, from the hull of a vertex figure at x.
+def from_vertex_figure(group: WeylGroup, orbit: Orbit, figure: ExactPolytope) -> KostantPolytope:
+    """P = conv(W.x) from the hull of a vertex figure at x.
 
     A facet m.q <= c of the figure gives the facet of P through x with normal
     N = m + c(x - b), b the barycenter: b is fixed by W, so x - b lies in the
@@ -467,8 +464,8 @@ def from_vertex_figure(group: WeylGroup, vertices: tuple[Vector, ...], x_index: 
     contains G; a point figure (P a segment) has one facet, its empty face
     0.q <= 1.
     """
-    perms = vertex_permutations(group, vertices)
-    vertex_ints, scale = integral_rows(vertices)
+    perms = vertex_permutations(group, orbit)
+    vertices, vertex_ints, scale, x_index = orbit.vectors, orbit.ints, orbit.scale, orbit.x_index
     n = len(vertices)
     barycenter = tuple(Fraction(sum(c), n * scale) for c in zip(*vertex_ints))
     x_dir = vsub(vertices[x_index], barycenter)
@@ -513,7 +510,7 @@ def from_vertex_figure(group: WeylGroup, vertices: tuple[Vector, ...], x_index: 
                 mask &= facet_masks[k]
             levels.setdefault(dim + 1, []).append(PolytopeFace(_bits(mask), dim + 1))
     return KostantPolytope(
-        vertices=vertices, x_index=x_index, perms=perms,
+        orbit=orbit, perms=perms,
         faces_through_x={dim: tuple(sorted(fs, key=lambda f: f.vertex_indices))
                          for dim, fs in sorted(levels.items())},
         facets_through_x=tuple(sorted(facets, key=lambda f: (f.vertex_indices, f.normal))))
@@ -530,13 +527,12 @@ def support_set(p: _Polytope, u: Sequence) -> tuple[PolytopeFace, Fraction]:
     if all(x == 0 for x in uv):
         raise InvalidInputError("exposed faces require nonzero u")
     (u_ints,), u_scale = integral_rows([uv])
-    vertex_ints, vertex_scale = p._integral_vertices
-    values = [int_dot(v, u_ints) for v in vertex_ints]
+    values = [int_dot(v, u_ints) for v in p.vertex_ints]
     h = max(values)
     vidx = tuple(i for i, val in enumerate(values) if val == h)
     if not p.has_face(vidx):
         raise TheoremViolationError("support set %s is not a face (bug)" % (vidx,))
-    return p.face(vidx), Fraction(h, u_scale * vertex_scale)
+    return p.face(vidx), Fraction(h, u_scale * p.vertex_scale)
 
 
 def face_orbit(perms: Sequence[Sequence[int]],

@@ -4,28 +4,28 @@ The only action of W in the package is the integer one on Dynkin labels
 (D. M. Snow, "Weyl group orbits", ACM Trans. Math. Software 16, 1990): for
 lambda = Sum_j lambda_j w_j, s_i(lambda) = lambda - lambda_i * (row i of the
 Cartan matrix), because that row is alpha_i in fundamental-weight
-coordinates.  `weyl_orbit` closes W.x on integer label tuples and converts
-each point to an ambient vector once; `vertex_permutations` reads each
-vertex's labels once and returns the r simple reflections as permutations of
-the vertex indices, through which every orbit of faces and of a parabolic
-subgroup W_J is closed; `reflection_neighbours` finds the points s_beta.x,
-beta a positive root, by the same integer step with beta's labels in place of
-a Cartan row.  The order |W| is the product of the degrees, read
+coordinates.  `weyl_orbit` closes W.x once on integer label tuples into an
+`Orbit`, which every later stage reads as it is: `vertex_permutations` steps
+each point's labels and looks the images up, giving the r simple reflections
+as permutations of the vertex indices, through which every orbit of faces
+and of a parabolic subgroup W_J is closed; `reflection_neighbours` finds the
+points s_beta.x, beta a positive root, by the same step with beta's labels in
+place of a Cartan row.  The order |W| is the product of the degrees, read
 off the root heights (Kostant); the same formula on the singular set S of x
 gives |W_S| and so the orbit size |W.x| = |W| / |W_S|.  Nothing enumerates W.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .errors import CapExceededError, InvalidInputError, TheoremViolationError
+from .errors import CapExceededError, TheoremViolationError
 from .linalg import (Vector, dot, frac_str, int_dot, integral_rows, lincomb,
-                     nullspace)
+                     primitive)
 from .roots import ChamberPoint, RootSystem
 
 Labels = tuple[int, ...]
@@ -82,8 +82,25 @@ def build_weyl_group(rs: RootSystem, cap: int | None = None) -> WeylGroup:
     return group
 
 
-def weyl_orbit(group: WeylGroup, x: ChamberPoint, cap: int | None = None) -> tuple[Vector, ...]:
-    """The orbit W.x as ambient vectors in lexicographic order.
+@dataclass(frozen=True)
+class Orbit:
+    """W.x in the lexicographic order of its vectors: point k has the labels
+    `labels[k]` and the vector `vectors[k]` = `ints[k]` / `scale`, the one
+    common denominator; `index` sends labels to k; x is point `x_index`."""
+
+    labels: tuple[Labels, ...]
+    ints: tuple[tuple[int, ...], ...]
+    scale: int
+    vectors: tuple[Vector, ...]
+    index: dict[Labels, int]
+    x_index: int
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+
+def weyl_orbit(group: WeylGroup, x: ChamberPoint, cap: int | None = None) -> Orbit:
+    """The orbit W.x, closed on x's labels scaled to integers.
 
     Raises CapExceededError with the hull's message when |W.x| exceeds `cap`,
     before anything is closed; the closure's size must equal |W.x|.
@@ -94,84 +111,70 @@ def weyl_orbit(group: WeylGroup, x: ChamberPoint, cap: int | None = None) -> tup
         raise CapExceededError("hull input has %d points, cap is %d" % (size, cap))
     (start,), scale = integral_rows([x.coords])
     seen = {start}
-    frontier = [start]
-    while frontier:
-        labels = frontier.pop()
+    closed = [start]
+    for labels in closed:
         for i in range(rs.rank):
             if labels[i]:
                 image = _reflect_labels(rs.cartan_matrix, i, labels)
                 if image not in seen:
                     seen.add(image)
-                    frontier.append(image)
-    if len(seen) != size:
+                    closed.append(image)
+    if len(closed) != size:
         raise TheoremViolationError("orbit closure has %d points, |W|/|W_S| = %d (bug)"
-                                    % (len(seen), size))
-    return _sorted_vectors(rs, seen, scale)
-
-
-def _sorted_vectors(rs: RootSystem, points: Iterable[Labels], scale: int) -> tuple[Vector, ...]:
-    """The ambient vectors of Dynkin label tuples divided by `scale`, sorted."""
+                                    % (len(closed), size))
     # integer points over one common denominator sort as the vectors do
     weights, weight_scale = integral_rows(rs.fundamental_weights)
     columns = tuple(zip(*weights))
-    ints = sorted(tuple(int_dot(labels, c) for c in columns) for labels in points)
-    return tuple(tuple(Fraction(c, scale * weight_scale) for c in p) for p in ints)
+    points = sorted((tuple(int_dot(labels, c) for c in columns), labels) for labels in closed)
+    scale *= weight_scale
+    index = {labels: k for k, (_, labels) in enumerate(points)}
+    return Orbit(labels=tuple(index), ints=tuple(p for p, _ in points), scale=scale,
+                 vectors=tuple(tuple(Fraction(c, scale) for c in p) for p, _ in points),
+                 index=index, x_index=index[start])
 
 
-def reflection_neighbours(group: WeylGroup, x: ChamberPoint,
-                          orbit: Sequence[Vector]) -> tuple[int, ...]:
-    """The indices in `orbit`, the sorted W.x, of the points s_beta.x other
-    than x, beta a positive root, in increasing order and without repeats.
+def reflection_neighbours(group: WeylGroup, orbit: Orbit) -> tuple[int, ...]:
+    """The indices in `orbit` of the points s_beta.x other than x, beta a
+    positive root, in increasing order and without repeats.
 
     On Dynkin labels s_beta(lambda) = lambda - <lambda, beta^vee> b, where
     beta = Sum_j c_j alpha_j has the labels b = Sum_j c_j (row j of the
     Cartan matrix), b_j = <beta, alpha_j^vee>.  With l_j = alpha_j.alpha_j,
     lambda.alpha_j = lambda_j l_j / 2 and beta.alpha_j = b_j l_j / 2, so
     <lambda, beta^vee> = 2 lambda.beta / beta.beta is the integer
-    2 Sum_j c_j lambda_j l_j / Sum_j c_j b_j l_j.  Each image is found in
-    the orbit by bisection; one that is not there raises.
+    2 Sum_j c_j lambda_j l_j / Sum_j c_j b_j l_j.  Each image is looked up by
+    its labels; one that is not in the orbit raises.
     """
     rs = group.root_system
-    (labels,), scale = integral_rows([x.coords])
-    (lengths,), _ = integral_rows([[dot(a, a) for a in rs.simple_roots]])
+    labels = orbit.labels[orbit.x_index]
+    lengths = primitive([dot(a, a) for a in rs.simple_roots])
     weighted = [lam * ln for lam, ln in zip(labels, lengths)]
-    images = set()
-    for coeffs in rs.positive_coords:
+    found = set()
+    for beta, coeffs in zip(rs.positive_roots, rs.positive_coords):
         root = [int_dot(coeffs, column) for column in zip(*rs.cartan_matrix)]
         pairing = (2 * int_dot(coeffs, weighted)
                    // int_dot(coeffs, [b * ln for b, ln in zip(root, lengths)]))
         if pairing:
-            images.add(tuple(lam - pairing * b for lam, b in zip(labels, root)))
-    out = []
-    for v in _sorted_vectors(rs, images, scale):
-        i = bisect_left(orbit, v)
-        if i == len(orbit) or orbit[i] != v:
-            raise TheoremViolationError("reflection image (%s) of x is not in W.x (bug)"
-                                        % ",".join(map(frac_str, v)))
-        out.append(i)
-    return tuple(out)
+            k = orbit.index.get(tuple(lam - pairing * b for lam, b in zip(labels, root)))
+            if k is None:
+                image = rs.reflect(beta, orbit.vectors[orbit.x_index])
+                raise TheoremViolationError("reflection image (%s) of x is not in W.x (bug)"
+                                            % ",".join(map(frac_str, image)))
+            found.add(k)
+    return tuple(sorted(found))
 
 
-def vertex_permutations(group: WeylGroup, vectors: Sequence[Vector]) -> tuple[tuple[int, ...], ...]:
-    """Permutation action of each simple reflection on a W-stable list of vectors.
-
-    Entry i sends the index of v to the index of s_i(v).  A vector is keyed
-    by its labels <v, alpha_j^vee> and by its coordinates on the orthogonal
-    complement of the root span, which W fixes, all scaled to integers by
-    one positive factor.  Raises InvalidInputError if the list is not stable
-    under the group.
-    """
+def vertex_permutations(group: WeylGroup, orbit: Orbit) -> tuple[tuple[int, ...], ...]:
+    """The r simple reflections as permutations of the orbit's points: entry
+    i sends the index of v to that of s_i(v), looked up by its labels.  An
+    image that is not in the orbit raises."""
     rs = group.root_system
-    functionals, _ = integral_rows([rs.coroot(a) for a in rs.simple_roots]
-                                   + list(nullspace(rs.simple_roots)))
-    points, _ = integral_rows(vectors)
-    keys = [tuple(int_dot(f, p) for f in functionals) for p in points]
-    index = {key: k for k, key in enumerate(keys)}
     perms = []
     for i in range(rs.rank):
-        images = tuple(index.get(_reflect_labels(rs.cartan_matrix, i, key[:rs.rank])
-                                 + key[rs.rank:]) for key in keys)
+        images = tuple(orbit.index.get(_reflect_labels(rs.cartan_matrix, i, labels))
+                       for labels in orbit.labels)
         if None in images:
-            raise InvalidInputError("vertex set is not stable under the Weyl group")
+            raise TheoremViolationError("s_%d of orbit point %d is not in W.x (bug)"
+                                        % (i + 1, images.index(None)))
         perms.append(images)
     return tuple(perms)

@@ -230,7 +230,7 @@ def test_parabolic_report_rejects_improper():
 def test_kostant_vertices_equal_orbit():
     cl = get_classification("G", 2, (1, 1))
     from orbitope.weyl import weyl_orbit
-    assert cl.polytope.vertices == weyl_orbit(cl.group, cl.x)
+    assert cl.polytope.vertices == weyl_orbit(cl.group, cl.x).vectors
 
 
 def test_exposing_vs_canonical_cone_vector_shadow():

@@ -12,14 +12,14 @@ from conftest import defining_sum, get_group, get_oracle, get_point, get_rs
 from orbitope import (CapExceededError, InvalidInputError, act_on_faces,
                       fixed_vector_in_cone, hull, support_set, weyl_orbit)
 from orbitope.linalg import dot, nullspace, vec
-from orbitope.weyl import vertex_permutations
+from weyl_oracle import reflection_permutations
 
 
 def _orbit_polytope(label, rank, coords):
     rs = get_rs(label, rank)
     group = get_group(label, rank)
     orbit = weyl_orbit(group, get_point(label, rank, coords))
-    return rs, group, hull(orbit)
+    return rs, group, hull(orbit.vectors)
 
 
 def test_unit_square():
@@ -137,12 +137,12 @@ def test_support_rejects_u_of_another_length():
 
 
 def test_act_on_faces_orbit_counts():
-    _, group, hexa = _orbit_polytope("A", 2, (1, 1))
-    orbits = act_on_faces(vertex_permutations(group, hexa.vertices), hexa.face_lattice)
+    rs, _, hexa = _orbit_polytope("A", 2, (1, 1))
+    orbits = act_on_faces(reflection_permutations(rs, hexa.vertices), hexa.face_lattice)
     assert [len(orbits[d]) for d in (0, 1, 2)] == [1, 2, 1]
     assert sorted(len(o.members) for o in orbits[1]) == [3, 3]
-    _, group2, tri = _orbit_polytope("A", 2, (1, 0))
-    orbits2 = act_on_faces(vertex_permutations(group2, tri.vertices), tri.face_lattice)
+    rs2, _, tri = _orbit_polytope("A", 2, (1, 0))
+    orbits2 = act_on_faces(reflection_permutations(rs2, tri.vertices), tri.face_lattice)
     assert [len(orbits2[d]) for d in (0, 1, 2)] == [1, 1, 1]
 
 
@@ -151,9 +151,9 @@ def test_act_on_faces_matches_enumerated_group():
     face under every enumerated element, applied to its vertices."""
     for args in [("A", 2, (1, 1)), ("B", 3, (1, 0, 1)), ("G", 2, (1, 1)),
                  ("D", 4, (0, 1, 0, 0))]:
-        _, group, p = _orbit_polytope(*args)
+        rs, _, p = _orbit_polytope(*args)
         images = get_oracle(*args[:2]).vertex_images(p.vertices)
-        perms = vertex_permutations(group, p.vertices)
+        perms = reflection_permutations(rs, p.vertices)
         for dim, orbits in act_on_faces(perms, p.face_lattice).items():
             assert sorted(m for o in orbits for m in o.members) == \
                 [f.vertex_indices for f in p.face_lattice[dim]]
@@ -161,13 +161,6 @@ def test_act_on_faces_matches_enumerated_group():
                 assert o.representative == o.members[0]
                 assert set(o.members) == {tuple(sorted(img[i] for i in o.representative))
                                           for img in images}
-
-
-def test_act_on_faces_rejects_unstable_vertices():
-    group = get_group("A", 2)
-    p = hull([(0, 0, 0), (1, 0, -1), (1, -1, 0)])
-    with pytest.raises(InvalidInputError):
-        act_on_faces(vertex_permutations(group, p.vertices), p.face_lattice)
 
 
 def test_act_on_faces_rejects_images_outside_the_faces():

@@ -118,7 +118,7 @@ def test_orbit_barycenter_is_zero():
     """Semisimple case: the W-invariant barycenter of any orbit is the origin."""
     for label, rank, coords in [("A", 2, (1, 1)), ("B", 2, (1, 0)), ("G", 2, (2, 3))]:
         group = get_group(label, rank)
-        orbit = weyl_orbit(group, get_point(label, rank, coords))
+        orbit = weyl_orbit(group, get_point(label, rank, coords)).vectors
         total = zero_vec(get_rs(label, rank).ambient_dim)
         for v in orbit:
             total = vadd(total, v)

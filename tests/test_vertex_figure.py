@@ -32,7 +32,8 @@ from orbitope import (InvalidInputError, RootSystem, act_on_faces, build_poset,
 from orbitope.cli import RunConfig, run
 from orbitope.numeric import shadows_escape
 from orbitope.polytope import DEFAULT_HULL_CAP, vertex_figure_points
-from orbitope.weyl import reflection_neighbours, vertex_permutations
+from orbitope.weyl import reflection_neighbours
+from weyl_oracle import reflection_permutations
 
 
 def _verify_all_cases() -> list[tuple[str, int, tuple[str, ...]]]:
@@ -66,7 +67,7 @@ def _compare_with_full_lattice(type_label, rank, coords):
     assert poly.f_vector() == full.f_vector()
     assert poly.facets_through_x == tuple(f for f in full.facets if x in f.vertex_indices)
 
-    orbits = act_on_faces(vertex_permutations(group, full.vertices), full.face_lattice)
+    orbits = act_on_faces(reflection_permutations(rs, full.vertices), full.face_lattice)
     orbit_of = {m: o for os in orbits.values() for o in os for m in o.members}
     assert sum(map(len, cl.classes.values())) == sum(map(len, orbits.values()))
     assert sorted(cl.matching.values()) == sorted(
@@ -99,13 +100,13 @@ def test_neighbour_hull_is_the_whole_figure(case):
     rs, group = get_rs(type_label, rank), get_group(type_label, rank)
     x = chamber_point(rs, coords)
     orbit = weyl_orbit(group, x)
-    x_index = orbit.index(x.vector)
-    found = reflection_neighbours(group, x, orbit)
+    x_index = orbit.vectors.index(x.vector)
+    found = reflection_neighbours(group, orbit)
     assert len(found) <= rs.n_positive
-    assert found == tuple(sorted({orbit.index(RootSystem.reflect(beta, x.vector))
+    assert found == tuple(sorted({orbit.vectors.index(RootSystem.reflect(beta, x.vector))
                                   for beta in rs.positive_roots} - {x_index}))
-    near = hull(vertex_figure_points(x.vector, [orbit[i] for i in found]))
-    whole = hull(vertex_figure_points(x.vector, orbit[:x_index] + orbit[x_index + 1:]))
+    near = hull(vertex_figure_points(orbit, found))
+    whole = hull(vertex_figure_points(orbit, [k for k in range(len(orbit)) if k != x_index]))
     assert near.vertices == whole.vertices
     assert near.facets == whole.facets
     assert near.f_vector() == whole.f_vector()
@@ -122,10 +123,11 @@ def test_a_neighbour_set_without_s1_x_fails_the_certificate(monkeypatch, type_la
     on A2 (1,0) that leaves one point, so the figure loses a dimension."""
     original = reflection_neighbours
 
-    def without_s1_x(group, x, orbit):
+    def without_s1_x(group, orbit):
         rs = group.root_system
-        s1_x = orbit.index(RootSystem.reflect(rs.simple_roots[0], x.vector))
-        found = original(group, x, orbit)
+        x = orbit.vectors[orbit.x_index]
+        s1_x = orbit.vectors.index(RootSystem.reflect(rs.simple_roots[0], x))
+        found = original(group, orbit)
         assert s1_x in found
         return tuple(i for i in found if i != s1_x)
 

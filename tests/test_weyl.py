@@ -3,14 +3,17 @@ enumerated oracle."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+from fractions import Fraction
+
 import pytest
 
 from conftest import defining_sum, get_group, get_oracle, get_point, get_rs
-from orbitope import (CapExceededError, InvalidInputError, TheoremViolationError,
+from orbitope import (CapExceededError, TheoremViolationError,
                       build_weyl_group, chamber_point, weyl, weyl_orbit)
-from orbitope.linalg import vec
+from orbitope.linalg import frac_str, integral_rows, lincomb
 from orbitope.polytope import face_orbit
-from orbitope.weyl import vertex_permutations
+from orbitope.weyl import reflection_neighbours, vertex_permutations
 from weyl_oracle import reflection_orbit, reflection_permutations
 
 ORDERS = [("A", 1, 2), ("A", 2, 6), ("A", 3, 24), ("B", 2, 8), ("B", 3, 48),
@@ -101,14 +104,14 @@ def test_orbit_sizes(label, rank, coords, size):
     group = get_group(label, rank)
     x = get_point(label, rank, coords)
     orbit = weyl_orbit(group, x)
-    assert len(orbit) == size
-    assert x.vector in orbit
+    assert len(orbit) == len(orbit.vectors) == size
+    assert orbit.vectors[orbit.x_index] == x.vector
 
 
 def test_orbit_stable_under_every_generator():
     rs = get_rs("B", 2)
     group = get_group("B", 2)
-    orbit = set(weyl_orbit(group, get_point("B", 2, (1, 1))))
+    orbit = set(weyl_orbit(group, get_point("B", 2, (1, 1))).vectors)
     for i in range(rs.rank):
         assert {rs.reflect(rs.simple_roots[i], v) for v in orbit} == orbit
 
@@ -119,7 +122,7 @@ def test_parabolic_subgroup_orbit():
     x = get_point("A", 2, (1, 1))
     orbit = weyl_orbit(group, x)
     perms = vertex_permutations(group, orbit)
-    start = (orbit.index(x.vector),)
+    start = (orbit.x_index,)
     assert len(face_orbit([perms[j] for j in (0,)], start)) == 2
     assert len(face_orbit([perms[j] for j in ()], start)) == 1
 
@@ -151,11 +154,11 @@ def test_vertex_permutations_compose_correctly():
     perms = vertex_permutations(group, orbit)
     assert len(perms) == group.root_system.rank
     for w in oracle.words:
-        for i, v in enumerate(orbit):
+        for i, v in enumerate(orbit.vectors):
             j = i
             for k in reversed(w):
                 j = perms[k][j]
-            assert orbit[j] == oracle.apply(w, v)
+            assert orbit.vectors[j] == oracle.apply(w, v)
 
 
 #: rational, singular, non-simply-laced and type E points; E6 needs the Weyl cap raised
@@ -168,28 +171,46 @@ ORACLE_CASES = [("G", 2, ("3/2", "1")), ("B", 3, ("1/2", "0", "1")), ("C", 3, (1
                          ids=["%s%d-%s" % (t, r, ",".join(map(str, c))) for t, r, c in ORACLE_CASES])
 def test_label_action_matches_ambient_reflections(label, rank, coords):
     """The orbit and the generator permutations equal those closed by
-    reflecting ambient vectors through `RootSystem.reflect`."""
+    reflecting ambient vectors through `RootSystem.reflect`, and every point's
+    labels, integer row and vector agree."""
     rs = get_rs(label, rank)
     group = build_weyl_group(rs, cap=10 ** 9)
     x = chamber_point(rs, coords)
     orbit = weyl_orbit(group, x)
-    assert orbit == reflection_orbit(rs, x.vector)
+    assert orbit.vectors == reflection_orbit(rs, x.vector)
     assert len(orbit) == group.orbit_size(x)
-    assert vertex_permutations(group, orbit) == reflection_permutations(rs, orbit)
+    assert vertex_permutations(group, orbit) == reflection_permutations(rs, orbit.vectors)
+    (x_labels,), label_scale = integral_rows([x.coords])
+    assert orbit.labels[orbit.x_index] == x_labels
+    for k, (labels, ints, v) in enumerate(zip(orbit.labels, orbit.ints, orbit.vectors)):
+        assert orbit.index[labels] == k
+        assert all(Fraction(n, orbit.scale) == c for n, c in zip(ints, v))
+        assert lincomb([Fraction(n, label_scale) for n in labels], rs.fundamental_weights) == v
 
 
-def test_vertex_permutations_key_the_fixed_complement():
-    """Vectors with equal labels but different components off the root span
-    are told apart, and a set that only the labels would close is rejected."""
-    rs = get_rs("A", 2)
-    group = get_group("A", 2)
-    shift = vec([1, 1, 1])
-    orbit = weyl_orbit(group, get_point("A", 2, (1, 0)))
-    lifted = orbit + tuple(tuple(a + b for a, b in zip(v, shift)) for v in orbit)
-    assert vertex_permutations(group, lifted) == reflection_permutations(rs, lifted)
-    mixed = orbit[:1] + tuple(tuple(a + b for a, b in zip(v, shift)) for v in orbit[1:])
-    with pytest.raises(InvalidInputError):
-        vertex_permutations(group, mixed)
+def test_a_reflection_image_missing_from_the_orbit_is_a_violation():
+    """An orbit whose index lacks s_1.x stops the neighbour search with
+    exit 2's error, naming that image, not with a KeyError."""
+    rs, group = get_rs("A", 2), get_group("A", 2)
+    x = get_point("A", 2, (1, 1))
+    orbit = weyl_orbit(group, x)
+    s1_x = orbit.vectors.index(rs.reflect(rs.simple_roots[0], x.vector))
+    assert s1_x in reflection_neighbours(group, orbit)
+    holed = replace(orbit, index={m: k for m, k in orbit.index.items() if k != s1_x})
+    with pytest.raises(TheoremViolationError,
+                       match=r"^reflection image \(%s\) of x is not in W\.x \(bug\)$"
+                       % ",".join(map(frac_str, orbit.vectors[s1_x]))):
+        reflection_neighbours(group, holed)
+
+
+def test_vertex_permutations_reject_an_orbit_missing_an_image():
+    """A point whose simple-reflection image is not in the orbit's index is
+    a violation (exit 2), not a KeyError."""
+    orbit = weyl_orbit(get_group("A", 2), get_point("A", 2, (1, 0)))
+    holed = replace(orbit, index={m: k for m, k in orbit.index.items() if k != 0})
+    with pytest.raises(TheoremViolationError,
+                       match=r"^s_\d of orbit point \d is not in W\.x \(bug\)$"):
+        vertex_permutations(get_group("A", 2), holed)
 
 
 @pytest.mark.parametrize("type_label,rank,coords,size", [
