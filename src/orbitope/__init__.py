@@ -5,6 +5,9 @@ package classifies the faces of conv(K.x) up to conjugation by x-connected
 subsets of simple roots, verifies the classification against brute-force
 exact convex geometry on the Kostant polytope, and cross-checks it
 numerically on su(n) matrix orbits.
+
+The records are NamedTuples.  The names of the numeric check resolve on first
+use (PEP 562), so importing the package loads neither `numeric` nor numpy.
 """
 
 from .errors import (CapExceededError, InvalidInputError, OrbitopeError,
@@ -14,8 +17,6 @@ from .faces import (FaceClassification, FaceDescriptor, classify_faces,
                     saturate, x_connected_subsets)
 from .integrality import (FaceWeight, WeightData, check_integral,
                           induce_face_weight)
-from .numeric import (AscentResult, HessianReport, ascend, hessian_signature,
-                      matrix_orbit_point, verify_face_numeric)
 from .polytope import (ExactPolytope, FaceOrbit, Facet, KostantPolytope,
                        PolytopeFace, act_on_faces, fixed_vector_in_cone, hull,
                        support_set)
@@ -24,6 +25,17 @@ from .strata import StratumDims, StratumPoset, build_poset, stratum_dim
 from .weyl import WeylGroup, build_weyl_group, weyl_orbit
 
 __version__ = "0.1.0"
+
+#: the names served from `numeric`, imported on first access
+_NUMERIC = frozenset(("AscentResult", "HessianReport", "ascend", "hessian_signature",
+                      "matrix_orbit_point", "verify_face_numeric"))
+
+
+def __getattr__(name):
+    if name in _NUMERIC:
+        from . import numeric
+        return getattr(numeric, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 __all__ = [
     "AscentResult", "CapExceededError", "ChamberPoint", "ExactPolytope",

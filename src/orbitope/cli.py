@@ -5,6 +5,10 @@ Reports are emitted as text or as JSON with a stable field order, so a run is
 byte-for-byte reproducible given the same configuration (including the seed).
 Exit codes: 0 all verifications pass, 1 input error, 2 theorem-violation
 diagnostic (an internal cross-check failed, i.e. a bug).
+
+Every run is one process, so what the import costs every run pays: the
+module loads the exact layers only, and `numeric` (with numpy behind it) is
+imported when a type A run reaches the su(n) check.
 """
 
 from __future__ import annotations
@@ -12,14 +16,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InvalidInputError, TheoremViolationError
 from .faces import build_kostant_polytope, classify_faces, parabolic_report
 from .integrality import check_integral, induce_face_weight
 from .linalg import frac_str
-from .numeric import draw_starts, verify_face_numeric
 from .polytope import DEFAULT_HULL_CAP
 from .roots import build_root_system, chamber_point
 from .strata import build_poset
@@ -33,8 +36,7 @@ COMMANDS = ("faces", "polytope", "strata", "integrality", "verify-numeric", "ver
 MAX_NUMERIC_SEEDS = 10_000
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     command: str
     type_label: str
     rank: int
@@ -49,7 +51,14 @@ class RunConfig:
 
 
 def _vec_strs(v) -> list[str]:
-    return [frac_str(Fraction(c)) for c in v]
+    return [frac_str(c) for c in v]
+
+
+def verify_face_numeric(classification, d, **kwargs) -> dict:
+    """`numeric.verify_face_numeric`, imported on the first call, so only a
+    run that reaches the su(n) check loads `numeric` and numpy."""
+    from . import numeric
+    return numeric.verify_face_numeric(classification, d, **kwargs)
 
 
 def _pairing_rows(rows) -> list[dict]:
@@ -162,6 +171,7 @@ def build_report(config: RunConfig) -> dict:
 
     if config.command in ("verify-numeric", "verify-all") and rs.type_label == "A":
         faces = classification.proper_descriptors[:config.numeric_faces]
+        from .numeric import draw_starts
         # every face ascends from the same seeded start points
         starts = draw_starts(classification, config.numeric_seeds, config.seed) if faces else None
         numeric_faces = [verify_face_numeric(classification, d, seeds=config.numeric_seeds,

@@ -26,8 +26,7 @@ once, on integer Dynkin labels (`weyl_orbit`), and every step reads it as is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InvalidInputError, TheoremViolationError
 from .linalg import Vector, dot, lincomb
@@ -39,8 +38,7 @@ from .roots import ChamberPoint, RootSystem
 from .weyl import WeylGroup, reflection_neighbours, weyl_orbit
 
 
-@dataclass(frozen=True)
-class FaceDescriptor:
+class FaceDescriptor(NamedTuple):
     """One K-class of faces, encoded combinatorially."""
 
     I: tuple[int, ...]
@@ -64,8 +62,7 @@ class FaceDescriptor:
         return not self.improper
 
 
-@dataclass
-class FaceClassification:
+class FaceClassification(NamedTuple):
     """All face classes of one orbitope, with the verified polytope matching."""
 
     x: ChamberPoint

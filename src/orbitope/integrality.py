@@ -16,8 +16,8 @@ by the known factor of two) are emitted per root for audit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InvalidInputError
 from .faces import FaceDescriptor
@@ -25,23 +25,20 @@ from .linalg import Vector, dot, lincomb, project_onto_span, solve, vscale
 from .roots import ChamberPoint, RootSystem
 
 
-@dataclass(frozen=True)
-class PairingRow:
+class PairingRow(NamedTuple):
     root: Vector
     knapp: Fraction
     half_display: Fraction
 
 
-@dataclass(frozen=True)
-class WeightData:
+class WeightData(NamedTuple):
     """Integrality audit of the point x."""
 
     is_integral: bool
     pairings: tuple[PairingRow, ...]
 
 
-@dataclass(frozen=True)
-class FaceWeight:
+class FaceWeight(NamedTuple):
     """The weight induced on K_F by a face, with its own audit table."""
 
     I: tuple[int, ...]

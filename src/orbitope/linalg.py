@@ -219,6 +219,6 @@ def integral_rows(m: Sequence[Sequence[Fraction]]) -> tuple[list[tuple[int, ...]
     return [tuple(x.numerator * (scale // x.denominator) for x in row) for row in m], scale
 
 
-def frac_str(x: Fraction) -> str:
+def frac_str(x: Fraction | int) -> str:
     """Compact 'p' or 'p/q' rendering used in all reports."""
     return str(x.numerator) if x.denominator == 1 else "%d/%d" % (x.numerator, x.denominator)

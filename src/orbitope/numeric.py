@@ -31,9 +31,8 @@ run draws once (`draw_starts`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InvalidInputError, TheoremViolationError
 from .faces import FaceClassification, FaceDescriptor
@@ -116,8 +115,7 @@ def matrix_orbit_point(x0: np.ndarray, g: np.ndarray) -> np.ndarray:
     return p
 
 
-@dataclass
-class AscentResult:
+class AscentResult(NamedTuple):
     """One lockstep ascent: per-seed arrays, each in the order of `seeds`."""
 
     seeds: tuple[int, ...]
@@ -276,8 +274,7 @@ def ascend(x0: np.ndarray, u: np.ndarray, seeds: Iterable[int],
                         iteration_counts=iterations, converged_flags=converged)
 
 
-@dataclass
-class HessianReport:
+class HessianReport(NamedTuple):
     """Sign data of D^2 mu_u at a diagonal critical point.
 
     Each tangent root plane (i, j) contributes a double eigenvalue

@@ -38,10 +38,9 @@ values are its values divided by `killing_ratio`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CapExceededError, InvalidInputError, TheoremViolationError
 from .linalg import (Vector, dot, frac_str, int_dot, int_rank, integral_rows,
@@ -53,16 +52,14 @@ from .weyl import Orbit, WeylGroup, vertex_permutations
 DEFAULT_HULL_CAP = 200
 
 
-@dataclass(frozen=True)
-class PolytopeFace:
+class PolytopeFace(NamedTuple):
     """A face, stored by its sorted vertex-index set and graded by dimension."""
 
     vertex_indices: tuple[int, ...]
     dim: int
 
 
-@dataclass(frozen=True)
-class Facet:
+class Facet(NamedTuple):
     """Outward normal and offset: normal . x <= offset on P.  The normal, a
     primitive integer vector, is the same for every W-invariant form; the
     offset is in dot-product units, the Killing one over `killing_ratio`."""
@@ -72,8 +69,7 @@ class Facet:
     vertex_indices: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class FaceOrbit:
+class FaceOrbit(NamedTuple):
     """One W-orbit of faces of a fixed dimension, canonical representative first."""
 
     dim: int

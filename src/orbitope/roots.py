@@ -30,10 +30,8 @@ Cartan types apart (Bourbaki, Lie Groups and Lie Algebras, Ch. VI, Plates).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InvalidInputError, TheoremViolationError
 from .linalg import (Vector, dot, inverse, lincomb, mat_vec, transpose, vadd,
@@ -110,8 +108,7 @@ def _killing_ratio(simples: Sequence[Vector], cartan: Sequence[Sequence[int]],
     return dot(simples[i], simples[i]) / 2 * total
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(NamedTuple):
     """Exact root data for one simple type at a fixed rank."""
 
     type_label: str
@@ -126,6 +123,8 @@ class RootSystem:
     fundamental_coweights: tuple[Vector, ...]
     #: Killing / coordinate-dot ratio on the root span (a positive integer)
     killing_ratio: Fraction
+    #: d(a, a) of each positive root
+    root_lengths: tuple[Fraction, ...]
 
     # -- basic queries ------------------------------------------------------
 
@@ -153,11 +152,6 @@ class RootSystem:
     def reflect(alpha: Vector, v: Vector) -> Vector:
         c = Fraction(2) * dot(alpha, v) / dot(alpha, alpha)
         return tuple(x - c * a for x, a in zip(v, alpha))
-
-    @cached_property
-    def root_lengths(self) -> tuple[Fraction, ...]:
-        """d(a, a) of each positive root, computed once per system."""
-        return tuple(dot(a, a) for a in self.positive_roots)
 
     def killing_ratio_of(self, comp: Sequence[int]) -> Fraction:
         """The Killing / dot ratio ratio_c of one connected simple-root subset."""
@@ -304,6 +298,7 @@ def build_root_system(type_label: str, rank: int) -> RootSystem:
         fundamental_weights=tuple(weights),
         fundamental_coweights=tuple(coweights),
         killing_ratio=_killing_ratio(simples, cartan, coords, range(rank)),
+        root_lengths=tuple(dot(a, a) for a in pos_roots),
     )
     for i in range(rank):
         for j in range(rank):
@@ -312,18 +307,22 @@ def build_root_system(type_label: str, rank: int) -> RootSystem:
     return rs
 
 
-@dataclass(frozen=True)
-class ChamberPoint:
+class ChamberPoint(NamedTuple):
     """A rational point of the closed positive Weyl chamber.
 
     `coords` are the fundamental-weight coordinates (the user-facing basis);
     `vector` is the same point in the ambient realization of t.
     """
 
-    root_system: RootSystem = field(repr=False)
+    root_system: RootSystem
     coords: Vector
     vector: Vector
     singular_set: tuple[int, ...]
+
+    def __repr__(self) -> str:
+        # leaves out the root system, which is long
+        return ("ChamberPoint(coords=%r, vector=%r, singular_set=%r)"
+                % (self.coords, self.vector, self.singular_set))
 
     @property
     def regular(self) -> bool:

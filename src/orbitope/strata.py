@@ -15,7 +15,6 @@ the W_S-class of sigma(B1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import InvalidInputError, TheoremViolationError
@@ -39,8 +38,7 @@ def stratum_dim(rs: RootSystem, d: FaceDescriptor) -> StratumDims:
                        base=dim_k - dim_hf)
 
 
-@dataclass
-class StratumPoset:
+class StratumPoset(NamedTuple):
     """Proper face types plus the top node, partially ordered by containment."""
 
     #: node order matches classification.descriptors (top = improper entry)

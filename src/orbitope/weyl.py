@@ -18,7 +18,6 @@ gives |W_S| and so the orbit size |W.x| = |W| / |W_S|.  Nothing enumerates W.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 from typing import Sequence
@@ -82,18 +81,24 @@ def build_weyl_group(rs: RootSystem, cap: int | None = None) -> WeylGroup:
     return group
 
 
-@dataclass(frozen=True)
 class Orbit:
     """W.x in the lexicographic order of its vectors: point k has the labels
     `labels[k]` and the vector `vectors[k]` = `ints[k]` / `scale`, the one
-    common denominator; `index` sends labels to k; x is point `x_index`."""
+    common denominator; `index` sends labels to k; x is point `x_index`.
+    Its length is the number of points."""
 
-    labels: tuple[Labels, ...]
-    ints: tuple[tuple[int, ...], ...]
-    scale: int
-    vectors: tuple[Vector, ...]
-    index: dict[Labels, int]
-    x_index: int
+    __slots__ = ("labels", "ints", "scale", "vectors", "index", "x_index")
+
+    def __init__(self, labels: tuple[Labels, ...], ints: tuple[tuple[int, ...], ...],
+                 scale: int, vectors: tuple[Vector, ...], index: dict[Labels, int],
+                 x_index: int):
+        self.labels, self.ints, self.scale = labels, ints, scale
+        self.vectors, self.index, self.x_index = vectors, index, x_index
+
+    def __eq__(self, other):
+        if type(other) is not Orbit:
+            return NotImplemented
+        return all(getattr(self, a) == getattr(other, a) for a in self.__slots__)
 
     def __len__(self) -> int:
         return len(self.labels)

@@ -1,0 +1,55 @@
+"""What importing the package costs: the modules a CLI process loads, and the
+names of the numeric check that resolve on first use."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import orbitope
+
+_SCRIPT = """\
+import sys
+def loaded():
+    print(*[m for m in ("dataclasses", "numpy", "orbitope.numeric") if m in sys.modules],
+          sep=",", file=sys.stderr)
+import orbitope.cli
+loaded()
+orbitope.cli.main(["verify-all", "--type", "D", "--rank", "4", "--point", "1,1,1,1"])
+loaded()
+orbitope.cli.main(["verify-all", "--type", "A", "--rank", "2", "--point", "1,1"])
+loaded()
+"""
+
+
+def test_only_a_numeric_run_loads_numeric_and_numpy():
+    """`import orbitope.cli` loads neither dataclasses, numpy nor `numeric`;
+    a type D run still loads neither of the last two, a type A run both."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", _SCRIPT], env=env, capture_output=True,
+                          text=True, timeout=120)
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 3, proc.stderr
+    after_import, after_d4, after_a2 = (set(filter(None, line.split(","))) for line in lines)
+    assert after_import == set()
+    assert not after_d4 & {"numpy", "orbitope.numeric"}
+    assert after_a2 >= {"numpy", "orbitope.numeric"}
+
+
+def test_every_exported_name_resolves():
+    for name in orbitope.__all__:
+        assert getattr(orbitope, name) is not None, name
+    from orbitope import AscentResult, ascend, numeric
+    assert ascend is numeric.ascend
+    assert AscentResult is numeric.AscentResult
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        orbitope.no_such_name
+    with pytest.raises(ImportError):
+        from orbitope import no_such_name  # noqa: F401
