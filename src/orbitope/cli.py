@@ -6,9 +6,9 @@ byte-for-byte reproducible given the same configuration (including the seed).
 Exit codes: 0 all verifications pass, 1 input error, 2 theorem-violation
 diagnostic (an internal cross-check failed, i.e. a bug).
 
-Every run is one process, so what the import costs every run pays: the
-module loads the exact layers only, and `numeric` (with numpy behind it) is
-imported when a type A run reaches the su(n) check.
+Each run is one process and pays for everything this module imports, so it
+imports the exact layers only; `numeric`, with numpy behind it, is imported
+when a type A run reaches the su(n) check.
 """
 
 from __future__ import annotations
