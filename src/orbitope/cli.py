@@ -30,9 +30,11 @@ from .weyl import build_weyl_group
 
 COMMANDS = ("faces", "polytope", "strata", "integrality", "verify-numeric", "verify-all")
 
-#: Most seeded ascents per face.  `numeric.ascend` holds about ten stacked
-#: (seeds, n, n) complex arrays at once; at rank 8 (n = 9) a seed takes
-#: 81 * 16 B = 1.3 KB in each, so 10 000 seeds need about 130 MB.
+#: Most seeded ascents per face, and most (face, seed) lanes of one lockstep:
+#: `numeric.ascend` holds about ten stacked (lanes, n, n) complex arrays at
+#: once; at rank 8 (n = 9) a lane takes 81 * 16 B = 1.3 KB in each, so
+#: 10 000 lanes need about 130 MB.  A run hands its faces to `numeric` in
+#: groups that keep within this many lanes.
 MAX_NUMERIC_SEEDS = 10_000
 
 
@@ -54,11 +56,15 @@ def _vec_strs(v) -> list[str]:
     return [frac_str(c) for c in v]
 
 
-def verify_face_numeric(classification, d, **kwargs) -> dict:
-    """`numeric.verify_face_numeric`, imported on the first call, so only a
+def verify_face_numeric(classification, faces, seeds: int, seed_base: int) -> list[dict]:
+    """`numeric.verify_face_numeric` on groups of faces of at most
+    `MAX_NUMERIC_SEEDS` lanes in all, imported on the first call, so only a
     run that reaches the su(n) check loads `numeric` and numpy."""
     from . import numeric
-    return numeric.verify_face_numeric(classification, d, **kwargs)
+    group = max(1, MAX_NUMERIC_SEEDS // seeds)
+    return [report for i in range(0, len(faces), group)
+            for report in numeric.verify_face_numeric(classification, faces[i:i + group],
+                                                      seeds, seed_base)]
 
 
 def _pairing_rows(rows) -> list[dict]:
@@ -171,16 +177,11 @@ def build_report(config: RunConfig) -> dict:
 
     if config.command in ("verify-numeric", "verify-all") and rs.type_label == "A":
         faces = classification.proper_descriptors[:config.numeric_faces]
-        from .numeric import draw_starts
-        # every face ascends from the same seeded start points
-        starts = draw_starts(classification, config.numeric_seeds, config.seed) if faces else None
-        numeric_faces = [verify_face_numeric(classification, d, seeds=config.numeric_seeds,
-                                             seed_base=config.seed, starts=starts)
-                         for d in faces]
         report["numeric"] = {
             "trace_killing_factor": int(rs.killing_ratio),
             "seed": config.seed,
-            "faces": numeric_faces,
+            "faces": verify_face_numeric(classification, faces, config.numeric_seeds,
+                                         config.seed),
         }
     return report
 

@@ -6,27 +6,29 @@ unitaries, and the height function mu_u(p) = -Re tr(p u) is maximized by
 Riemannian ascent with a Cayley-transform retraction (no eigendecomposition
 per step, the orbit is preserved up to rounding; Wen and Yin, "A feasible
 method for optimization with orthogonality constraints", Math. Program. 142,
-2013).  All seeds of a face ascend in lockstep on stacked (seeds, n, n)
-arrays, one backtracking try per live seed per step, with every scalar of
-the search (step size, endgame, tries, iterations) held per seed.  Stacked
-matmul, solve, eigvalsh and trace give the bits of their 2-D calls, so each
-seed's result equals that of an ascent run from it alone (the tests keep the
-sequential loop as an oracle).  On su(n) the coordinate dot product is the
-trace form -tr(XY) on diagonal X and Y, so the polytope's facets and support
-values are compared as they are; the Killing form is `killing_ratio` = 2n
-times it (the argument is in `roots`), a factor recorded once per run.
+2013).  Every (face, seed) lane of a run ascends in one lockstep on stacked
+(faces * seeds, n, n) arrays, one backtracking try per live lane per step;
+each lane keeps its own u and every scalar of the search (step size,
+endgame, tries, iterations).  Stacked matmul, solve and eigvalsh give the
+bits of their 2-D calls, and a product with the diagonal u is taken on the
+entries it scales, which gives the bits of the matmul, so each lane's result
+equals that of an ascent run from its seed for its face alone (the tests
+keep the sequential loop as an oracle).  On su(n) the coordinate dot
+product is the trace form -tr(XY) on diagonal X and Y, so the polytope's
+facets and support values are compared as they are; the Killing form is
+`killing_ratio` = 2n times it (the argument is in `roots`), a factor
+recorded once per run.
 A momentum shadow y is tested on the facets through x alone: every facet is
 a W-image of one, and W = S_n permutes the coordinates, so the largest value
 of a W-image of a normal m at y is sort(m) . sort(y), by the rearrangement
 inequality (Hardy, Littlewood and Polya, Inequalities, 10.2).
-Each check converts the facets through x and the vertices to floats afresh,
-a fraction of a millisecond against the ascent.  The tolerances and the
-iteration cap are fixed module constants, not settings or arguments.  numpy
-is imported inside the functions that use it, so importing the package (and
-every run that never reaches the numeric check) does not load it.
+A run converts the vertices and the facets through x to floats once, and
+tests the shadows of all its lanes against them in one call.  The tolerances
+and the iteration cap are fixed module constants, not settings or arguments.
+numpy is imported inside the functions that use it, so importing the package
+(and every run that never reaches the numeric check) does not load it.
 
-Every face of a run ascends from the same seeded Haar start points, which a
-run draws once (`draw_starts`).
+Every lane of a run starts from one seeded Haar draw (`haar_starts`).
 """
 
 from __future__ import annotations
@@ -116,34 +118,44 @@ def matrix_orbit_point(x0: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 class AscentResult(NamedTuple):
-    """One lockstep ascent: per-seed arrays, each in the order of `seeds`."""
+    """One lockstep ascent: per-lane arrays, face-major, so lane
+    f * len(seeds) + k is the ascent of the f-th u from the k-th seed."""
 
     seeds: tuple[int, ...]
     points: np.ndarray
     start_points: np.ndarray
     values: np.ndarray
-    #: ||[p, u]|| at the start of each seed's last iteration
+    #: ||[p, u]|| at the start of each lane's last iteration
     grad_norms: np.ndarray
-    #: largest per-step eigenvalue drift seen along each seed's ascent
+    #: largest per-step eigenvalue drift seen along each lane's ascent
     spectral_drifts: np.ndarray
     iteration_counts: np.ndarray
     converged_flags: np.ndarray
 
     @property
     def iterations(self) -> int:
-        """Iterations summed over the seeds."""
+        """Iterations summed over the lanes."""
         return int(self.iteration_counts.sum())
 
     @property
     def converged(self) -> bool:
-        """Whether every seed converged."""
+        """Whether every lane converged."""
         return bool(self.converged_flags.all())
 
 
-def _heights(p: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """mu_height of each point of a stack."""
+def _heights(p: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """mu_height of each point of a stack, for diagonal u = diag(d) (one d,
+    or one per point).  The diagonal of p u is p_ii d_i: the other terms of
+    each matmul sum are exact zeros, so this and trace(p @ u) share bits."""
     import numpy as np
-    return -np.real(np.trace(p @ u, axis1=1, axis2=2))
+    return -np.real((np.diagonal(p, axis1=-2, axis2=-1) * d).sum(axis=-1))
+
+
+def _brackets(p: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """[p, u] = p u - u p of each point of a stack, for u = diag(d) per
+    point: entry (i, j) is p_ij d_j - d_i p_ij, with the bits of the matmuls
+    for the reason `_heights` gives."""
+    return p * d[:, None, :] - d[:, :, None] * p
 
 
 def _norms(z: np.ndarray) -> np.ndarray:
@@ -167,42 +179,45 @@ def haar_starts(x0: np.ndarray, seeds: Sequence[int]) -> np.ndarray:
         for s in seeds])
 
 
-def ascend(x0: np.ndarray, u: np.ndarray, seeds: Iterable[int],
-           starts: np.ndarray | None = None) -> AscentResult:
+def ascend(x0: np.ndarray, u: np.ndarray, seeds: Iterable[int]) -> AscentResult:
     """Maximize mu_u over the orbit of x0 from one Haar-random start per seed,
-    by Cayley-retraction gradient ascent run on all seeds in lockstep.
+    by Cayley-retraction gradient ascent run on all lanes in lockstep.
 
-    `starts`, when given, must be `haar_starts(x0, seeds)`; ascents for
-    several u then share one draw.
+    u is one nonzero diagonal matrix or a stack (F, n, n) of them.  Each
+    (u, seed) pair is a lane, face-major; the start points are drawn once,
+    `haar_starts(x0, seeds)`, and every u ascends from all of them.
 
     The ascent generator at p is Z = [p, u]; criticality is ||[u, p]|| -> 0.
     The update p <- Q p Q* with Q = (I - tau/2 Z)^{-1}(I + tau/2 Z) stays on
-    the orbit exactly up to rounding, and tau is chosen by backtracking.
-    Each step makes one backtracking try for every live seed on stacked
-    matrices; every stacked call gives the bits of its 2-D call, so each seed
-    follows exactly the arithmetic of an ascent run on its own.
+    the orbit exactly up to rounding, and tau is chosen by backtracking from
+    1 / (||u|| + 1).  Each step makes one backtracking try for every live
+    lane on stacked matrices; every stacked call gives the bits of its 2-D
+    call, so each lane follows exactly the arithmetic of an ascent run on its
+    own.
     """
     import numpy as np
     n = x0.shape[0]
-    if np.abs(u - np.diag(np.diag(u))).max() > 0 or np.abs(np.diag(u)).max() == 0:
-        raise InvalidInputError("u must be a nonzero diagonal matrix")
+    us = u[None] if u.ndim == 2 else u
+    for uf in us:
+        if np.abs(uf - np.diag(np.diag(uf))).max() > 0 or np.abs(np.diag(uf)).max() == 0:
+            raise InvalidInputError("u must be a nonzero diagonal matrix")
     seeds = tuple(seeds)
     if not seeds:
         raise InvalidInputError("the ascent needs at least one seed")
     if min(seeds) < 0:
         raise InvalidInputError("seeds must be nonnegative, got %d" % min(seeds))
-    if starts is None:
-        starts = haar_starts(x0, seeds)
-    count = len(seeds)
+    starts = np.tile(haar_starts(x0, seeds), (len(us), 1, 1))
+    d = np.repeat(np.diagonal(us, axis1=1, axis2=2), len(seeds), axis=0)
+    tau0 = np.repeat([1.0 / (np.linalg.norm(uf) + 1.0) for uf in us], len(seeds))
+    count = len(starts)
     p = starts.copy()
     eye = np.eye(n, dtype=complex)
-    tau0 = 1.0 / (np.linalg.norm(u) + 1.0)
-    tau = np.full(count, tau0)
-    value = _heights(p, u)
+    tau = tau0.copy()
+    value = _heights(p, d)
     prev_spec = sorted_spectrum(p)
     drift = np.zeros(count)
     iterations = np.zeros(count, dtype=np.int64)
-    z = p @ u - u @ p
+    z = _brackets(p, d)
     grad_norm = _norms(z)
     grad_sq = np.zeros(count)
     converged = grad_norm < _GRAD_TOL
@@ -221,7 +236,7 @@ def ascend(x0: np.ndarray, u: np.ndarray, seeds: Iterable[int],
         live[new[capped]] = False
         new = new[~capped]
         iterations[new] += 1
-        z[new] = p[new] @ u - u @ p[new]
+        z[new] = _brackets(p[new], d[new])
         grad_norm[new] = _norms(z[new])
         done = grad_norm[new] < _GRAD_TOL
         converged[new[done]] = True
@@ -239,13 +254,13 @@ def ascend(x0: np.ndarray, u: np.ndarray, seeds: Iterable[int],
         half = (0.5 * tau[tried])[:, None, None] * z[tried]
         q = np.linalg.solve(eye - half, eye + half)
         cand = q @ p[tried] @ q.conj().transpose(0, 2, 1)
-        cand_val = _heights(cand, u)
+        dt = d[tried]
+        cand_val = _heights(cand, dt)
         val = value[tried]
         ok = (cand_val >= val + 0.25 * tau[tried] * grad_sq[tried]) & (cand_val > val)
         late = np.flatnonzero(endgame[tried])
         if late.size:
-            late_cand = cand[late]
-            cand_grad = _norms(late_cand @ u - u @ late_cand)
+            cand_grad = _norms(_brackets(cand[late], dt[late]))
             ok[late] = (cand_grad < grad_norm[tried[late]]) & (
                 cand_val[late] >= val[late] - 1e-11 * (1.0 + np.abs(val[late])))
 
@@ -267,7 +282,7 @@ def ascend(x0: np.ndarray, u: np.ndarray, seeds: Iterable[int],
         live[spent[endgame[spent]]] = False
         enter = spent[~endgame[spent]]
         endgame[enter] = True
-        tau[enter] = np.maximum(tau[enter], tau0)
+        tau[enter] = np.maximum(tau[enter], tau0[enter])
         fresh[enter] = True
     return AscentResult(seeds=seeds, points=p, start_points=starts, values=value,
                         grad_norms=grad_norm, spectral_drifts=drift,
@@ -354,120 +369,117 @@ def shadows_escape(poly: KostantPolytope, shadows: np.ndarray) -> np.ndarray:
     return ~(np.sort(shadows, axis=1) @ normals.T <= offsets + _INSIDE_TOL).all(axis=1)
 
 
-def draw_starts(classification: FaceClassification, seeds: int = 20,
-                seed_base: int = 0) -> np.ndarray:
-    """The `haar_starts` of x on su(n) for the seeds seed_base, ...,
-    seed_base + seeds - 1: the start points of every face's ascent in a
-    run, so a run draws them once."""
-    return haar_starts(su_from_cartan(classification.x.vector),
-                       range(seed_base, seed_base + seeds))
+def verify_face_numeric(classification: FaceClassification,
+                        faces: Sequence[FaceDescriptor], seeds: int = 20,
+                        seed_base: int = 0) -> list[dict]:
+    """Cross-validate face classes on the su(n) realization: one report per
+    descriptor of `faces`, in their order.
 
-
-def verify_face_numeric(classification: FaceClassification, d: FaceDescriptor,
-                        seeds: int = 20, seed_base: int = 0,
-                        starts: np.ndarray | None = None) -> dict:
-    """Cross-validate one face class on the su(n) realization.
-
-    Runs multi-seed ascent for the face's exposing vector and checks:
-    convergence (which is criticality), the achieved value against the exact
-    support value, spectral invariance along the ascent, momentum containment
-    of all Cartan projections, the value ceiling, membership of the
-    maximizers in sigma, and the Hessian block signs, all at the module's
-    fixed tolerances.  Any mismatch raises TheoremViolationError with a
-    counterexample summary.  `starts`, when given, must be
-    `draw_starts(classification, seeds, seed_base)`.
+    Every descriptor is validated before any ascent.  One lockstep `ascend`
+    then runs each face's exposing vector from every seed, and the faces are
+    checked in order: convergence (which is criticality), the achieved value
+    against the exact support value, spectral invariance along the ascent,
+    momentum containment of all Cartan projections, the value ceiling,
+    membership of the maximizers in sigma, and the Hessian block signs, all
+    at the module's fixed tolerances.  The first face with a mismatch raises
+    TheoremViolationError with a counterexample summary.
     """
     import numpy as np
     rs = classification.root_system
     if rs.type_label != "A":
         raise InvalidInputError("numeric verification is realized for type A only")
-    if d.improper:
+    if any(d.improper for d in faces):
         raise InvalidInputError("the improper descriptor has no exposing vector")
     if seeds < 1:
         raise InvalidInputError("numeric verification needs at least one seed, got %d" % seeds)
     if seed_base < 0:
         raise InvalidInputError("the seed must be nonnegative, got %d" % seed_base)
+    if not faces:
+        return []
     poly = classification.polytope
     n = rs.rank + 1
     factor = rs.killing_ratio
     x0 = su_from_cartan(classification.x.vector)
-    u_exact = d.exposing_u
-    u = su_from_cartan(u_exact)
-    _, h = support_set(poly, u_exact)
-    h_trace = float(h)
+    us = np.array([su_from_cartan(d.exposing_u) for d in faces])
+    res = ascend(x0, us, seeds=range(seed_base, seed_base + seeds))
+    # the float data of P and the u-free checks, once for every lane
     vertices = np.array([[float(c) for c in v] for v in poly.vertices])
-    u_floats = np.array([float(c) for c in u_exact])
-    sigma_set = set(d.sigma.vertex_indices)
-    blocks: dict[Fraction, list[int]] = {}
-    for i, c in enumerate(u_exact):
-        blocks.setdefault(c, []).append(i)
+    shadows = np.imag(np.diagonal(np.stack((res.start_points, res.points)), axis1=2, axis2=3))
+    escapes = dict(zip(("start", "maximizer"),
+                       shadows_escape(poly, shadows.reshape(-1, n)).reshape(2, -1)))
+    reports = []
+    for f, (d, u) in enumerate(zip(faces, us)):
+        lanes = slice(f * seeds, (f + 1) * seeds)
+        # this face's lanes, as the per-seed result of an ascent of its own
+        face = AscentResult(res.seeds, *(a[lanes] for a in res[1:]))
+        u_exact = d.exposing_u
+        _, h = support_set(poly, u_exact)
+        h_trace = float(h)
+        sigma_set = set(d.sigma.vertex_indices)
+        blocks: dict[Fraction, list[int]] = {}
+        for i, c in enumerate(u_exact):
+            blocks.setdefault(c, []).append(i)
+        exceeds = {name: _heights(q, np.diag(u)) > h_trace + _INSIDE_TOL
+                   for name, q in (("start", face.start_points), ("maximizer", face.points))}
+        plane_gap = np.abs(shadows[1, lanes] @ np.array([float(c) for c in u_exact]) - h_trace)
+        # block-diagonalize within the eigenspaces of u and round to the orbit
+        assembled = np.zeros((seeds, n))
+        for idx in blocks.values():
+            sub = face.points[:, idx][:, :, idx]
+            assembled[:, idx] = sorted_spectrum(sub)[:, ::-1]
+        dist = np.abs(vertices[None, :, :] - assembled[:, None, :]).max(axis=2)
+        nearest = dist.argmin(axis=1)
 
-    res = ascend(x0, u, seeds=range(seed_base, seed_base + seeds), starts=starts)
-    # every per-seed quantity the checks read, for all seeds at once
-    escapes, exceeds, shadows = {}, {}, {}
-    for name, q in (("start", res.start_points), ("maximizer", res.points)):
-        shadows[name] = np.imag(np.diagonal(q, axis1=1, axis2=2))
-        escapes[name] = shadows_escape(poly, shadows[name])
-        exceeds[name] = _heights(q, u) > h_trace + _INSIDE_TOL
-    plane_gap = np.abs(shadows["maximizer"] @ u_floats - h_trace)
-    # block-diagonalize within the eigenspaces of u and round to the orbit
-    assembled = np.zeros((seeds, n))
-    for idx in blocks.values():
-        sub = res.points[:, idx][:, :, idx]
-        assembled[:, idx] = sorted_spectrum(sub)[:, ::-1]
-    dist = np.abs(vertices[None, :, :] - assembled[:, None, :]).max(axis=2)
-    nearest = dist.argmin(axis=1)
+        failures: list[str] = []
+        for k, seed in enumerate(face.seeds):
+            tag = "seed %d" % seed
+            if not face.converged_flags[k]:
+                failures.append("%s: no convergence (grad %.2e)" % (tag, face.grad_norms[k]))
+                continue
+            gap = abs(face.values[k] - h_trace)
+            if gap > _VALUE_TOL:
+                failures.append("%s: value gap %.2e > %.0e" % (tag, gap, _VALUE_TOL))
+            if face.spectral_drifts[k] > _DRIFT_TOL:
+                failures.append("%s: spectral drift %.2e per step"
+                                % (tag, face.spectral_drifts[k]))
+            for name in ("start", "maximizer"):
+                if escapes[name][lanes][k]:
+                    failures.append("%s: %s momentum shadow escapes P" % (tag, name))
+                if exceeds[name][k]:
+                    failures.append("%s: %s exceeds the support ceiling" % (tag, name))
+            if plane_gap[k] > _VALUE_TOL:
+                failures.append("%s: maximizer shadow is not on the supporting hyperplane" % tag)
+            near = nearest[k]
+            if dist[k, near] > _ROUND_TOL:
+                failures.append("%s: maximizer does not round to an orbit point (%.2e)"
+                                % (tag, dist[k, near]))
+            elif near not in sigma_set:
+                failures.append("%s: maximizer rounds to vertex %d outside sigma" % (tag, near))
 
-    failures: list[str] = []
-    for k, seed in enumerate(res.seeds):
-        tag = "seed %d" % seed
-        if not res.converged_flags[k]:
-            failures.append("%s: no convergence (grad %.2e)" % (tag, res.grad_norms[k]))
-            continue
-        gap = abs(res.values[k] - h_trace)
-        if gap > _VALUE_TOL:
-            failures.append("%s: value gap %.2e > %.0e" % (tag, gap, _VALUE_TOL))
-        if res.spectral_drifts[k] > _DRIFT_TOL:
-            failures.append("%s: spectral drift %.2e per step" % (tag, res.spectral_drifts[k]))
-        for name in ("start", "maximizer"):
-            if escapes[name][k]:
-                failures.append("%s: %s momentum shadow escapes P" % (tag, name))
-            if exceeds[name][k]:
-                failures.append("%s: %s exceeds the support ceiling" % (tag, name))
-        if plane_gap[k] > _VALUE_TOL:
-            failures.append("%s: maximizer shadow is not on the supporting hyperplane" % tag)
-        near = nearest[k]
-        if dist[k, near] > _ROUND_TOL:
-            failures.append("%s: maximizer does not round to an orbit point (%.2e)"
-                            % (tag, dist[k, near]))
-        elif near not in sigma_set:
-            failures.append("%s: maximizer rounds to vertex %d outside sigma" % (tag, near))
-
-    hess = hessian_signature(poly.vertices[d.sigma.vertex_indices[0]], u_exact)
-    if not hess.is_max:
-        failures.append("Hessian on sigma vertex has positive blocks")
-    if hess.fd_max_error > _FD_TOL:
-        failures.append("Hessian finite-difference error %.2e > %.0e"
-                        % (hess.fd_max_error, _FD_TOL))
-
-    report = {
-        "I": [rs.root_label(i) for i in d.I],
-        "n": n,
-        "trace_killing_factor": int(factor),
-        "h_killing": str(factor * h),
-        "h_trace": h_trace,
-        "n_seeds": seeds,
-        "n_converged": int(res.converged_flags.sum()),
-        "max_iterations": int(res.iteration_counts.max()),
-        "max_grad_norm": float(res.grad_norms.max()),
-        "max_value_gap": float(np.abs(res.values - h_trace).max()),
-        "max_step_drift": float(res.spectral_drifts.max()),
-        "hessian_counts": list(hess.counts),
-        "hessian_fd_error": hess.fd_max_error,
-        "ok": not failures,
-    }
-    if failures:
-        raise TheoremViolationError(
-            "numeric verification failed for I=%s:\n  %s"
-            % (d.I, "\n  ".join(failures)))
-    return report
+        hess = hessian_signature(poly.vertices[d.sigma.vertex_indices[0]], u_exact)
+        if not hess.is_max:
+            failures.append("Hessian on sigma vertex has positive blocks")
+        if hess.fd_max_error > _FD_TOL:
+            failures.append("Hessian finite-difference error %.2e > %.0e"
+                            % (hess.fd_max_error, _FD_TOL))
+        if failures:
+            raise TheoremViolationError(
+                "numeric verification failed for I=%s:\n  %s"
+                % (d.I, "\n  ".join(failures)))
+        reports.append({
+            "I": [rs.root_label(i) for i in d.I],
+            "n": n,
+            "trace_killing_factor": int(factor),
+            "h_killing": str(factor * h),
+            "h_trace": h_trace,
+            "n_seeds": seeds,
+            "n_converged": int(face.converged_flags.sum()),
+            "max_iterations": int(face.iteration_counts.max()),
+            "max_grad_norm": float(face.grad_norms.max()),
+            "max_value_gap": float(np.abs(face.values - h_trace).max()),
+            "max_step_drift": float(face.spectral_drifts.max()),
+            "hessian_counts": list(hess.counts),
+            "hessian_fd_error": hess.fd_max_error,
+            "ok": True,
+        })
+    return reports

@@ -1,9 +1,10 @@
 """The Cayley-retraction ascent one seed at a time, as an oracle for the tests.
 
-The package runs every seed of a face in lockstep on stacked matrices.  This
-oracle is the sequential loop it replaced, kept verbatim: one seed, one
-backtracking loop of up to 60 tries per iteration, plain 2-D numpy calls.
-Per seed, the lockstep kernel must reproduce it bit for bit.
+The package runs every (face, seed) lane of a run in one lockstep on stacked
+matrices, each lane with its own u.  This oracle is the sequential loop it
+replaced, kept verbatim: one u, one seed, one backtracking loop of up to 60
+tries per iteration, plain 2-D numpy calls.  Per lane, the lockstep kernel
+must reproduce it bit for bit.
 """
 
 from __future__ import annotations

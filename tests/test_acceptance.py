@@ -178,8 +178,7 @@ def test_criterion_8_numeric_cross_validation():
     orbits = [("A", 2, (1, 1)), ("A", 3, (1, 1, 1)), ("A", 4, (0, 5, 0, 0))]
     for label, rank, coords in orbits:
         cl = get_classification(label, rank, coords)
-        for d in cl.proper_descriptors[:5]:
-            rep = verify_face_numeric(cl, d, seeds=20)
+        for rep in verify_face_numeric(cl, cl.proper_descriptors[:5], seeds=20):
             assert rep["ok"]
             assert rep["n_converged"] == 20
             assert rep["max_value_gap"] <= 1e-8

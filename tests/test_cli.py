@@ -145,6 +145,21 @@ def test_a_run_draws_the_numeric_start_points_once(monkeypatch):
     assert len(draws) == 1
 
 
+def test_numeric_faces_in_groups_give_the_same_report(monkeypatch):
+    """A run hands its faces to `numeric` in groups of at most
+    MAX_NUMERIC_SEEDS lanes; the grouping leaves the report as it was."""
+    cfg = _cfg(command="verify-numeric", rank=3, point=("1", "1", "1"), numeric_seeds=20)
+    whole = run(cfg)
+    groups = []
+    original = orbitope.numeric.verify_face_numeric
+    monkeypatch.setattr(orbitope.numeric, "verify_face_numeric",
+                        lambda cl, faces, *args: groups.append(len(faces))
+                        or original(cl, faces, *args))
+    monkeypatch.setattr(orbitope.cli, "MAX_NUMERIC_SEEDS", 40)
+    assert run(cfg) == whole
+    assert whole[0] == 0 and groups == [2, 2, 1]
+
+
 def test_verify_all_non_a_omits_numeric():
     code, text = run(_cfg(command="verify-all", type_label="B", point=("1", "1")))
     assert code == 0

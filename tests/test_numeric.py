@@ -12,8 +12,7 @@ from orbitope import (InvalidInputError, TheoremViolationError, ascend,
                       build_weyl_group, chamber_point, classify_faces,
                       hessian_signature, matrix_orbit_point,
                       verify_face_numeric)
-from orbitope.numeric import (haar_starts, mu_height, random_special_unitary,
-                              su_from_cartan)
+from orbitope.numeric import mu_height, random_special_unitary, su_from_cartan
 
 
 def test_matrix_orbit_point_validation():
@@ -86,7 +85,7 @@ def test_ascend_rejects_negative_and_missing_seeds():
         ascend(x0, u, seeds=[])
     cl = get_classification("A", 2, (1, 1))
     with pytest.raises(InvalidInputError):
-        verify_face_numeric(cl, cl.proper_descriptors[0], seeds=2, seed_base=-1)
+        verify_face_numeric(cl, cl.proper_descriptors[:1], seeds=2, seed_base=-1)
 
 
 def test_ascend_totals_are_python_scalars():
@@ -98,34 +97,53 @@ def test_ascend_totals_are_python_scalars():
     assert res.converged == all(res.converged_flags)
 
 
-def _benchmark_faces():
-    """(x0, u) of every face the benchmark's verify-numeric cases check."""
+_BENCHMARK_POINTS = ((1, 1, 1), (1, 0, 1), (0, 1, 1, 0))
+
+
+def _benchmark_faces(one_call):
+    """(x0, u) of every face the benchmark's verify-numeric cases check: one
+    2-D u per face, or each point's five u stacked as one run passes them."""
     out = []
-    for coords in ((1, 1, 1), (1, 0, 1), (0, 1, 1, 0)):
+    for coords in _BENCHMARK_POINTS:
         cl = get_classification("A", len(coords), coords)
         x0 = su_from_cartan(cl.x.vector)
-        out.extend((x0, su_from_cartan(d.exposing_u)) for d in cl.proper_descriptors[:5])
+        us = [su_from_cartan(d.exposing_u) for d in cl.proper_descriptors[:5]]
+        out.extend([(x0, np.array(us))] if one_call else [(x0, u) for u in us])
     return out
 
 
-def _first_weight_a6():
+def _first_weight_a6(faces):
+    """x0 of A6 `1,0,...,0` and the u of its first `faces` proper faces
+    (all of them for None), stacked."""
     rs = get_rs("A", 6)
     cl = classify_faces(rs, build_weyl_group(rs, cap=6000), chamber_point(rs, [1] + [0] * 5))
-    return su_from_cartan(cl.x.vector), su_from_cartan(cl.proper_descriptors[0].exposing_u)
+    us = [su_from_cartan(d.exposing_u) for d in cl.proper_descriptors[:faces]]
+    return su_from_cartan(cl.x.vector), np.array(us)
 
 
 _REGULAR = ([1, 0, -1], [3, 1, -4])
+_FOUR = ([3, 1, -1, -3], [1, 0, 0, -1])
+#: name -> ((x, u or a list of u) pairs, or a function giving (x0, u) pairs;
+#: seeds; the oracle's arguments)
 _ORACLE_CASES = {
     "regular-u": ([_REGULAR], range(20), {}),
     "singular-u-P2": ([(["2/3", "-1/3", "-1/3"], [1, 1, -2])], range(20), {}),
     "u-equals-x0": ([([1, 0, -1], [1, 0, -1])], range(20), {}),
     "unordered-seeds": ([_REGULAR], (5, 2, 17, 0), {}),
-    "benchmark-faces": (_benchmark_faces, range(20), {}),
-    "a6-first-weight": (lambda: [_first_weight_a6()], range(20), {}),
-    "max-iter-2": ([_REGULAR, ([3, 1, -1, -3], [1, 0, 0, -1])], range(20), {"max_iter": 2}),
-    "max-iter-7": ([_REGULAR, ([3, 1, -1, -3], [1, 0, 0, -1])], range(20), {"max_iter": 7}),
-    "endgame-exit": ([_REGULAR, ([3, 1, -1, -3], [1, 0, 0, -1])], range(10),
-                     {"grad_tol": 1e-19}),
+    "benchmark-faces": (lambda: _benchmark_faces(False), range(20), {}),
+    "benchmark-points-one-call": (lambda: _benchmark_faces(True), range(20), {}),
+    "a6-first-weight": (lambda: [_first_weight_a6(1)], range(20), {}),
+    "a6-first-weight-faces": (lambda: [_first_weight_a6(None)], range(20), {}),
+    # n = 9: numpy sums 8 or more terms pairwise, not in order
+    "a8-two-u": ([([4, 3, 2, 1, 0, -1, -2, -3, -4],
+                   [[1, 1, 1, 1, 1, 1, 1, 1, -8], [2, 2, 1, 0, 0, 0, -1, -2, -2]])],
+                 range(4), {}),
+    "max-iter-2": ([_REGULAR, _FOUR], range(20), {"max_iter": 2}),
+    "max-iter-2-two-u": ([(_FOUR[0], [_FOUR[1], [2, 1, 0, -3]])], range(20), {"max_iter": 2}),
+    "max-iter-7": ([_REGULAR, _FOUR], range(20), {"max_iter": 7}),
+    "endgame-exit": ([_REGULAR, _FOUR], range(10), {"grad_tol": 1e-19}),
+    "endgame-exit-two-u": ([(_FOUR[0], [_FOUR[1], [2, 1, 0, -3]])], range(4),
+                           {"grad_tol": 1e-19}),
 }
 
 
@@ -133,44 +151,42 @@ _ORACLE_CASES = {
 _ORACLE_CONSTANTS = {"max_iter": "_MAX_ITER", "grad_tol": "_GRAD_TOL"}
 
 
+def _realize(x, u):
+    """x0 and u on su(n); a list of u vectors becomes an (F, n, n) stack."""
+    if isinstance(u[0], list):
+        return su_from_cartan(x), np.array([su_from_cartan(v) for v in u])
+    return su_from_cartan(x), su_from_cartan(u)
+
+
 @pytest.mark.parametrize("name", list(_ORACLE_CASES))
 def test_lockstep_ascent_matches_the_sequential_oracle(name, monkeypatch):
-    """Each seed of the lockstep kernel follows, bit for bit, the ascent the
-    sequential loop runs from that seed alone."""
+    """Each (u, seed) lane of the lockstep kernel follows, bit for bit, the
+    ascent the sequential loop runs from that seed for that u alone."""
     pairs, seeds, kw = _ORACLE_CASES[name]
     for key, value in kw.items():
         monkeypatch.setattr(orbitope.numeric, _ORACLE_CONSTANTS[key], value)
-    pairs = pairs() if callable(pairs) else [(su_from_cartan(x), su_from_cartan(u))
-                                             for x, u in pairs]
+    pairs = pairs() if callable(pairs) else [_realize(x, u) for x, u in pairs]
     for x0, u in pairs:
         res = ascend(x0, u, seeds=seeds)
+        us = u[None] if u.ndim == 2 else u
         assert res.seeds == tuple(seeds)
-        for k, seed in enumerate(seeds):
-            one = ascend_one(x0, u, seed=seed, **kw)
-            assert np.array_equal(res.points[k], one.point)
-            assert np.array_equal(res.start_points[k], one.start_point)
-            assert res.values[k] == one.value
-            assert res.grad_norms[k] == one.grad_norm
-            assert res.spectral_drifts[k] == one.spectral_drift
-            assert res.iteration_counts[k] == one.iterations
-            assert res.converged_flags[k] == one.converged
-            if "max_iter" in kw:
-                assert one.iterations == kw["max_iter"] and not one.converged
-            if "grad_tol" in kw:
-                # every seed leaves through the endgame, before any cap
-                assert not one.converged and one.iterations < 10000
-
-
-def test_ascend_from_given_starts_matches_drawing_them():
-    """Start points drawn once and passed in give the ascent the same bits as
-    start points drawn inside it."""
-    x0, u = su_from_cartan(_REGULAR[0]), su_from_cartan(_REGULAR[1])
-    seeds = (5, 2, 17, 0)
-    shared = ascend(x0, u, seeds=seeds, starts=haar_starts(x0, seeds))
-    own = ascend(x0, u, seeds=seeds)
-    for name in ("points", "start_points", "values", "grad_norms", "spectral_drifts",
-                 "iteration_counts", "converged_flags"):
-        assert np.array_equal(getattr(shared, name), getattr(own, name))
+        assert len(res.points) == len(us) * len(res.seeds)
+        for f, uf in enumerate(us):
+            for k, seed in enumerate(seeds):
+                lane = f * len(res.seeds) + k
+                one = ascend_one(x0, uf, seed=seed, **kw)
+                assert np.array_equal(res.points[lane], one.point)
+                assert np.array_equal(res.start_points[lane], one.start_point)
+                assert res.values[lane] == one.value
+                assert res.grad_norms[lane] == one.grad_norm
+                assert res.spectral_drifts[lane] == one.spectral_drift
+                assert res.iteration_counts[lane] == one.iterations
+                assert res.converged_flags[lane] == one.converged
+                if "max_iter" in kw:
+                    assert one.iterations == kw["max_iter"] and not one.converged
+                if "grad_tol" in kw:
+                    # every lane leaves through the endgame, before any cap
+                    assert not one.converged and one.iterations < 10000
 
 
 def test_ascend_iteration_cap_reports_gradient(monkeypatch):
@@ -220,8 +236,10 @@ def test_hessian_block_values_match_ratio():
 
 def test_verify_face_numeric_a2():
     cl = get_classification("A", 2, (1, 1))
-    for d in cl.proper_descriptors:
-        rep = verify_face_numeric(cl, d, seeds=8)
+    reports = verify_face_numeric(cl, cl.proper_descriptors, seeds=8)
+    assert len(reports) == len(cl.proper_descriptors)
+    for d, rep in zip(cl.proper_descriptors, reports):
+        assert rep["I"] == [cl.root_system.root_label(i) for i in d.I]
         assert rep["ok"]
         assert rep["n_converged"] == 8
         assert rep["max_value_gap"] <= 1e-8
@@ -233,10 +251,10 @@ def test_verify_face_numeric_a2():
 def test_verify_face_numeric_rejects_improper_and_non_a():
     cl = get_classification("A", 2, (1, 1))
     with pytest.raises(InvalidInputError):
-        verify_face_numeric(cl, cl.top_descriptor)
+        verify_face_numeric(cl, [cl.top_descriptor])
     clb = get_classification("B", 2, (1, 1))
     with pytest.raises(InvalidInputError):
-        verify_face_numeric(clb, clb.proper_descriptors[0])
+        verify_face_numeric(clb, clb.proper_descriptors[:1])
 
 
 def test_verify_face_numeric_detects_wrong_tolerance(monkeypatch):
@@ -244,19 +262,49 @@ def test_verify_face_numeric_detects_wrong_tolerance(monkeypatch):
     monkeypatch.setattr(orbitope.numeric, "_GRAD_TOL", 1e-19)
     cl = get_classification("A", 2, (1, 1))
     with pytest.raises(TheoremViolationError):
-        verify_face_numeric(cl, cl.proper_descriptors[0], seeds=2)
+        verify_face_numeric(cl, cl.proper_descriptors[:1], seeds=2)
 
 
 def test_verify_face_numeric_rejects_zero_seeds():
     cl = get_classification("A", 2, (1, 1))
     with pytest.raises(InvalidInputError):
-        verify_face_numeric(cl, cl.proper_descriptors[0], seeds=0)
+        verify_face_numeric(cl, cl.proper_descriptors[:1], seeds=0)
 
 
-def test_verify_face_numeric_detects_an_escaping_start():
+def test_verify_face_numeric_detects_an_escaping_start(monkeypatch):
     """Start points off the orbit, at 1.05 x, have shadows outside P."""
+    monkeypatch.setattr(orbitope.numeric, "haar_starts",
+                        lambda x0, seeds: np.array([1.05 * x0] * len(seeds)))
     cl = get_classification("A", 2, (1, 1))
-    x0 = su_from_cartan(cl.x.vector)
     with pytest.raises(TheoremViolationError, match="start momentum shadow escapes P"):
-        verify_face_numeric(cl, cl.proper_descriptors[0], seeds=2,
-                            starts=np.array([1.05 * x0] * 2))
+        verify_face_numeric(cl, cl.proper_descriptors[:1], seeds=2)
+
+
+def test_verify_face_numeric_validates_every_face_before_any_ascent(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("ascend was called")
+
+    monkeypatch.setattr(orbitope.numeric, "ascend", unreachable)
+    cl = get_classification("A", 2, (1, 1))
+    with pytest.raises(InvalidInputError, match="improper descriptor"):
+        verify_face_numeric(cl, [cl.proper_descriptors[0], cl.top_descriptor], seeds=2)
+
+
+@pytest.mark.parametrize("constant, value, message", [
+    # every face fails: the first is named
+    ("_GRAD_TOL", 1e-19, "numeric verification failed for I=():\n"
+                         "  seed 0: no convergence (grad 3.03e-16)\n"
+                         "  seed 1: no convergence (grad 1.73e-16)"),
+    # the first face passes, the second fails
+    ("_DRIFT_TOL", 1.3e-15, "numeric verification failed for I=(0,):\n"
+                            "  seed 1: spectral drift 1.55e-15 per step"),
+])
+def test_a_two_face_failure_names_the_first_failing_face(constant, value, message,
+                                                         monkeypatch):
+    """The faces share one ascent but are checked in order, so a failure
+    reads as it did when each face ascended and was checked on its own."""
+    monkeypatch.setattr(orbitope.numeric, constant, value)
+    cl = get_classification("A", 2, (1, 1))
+    with pytest.raises(TheoremViolationError) as err:
+        verify_face_numeric(cl, cl.proper_descriptors[:2], seeds=2)
+    assert str(err.value) == message
