@@ -23,10 +23,9 @@ from .errors import InvalidInputError, TheoremViolationError
 from .faces import build_kostant_polytope, classify_faces, parabolic_report
 from .integrality import check_integral, induce_face_weight
 from .linalg import frac_str
-from .polytope import DEFAULT_HULL_CAP
 from .roots import build_root_system, chamber_point
 from .strata import build_poset
-from .weyl import build_weyl_group
+from .weyl import DEFAULT_ORBIT_CAP, build_weyl_group
 
 COMMANDS = ("faces", "polytope", "strata", "integrality", "verify-numeric", "verify-all")
 
@@ -48,7 +47,7 @@ class RunConfig(NamedTuple):
     seed: int = 0
     numeric_seeds: int = 20
     numeric_faces: int = 5
-    orbit_cap: int = DEFAULT_HULL_CAP
+    orbit_cap: int = DEFAULT_ORBIT_CAP
     weyl_cap: int | None = None
 
 
@@ -280,7 +279,7 @@ def _build_parser() -> _Parser:
     parser.add_argument("--numeric-seeds", type=int, default=20)
     parser.add_argument("--numeric-faces", type=int, default=5,
                         help="number of face classes to verify numerically")
-    parser.add_argument("--orbit-cap", type=int, default=DEFAULT_HULL_CAP,
+    parser.add_argument("--orbit-cap", type=int, default=DEFAULT_ORBIT_CAP,
                         help="maximum Weyl orbit size |W.x|")
     parser.add_argument("--weyl-cap", type=int, default=None,
                         help="maximum Weyl group order (default: no cap)")

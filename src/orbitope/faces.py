@@ -30,12 +30,11 @@ from typing import NamedTuple, Sequence
 
 from .errors import InvalidInputError, TheoremViolationError
 from .linalg import Vector, dot, lincomb
-from .polytope import (DEFAULT_HULL_CAP, FaceOrbit, KostantPolytope,
-                       PolytopeFace, act_on_faces, face_orbit,
-                       from_vertex_figure, hull, support_set,
+from .polytope import (FaceOrbit, KostantPolytope, PolytopeFace, act_on_faces,
+                       face_orbit, from_vertex_figure, hull, support_set,
                        vertex_figure_points)
 from .roots import ChamberPoint, RootSystem
-from .weyl import WeylGroup, reflection_neighbours, weyl_orbit
+from .weyl import DEFAULT_ORBIT_CAP, WeylGroup, reflection_neighbours, weyl_orbit
 
 
 class FaceDescriptor(NamedTuple):
@@ -142,7 +141,7 @@ def largest_x_connected_subset(rs: RootSystem, x: ChamberPoint,
 
 
 def build_kostant_polytope(group: WeylGroup, x: ChamberPoint,
-                           orbit_cap: int = DEFAULT_HULL_CAP) -> KostantPolytope:
+                           orbit_cap: int = DEFAULT_ORBIT_CAP) -> KostantPolytope:
     """The Kostant polytope conv(W.x), built from the exact hull of its
     vertex figure at x over the neighbours s_beta.x, beta in Delta+, only,
     certified against the whole orbit.
@@ -150,8 +149,8 @@ def build_kostant_polytope(group: WeylGroup, x: ChamberPoint,
     Every edge of P at the dominant x ends at some s_beta.x, so at most
     |Delta+| points give the whole figure; that fact is not trusted, as
     `from_vertex_figure` checks the hull against every orbit point.  A
-    neighbour set has fewer than DEFAULT_HULL_CAP points, so `orbit_cap`
-    bounds only the orbit.
+    neighbour set has at most 120 points, within `hull`'s own cap, so
+    `orbit_cap` bounds only the orbit.
     """
     orbit = weyl_orbit(group, x, cap=orbit_cap)
     figure = hull(vertex_figure_points(orbit, reflection_neighbours(group, orbit)))
@@ -159,7 +158,7 @@ def build_kostant_polytope(group: WeylGroup, x: ChamberPoint,
 
 
 def classify_faces(rs: RootSystem, group: WeylGroup, x: ChamberPoint,
-                   orbit_cap: int = DEFAULT_HULL_CAP) -> FaceClassification:
+                   orbit_cap: int = DEFAULT_ORBIT_CAP) -> FaceClassification:
     """Classify all faces of conv(K.x) up to conjugation and verify the
     bijection with Weyl classes of Kostant-polytope faces.
 
@@ -182,10 +181,10 @@ def classify_faces(rs: RootSystem, group: WeylGroup, x: ChamberPoint,
             raise TheoremViolationError("Delta_J does not split as Delta_I + Delta_I'")
         improper = len(J) == rs.rank
         sigma_vertices = tuple(v for (v,) in face_orbit([perms[j] for j in J], x_vertex))
-        if not poly.has_face(sigma_vertices):
+        sigma = poly.find_face(sigma_vertices)
+        if sigma is None:
             raise TheoremViolationError(
                 "conv(W_J.x) is not a face of the Kostant polytope for I=%s" % (I,))
-        sigma = poly.face(sigma_vertices)
         if sigma.dim != len(I):
             raise TheoremViolationError("dim sigma = %d but |I| = %d" % (sigma.dim, len(I)))
         exposing_u = None
@@ -258,10 +257,13 @@ def psi_of_polytope_face(classification: FaceClassification,
     """
     rs = classification.root_system
     poly = classification.polytope
-    sigma = poly.face(sigma.vertex_indices)  # InvalidInputError unless a face of poly
-    if sigma.dim == poly.affine_dim:
+    key = tuple(sorted(sigma.vertex_indices))
+    through_x = poly.face_at_x(key)
+    if through_x is None:
+        raise InvalidInputError("no face with vertex set %s" % (key,))
+    if through_x.dim == poly.affine_dim:
         raise InvalidInputError("psi is defined on proper faces only")
-    cls = classification.class_of[poly.at_x(sigma.vertex_indices)]
+    cls = classification.class_of[through_x.vertex_indices]
     found = next((d for d in classification.proper_descriptors
                   if classification.class_of[d.sigma.vertex_indices] is cls), None)
     if found is None:

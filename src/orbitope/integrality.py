@@ -9,7 +9,8 @@ Killing form of k_F (the sum over Delta_I), and its verdict evaluates the
 induced functional on coroots; with these conventions an integral orbit
 induces an integral weight on every face, exactly.  Each Killing value is a
 per-factor ratio times the dot product, as argued in `roots`: on the factor
-of a component c of I the form of k_F is `killing_ratio_of(c)` times d.
+of a component c of I the form of k_F is `killing_ratio_of(c)` times d, so
+x1' is x1 rescaled by killing_ratio / ratio_c on each component c of I.
 Both the Knapp-style value and its half (the alternative display differing
 by the known factor of two) are emitted per root for audit.
 """
@@ -21,7 +22,7 @@ from typing import NamedTuple
 
 from .errors import InvalidInputError
 from .faces import FaceDescriptor
-from .linalg import Vector, dot, lincomb, project_onto_span, solve, vscale
+from .linalg import Vector, dot, lincomb, solve, vscale
 from .roots import ChamberPoint, RootSystem
 
 
@@ -61,7 +62,8 @@ def check_integral(rs: RootSystem, x: ChamberPoint) -> WeightData:
 def induce_face_weight(rs: RootSystem, x: ChamberPoint, d: FaceDescriptor) -> FaceWeight:
     """Solve <x1', y>_F = <x1, y> for the face weight and audit its integrality.
 
-    x1 is the orthogonal projection of x onto t intersect k_F = span(I).  Vertex
+    x1 is the orthogonal projection of x onto t intersect k_F = span(I), the
+    one solve here; x1' rescales its coefficients per component.  Vertex
     faces (I empty) carry the trivial group K_F and are rejected; the improper
     descriptor is allowed and returns x1' = x, the form of k_F being the
     ambient one.
@@ -70,13 +72,13 @@ def induce_face_weight(rs: RootSystem, x: ChamberPoint, d: FaceDescriptor) -> Fa
         raise InvalidInputError(
             "vertex faces carry the trivial group K_F; no induced weight exists")
     basis = [rs.simple_roots[i] for i in d.I]
-    x1 = project_onto_span(basis, x.vector)
+    coeffs = solve(tuple(tuple(dot(a, b) for b in basis) for a in basis),
+                   tuple(dot(b, x.vector) for b in basis))
+    x1 = lincomb(coeffs, basis)
     # ratio_c of the component c of I holding each simple root; simple roots
     # of different components are orthogonal, so one ratio serves a row
     ratio = {i: rs.killing_ratio_of(c) for c in rs.components(d.I) for i in c}
-    gram = tuple(tuple(ratio[i] * dot(bi, bj) for bj in basis) for i, bi in zip(d.I, basis))
-    rhs = tuple(rs.killing_ratio * dot(x1, b) for b in basis)
-    x1p = lincomb(solve(gram, rhs), basis)
+    x1p = lincomb([c * rs.killing_ratio / ratio[i] for i, c in zip(d.I, coeffs)], basis)
 
     rows = []
     for k in d.sub_roots_I:

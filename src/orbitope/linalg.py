@@ -1,7 +1,10 @@
 """Small exact linear algebra toolkit over the rationals.
 
 Vectors are tuples of Fraction, matrices are tuples of row tuples.  Everything
-is pure and deterministic; no floats anywhere.
+is pure and deterministic; no floats anywhere.  There is one elimination, the
+fraction-free integer one of `_echelon`: `int_rank` counts its rows, and
+`rref`, with `solve`, `inverse` and `nullspace` on top of it, runs it on rows
+scaled to integers and divides by the pivots only at the end.
 """
 
 from __future__ import annotations
@@ -76,49 +79,16 @@ def transpose(m: Sequence[Sequence[Fraction]]) -> Matrix:
     return tuple(zip(*[tuple(r) for r in m])) if m else ()
 
 
-def mat_vec(m: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> Vector:
-    return tuple(dot(row, v) for row in m)
-
-
 def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> Matrix:
     bt = transpose(b)
     return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form and pivot columns (exact Gauss-Jordan)."""
-    m = [list(vec(r)) for r in rows]
-    if not m:
-        return (), ()
-    ncols = len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [inv * x for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return tuple(tuple(row) for row in m), tuple(pivots)
+def _echelon(rows: Sequence[Sequence[int]]) -> list[tuple[int, list[int]]]:
+    """Fraction-free echelon form of an integer matrix: (pivot column, row)
+    pairs, each row zero left of its pivot and at every earlier pivot.
 
-
-def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    return len(rref(rows)[1])
-
-
-def int_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix by fraction-free elimination.
-
-    Each row is reduced against the echelon rows kept so far by integer
+    Each row is reduced against the rows kept so far by integer
     cross-multiplication, then divided by its content so entries stay small;
     the scan stops as soon as the rank reaches the column count.
     """
@@ -140,7 +110,31 @@ def int_rank(rows: Sequence[Sequence[int]]) -> int:
         echelon.append((c, [x // g for x in v]))
         if len(echelon) == n_cols:
             break
-    return len(echelon)
+    return echelon
+
+
+def int_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of an integer matrix by fraction-free elimination."""
+    return len(_echelon(rows))
+
+
+def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[Matrix, tuple[int, ...]]:
+    """Reduced row echelon form and pivot columns, padded with zero rows.
+
+    `_echelon` runs on the rows scaled to integers, then again on its rows
+    from the last pivot up, which clears each pivot column above its row (a
+    row is zero left of its pivot); only the final division by the pivots
+    makes fractions.
+    """
+    if not rows:
+        return (), ()
+    ints = [integral_rows([vec(r)])[0][0] for r in rows]
+    upward = [row for _, row in sorted(_echelon(ints), reverse=True)]
+    reduced = sorted(_echelon(upward))
+    n_cols = len(ints[0])
+    red = [tuple(Fraction(x, row[c]) for x in row) for c, row in reduced]
+    red += [(Fraction(0),) * n_cols] * (len(ints) - len(red))
+    return tuple(red), tuple(c for c, _ in reduced)
 
 
 def solve(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Vector:
@@ -185,14 +179,6 @@ def nullspace(rows: Sequence[Sequence[Fraction]]) -> tuple[Vector, ...]:
             v[c] = -red[r][f]
         basis.append(tuple(v))
     return tuple(basis)
-
-
-def project_onto_span(basis: Sequence[Vector], v: Vector) -> Vector:
-    """Orthogonal projection of v onto span(basis) for the dot product."""
-    if not basis:
-        return zero_vec(len(v))
-    g = tuple(tuple(dot(a, b) for b in basis) for a in basis)
-    return lincomb(solve(g, tuple(dot(b, v) for b in basis)), basis)
 
 
 def primitive(v: Sequence[Fraction]) -> tuple[int, ...]:

@@ -102,8 +102,9 @@ class _Polytope:
             raise InvalidInputError("no face with vertex set %s" % (key,))
         return found
 
-    def has_face(self, vertex_indices: Iterable[int]) -> bool:
-        return self._lookup(tuple(sorted(vertex_indices))) is not None
+    def find_face(self, vertex_indices: Iterable[int]) -> PolytopeFace | None:
+        """The face on the given vertex set, or None if there is none."""
+        return self._lookup(tuple(sorted(vertex_indices)))
 
 
 class ExactPolytope(_Polytope):
@@ -198,10 +199,15 @@ class KostantPolytope(_Polytope):
             image = [perm[i] for i in image]
         return tuple(image)
 
-    def _lookup(self, key: tuple[int, ...]) -> PolytopeFace | None:
+    def face_at_x(self, key: tuple[int, ...]) -> PolytopeFace | None:
+        """The face through x that `at_x` moves the sorted vertex set `key`
+        to, by one walk of its reflection path, or None if `key` is no face."""
         if not key or key[0] < 0 or key[-1] >= len(self.vertices):
             return None
-        found = self._by_vertices.get(self.at_x(key))
+        return self._by_vertices.get(self.at_x(key))
+
+    def _lookup(self, key: tuple[int, ...]) -> PolytopeFace | None:
+        found = self.face_at_x(key)
         if found is None or found.vertex_indices == key:
             return found
         return PolytopeFace(vertex_indices=key, dim=found.dim)
@@ -526,9 +532,10 @@ def support_set(p: _Polytope, u: Sequence) -> tuple[PolytopeFace, Fraction]:
     values = [int_dot(v, u_ints) for v in p.vertex_ints]
     h = max(values)
     vidx = tuple(i for i, val in enumerate(values) if val == h)
-    if not p.has_face(vidx):
+    face = p.find_face(vidx)
+    if face is None:
         raise TheoremViolationError("support set %s is not a face (bug)" % (vidx,))
-    return p.face(vidx), Fraction(h, u_scale * p.vertex_scale)
+    return face, Fraction(h, u_scale * p.vertex_scale)
 
 
 def face_orbit(perms: Sequence[Sequence[int]],

@@ -34,8 +34,8 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import InvalidInputError, TheoremViolationError
-from .linalg import (Vector, dot, inverse, lincomb, mat_vec, transpose, vadd,
-                     vec, vscale, vsub)
+from .linalg import (Vector, dot, inverse, lincomb, transpose, vadd, vec, vscale,
+                     vsub)
 
 #: admissible ranks per Cartan letter (rank 8 is the desk-scale ceiling)
 VALID_RANKS = {
@@ -275,17 +275,11 @@ def build_root_system(type_label: str, rank: int) -> RootSystem:
     coroots = tuple(RootSystem.coroot(a) for a in simples)
 
     # Fundamental weights (dual to simple coroots) and coweights (dual to
-    # simple roots), both inside the root span.
-    inv_ct = inverse(transpose(cartan_q))
+    # simple roots), both inside the root span: their coefficients are the
+    # rows and the columns of the inverse Cartan matrix.
     inv_c = inverse(cartan_q)
-    weights = []
-    coweights = []
-    for i in range(rank):
-        unit = tuple(Fraction(1 if j == i else 0) for j in range(rank))
-        wc = mat_vec(inv_ct, unit)
-        weights.append(lincomb(wc, simples))
-        cc = mat_vec(inv_c, unit)
-        coweights.append(lincomb(cc, coroots))
+    weights = tuple(lincomb(row, simples) for row in inv_c)
+    coweights = tuple(lincomb(column, coroots) for column in transpose(inv_c))
 
     rs = RootSystem(
         type_label=type_label,
@@ -295,8 +289,8 @@ def build_root_system(type_label: str, rank: int) -> RootSystem:
         positive_roots=pos_roots,
         positive_coords=tuple(coords),
         cartan_matrix=cartan,
-        fundamental_weights=tuple(weights),
-        fundamental_coweights=tuple(coweights),
+        fundamental_weights=weights,
+        fundamental_coweights=coweights,
         killing_ratio=_killing_ratio(simples, cartan, coords, range(rank)),
         root_lengths=tuple(dot(a, a) for a in pos_roots),
     )

@@ -29,6 +29,9 @@ from .roots import ChamberPoint, RootSystem
 
 Labels = tuple[int, ...]
 
+#: desk-scale guard on the orbit size |W.x|, the CLI's default --orbit-cap
+DEFAULT_ORBIT_CAP = 200
+
 
 def _order(rs: RootSystem, subset: Sequence[int]) -> int:
     """|W_S| for a set S of simple roots, as the product of its degrees.
@@ -107,13 +110,14 @@ class Orbit:
 def weyl_orbit(group: WeylGroup, x: ChamberPoint, cap: int | None = None) -> Orbit:
     """The orbit W.x, closed on x's labels scaled to integers.
 
-    Raises CapExceededError with the hull's message when |W.x| exceeds `cap`,
-    before anything is closed; the closure's size must equal |W.x|.
+    Raises CapExceededError when |W.x| exceeds `cap`, before anything is
+    closed; the closure's size must equal |W.x|.
     """
     rs = group.root_system
     size = group.orbit_size(x)
     if cap is not None and size > cap:
-        raise CapExceededError("hull input has %d points, cap is %d" % (size, cap))
+        raise CapExceededError("the orbit W.x has %d points, the orbit cap is %d"
+                               % (size, cap))
     (start,), scale = integral_rows([x.coords])
     seen = {start}
     closed = [start]

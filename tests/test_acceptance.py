@@ -200,7 +200,7 @@ def test_criterion_8_numeric_cross_validation():
     assert not mid.is_max and not mid.is_min
     mid_points = {(Q(1), Q(-1), Q(0)), (Q(-1), Q(1), Q(0))}
     mid_idx = tuple(sorted(cl.polytope.vertices.index(v) for v in mid_points))
-    assert not cl.polytope.has_face(mid_idx)
+    assert cl.polytope.find_face(mid_idx) is None
     # ascent only ever reports the maximum component's value
     x0 = su_from_cartan([1, 0, -1])
     u_mat = su_from_cartan([1, 1, -2])

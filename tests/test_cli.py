@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import orbitope.cli
@@ -85,7 +86,7 @@ def test_e8_orbit_above_the_orbit_cap_exits_1():
     code, text = run(_cfg(command="verify-all", type_label="E", rank=8,
                           point=("0",) * 7 + ("1",)))
     assert code == 1
-    assert text == "error: hull input has 240 points, cap is 200\n"
+    assert text == "error: the orbit W.x has 240 points, the orbit cap is 200\n"
 
 
 def test_polytope_command():
@@ -129,6 +130,54 @@ def test_unattainable_tolerance_exits_2(monkeypatch):
     code, text = run(_cfg(command="verify-numeric", numeric_seeds=1, numeric_faces=1))
     assert code == 2
     assert "theorem violation" in text
+
+
+def _replacing(**fields):
+    """A patch: the original callable, its NamedTuple result with some fields
+    replaced."""
+    return lambda original: lambda *args, **kw: original(*args, **kw)._replace(**fields)
+
+
+def _changing_ascent(change):
+    """A patch of `numeric.ascend`: its result changed by change(result, x0)."""
+    return lambda original: lambda x0, *args, **kw: change(original(x0, *args, **kw), x0)
+
+
+#: per failure branch of the numeric and integrality checks: the name
+#: patched in `numeric` (in `cli` for `induce_face_weight`), the patch as a
+#: function of the original, and the line the failure must print
+_FAILURE_BRANCHES = {
+    "value gap": ("ascend", _changing_ascent(lambda r, x0: r._replace(values=r.values + 1.0)),
+                  "seed 0: value gap 1.00e+00 > 1e-08"),
+    # pulled toward the centre by 1e-7: off the plane, still near a vertex
+    "off the plane": ("ascend",
+                      _changing_ascent(lambda r, x0: r._replace(points=r.points * (1 - 1e-7))),
+                      "seed 0: maximizer shadow is not on the supporting hyperplane"),
+    "no orbit point": ("_ROUND_TOL", lambda original: -1.0,
+                       "seed 0: maximizer does not round to an orbit point"),
+    # every maximizer moved to the lowest vertex, x0 with its diagonal reversed
+    "outside sigma": ("ascend", _changing_ascent(lambda r, x0: r._replace(
+        points=np.array([np.diag(np.diagonal(x0)[::-1])] * len(r.values)))),
+                      "seed 0: maximizer rounds to vertex 0 outside sigma"),
+    "positive Hessian blocks": ("hessian_signature", _replacing(is_max=False),
+                                "Hessian on sigma vertex has positive blocks"),
+    "finite differences": ("_FD_TOL", lambda original: -1.0,
+                           "Hessian finite-difference error 2.50e-07 > -1e+00"),
+    "integrality descent": ("induce_face_weight", _replacing(is_integral=False),
+                            "integrality descent failed on face I=(0,)"),
+}
+
+
+@pytest.mark.parametrize("branch", sorted(_FAILURE_BRANCHES))
+def test_each_failed_cross_check_exits_2_with_its_message(branch, monkeypatch):
+    """A2 (1,1): every failed check of the su(n) and integrality
+    cross-checks is exit 2 with its own line."""
+    name, patch, line = _FAILURE_BRANCHES[branch]
+    module = orbitope.cli if name == "induce_face_weight" else orbitope.numeric
+    monkeypatch.setattr(module, name, patch(getattr(module, name)))
+    code, text = run(_cfg(command="verify-all", numeric_seeds=2, numeric_faces=1))
+    assert code == 2
+    assert text.startswith("theorem violation: ") and line in text, text
 
 
 def test_a_run_draws_the_numeric_start_points_once(monkeypatch):
@@ -314,11 +363,12 @@ def test_orbit_count_mismatch_exits_2(monkeypatch):
 
 def test_orbit_cap_exits_1_before_the_orbit_is_closed(capsys):
     """The closed-form |W.x| = 4032 is compared with --orbit-cap first, with
-    the hull's message."""
+    a message that names the orbit."""
     code = main(["verify-all", "--type", "E", "--rank", "7", "--point", "1,1,0,0,0,0,0",
                  "--weyl-cap", "1000000000"])
     assert code == 1
-    assert capsys.readouterr().err == "error: hull input has 4032 points, cap is 200\n"
+    assert capsys.readouterr().err == \
+        "error: the orbit W.x has 4032 points, the orbit cap is 200\n"
 
 
 def test_non_finite_cartan_matrix_exits_2(monkeypatch):

@@ -175,7 +175,7 @@ def test_psi_rejects_a_face_of_another_polytope():
     cl = get_classification("A", 2, (1, 1))
     foreign = hull(get_classification("B", 3, (1, 1, 1)).polytope.vertices)
     edge = next(e for e in foreign.face_lattice[1]
-                if not cl.polytope.has_face(e.vertex_indices))
+                if cl.polytope.find_face(e.vertex_indices) is None)
     with pytest.raises(InvalidInputError):
         psi_of_polytope_face(cl, edge)
 

@@ -6,8 +6,11 @@ sha256 of its stdout, of its stderr and its exit code with
 hashing: its floats may differ in the last bits between numpy builds, and the
 CI hash-seed step covers them within one environment.
 
-To re-record after an intended report change:
-    PYTHONPATH=src python tests/test_golden_reports.py > tests/golden_reports.json
+To re-record the cases whose reports an intended change alters, name each
+one as an argument; every other digest is left as it is:
+    PYTHONPATH=src python tests/test_golden_reports.py \
+        "verify-all --type A --rank 3 --point 1,1,1 --orbit-cap 10"
+A new case is recorded the same way, once it is added to CASES.
 """
 
 from __future__ import annotations
@@ -80,5 +83,17 @@ def test_golden_file_covers_exactly_the_cases():
     assert sorted(json.loads(GOLDEN.read_text())) == sorted(CASES)
 
 
+def rerecord(names) -> None:
+    """Re-run the named cases and rewrite their digests in the golden file."""
+    unknown = [name for name in names if name not in CASES]
+    if not names or unknown:
+        raise SystemExit("usage: test_golden_reports.py CASE [CASE ...], each one of CASES"
+                         + ("; unknown: %s" % ", ".join(map(repr, unknown)) if unknown else ""))
+    golden = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    golden.update({name: record(name) for name in names})
+    GOLDEN.write_text(json.dumps({case: golden[case] for case in CASES if case in golden},
+                                 indent=2) + "\n")
+
+
 if __name__ == "__main__":
-    sys.stdout.write(json.dumps({case: record(case) for case in CASES}, indent=2) + "\n")
+    rerecord(sys.argv[1:])

@@ -118,7 +118,7 @@ def test_sub_killing_gram_positive_definite():
         roots_i = [rs.positive_roots[k] for k in d.sub_roots_I]
         basis = [rs.simple_roots[i] for i in d.I]
         gram = [[defining_sum(roots_i, a, b) for b in basis] for a in basis]
-        # the Gram matrix induce_face_weight solves with, one ratio per factor
+        # ratio_c times the dot product on each factor: induce_face_weight's rescaling
         ratio = {i: rs.killing_ratio_of(c) for c in rs.components(d.I) for i in c}
         assert gram == [[ratio[i] * dot(a, b) for b in basis] for i, a in zip(d.I, basis)]
         # exact Cholesky-style positivity: all leading minors positive

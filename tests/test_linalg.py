@@ -1,4 +1,9 @@
-"""Exact linear algebra helpers."""
+"""Exact linear algebra helpers.
+
+The eliminations are checked against oracles that use none: the rank as the
+size of the largest nonzero minor (`tests_util_det.minor_rank`) and the
+defining identity of each result.
+"""
 
 from __future__ import annotations
 
@@ -7,9 +12,61 @@ from fractions import Fraction as Q
 
 import pytest
 
-from orbitope.linalg import (dot, frac_str, identity, inverse,
-                             mat_mul, mat_vec, nullspace, primitive,
-                             project_onto_span, rank, rref, solve, vec)
+from orbitope.linalg import (dot, frac_str, identity, int_rank, integral_rows, inverse,
+                             nullspace, primitive, rref, solve, vec)
+from tests_util_det import det, minor_rank
+
+
+def _entry(rng):
+    return rng.choice((Q(0), Q(0), Q(1), Q(-1), Q(rng.randint(-9, 9), rng.randint(1, 6))))
+
+
+def _random_matrices(seed: int, count: int) -> list[list[list[Q]]]:
+    """Wide, tall, square and rank-deficient rational matrices of at most six
+    rows and columns, some with an extra zero row or a duplicate row."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        kind = k % 4
+        if kind == 0:
+            n_rows = rng.randint(1, 5)
+            n_cols = rng.randint(n_rows + 1, 6)
+        elif kind == 1:
+            n_cols = rng.randint(1, 5)
+            n_rows = rng.randint(n_cols + 1, 6)
+        else:
+            n_rows = n_cols = rng.randint(1, 6)
+        if kind == 3:
+            # a product through rank r < min(n_rows, n_cols), or zero for 1 x 1
+            r = rng.randint(0, min(n_rows, n_cols) - 1)
+            left = [[_entry(rng) for _ in range(r)] for _ in range(n_rows)]
+            right = [[_entry(rng) for _ in range(n_cols)] for _ in range(r)]
+            rows = [[sum((a * right[j][c] for j, a in enumerate(row)), Q(0))
+                     for c in range(n_cols)] for row in left]
+        else:
+            rows = [[_entry(rng) for _ in range(n_cols)] for _ in range(n_rows)]
+        if rng.random() < 0.3 and len(rows) < 6:
+            rows.insert(rng.randint(0, len(rows)), [Q(0)] * n_cols)
+        if rng.random() < 0.3 and len(rows) < 6:
+            rows.insert(rng.randint(0, len(rows)), list(rng.choice(rows)))
+        out.append(rows)
+    return out
+
+
+MATRICES = _random_matrices(19, 320)
+RANKS = [minor_rank(m) for m in MATRICES]
+
+
+def _mat_vec(a, x):
+    return [dot(row, x) for row in a]
+
+
+def test_random_matrices_cover_every_shape():
+    assert any(len(m) < len(m[0]) for m in MATRICES)
+    assert any(len(m) > len(m[0]) for m in MATRICES)
+    assert sum(r < min(len(m), len(m[0])) for m, r in zip(MATRICES, RANKS)) >= 80
+    assert any(any(not any(row) for row in m) for m in MATRICES)
+    assert any(len(set(map(tuple, m))) < len(m) for m in MATRICES if any(map(any, m)))
 
 
 def test_rref_identity():
@@ -18,18 +75,72 @@ def test_rref_identity():
     assert pivots == (0, 1, 2)
 
 
+def test_rref_is_the_reduced_echelon_form_of_the_row_space():
+    """As many pivots as the minor rank, increasing; each row zero left of
+    its pivot; the pivot columns are unit columns; every input row is
+    Sum_k row[c_k] red_k; the rows past the rank are zero.  The last two with
+    the count pin the row space, and the RREF of a row space is unique."""
+    for rows, r in zip(MATRICES, RANKS):
+        red, pivots = rref(rows)
+        n_cols = len(rows[0])
+        assert len(pivots) == r and list(pivots) == sorted(set(pivots))
+        assert len(red) == len(rows) and all(len(row) == n_cols for row in red)
+        assert all(type(x) is Q for row in red for x in row)
+        for k, c in enumerate(pivots):
+            assert not any(red[k][:c])
+            assert [row[c] for row in red] == [int(j == k) for j in range(len(red))]
+        assert not any(map(any, red[r:]))
+        for row in rows:
+            assert [sum((row[c] * red[k][j] for k, c in enumerate(pivots)), Q(0))
+                    for j in range(n_cols)] == row
+
+
+def test_int_rank_matches_minor_rank():
+    """Fraction-free elimination agrees with the largest nonzero minor,
+    including zero columns, zero rows, repeated rows and row swaps."""
+    for rows, r in zip(MATRICES, RANKS):
+        ints = integral_rows(rows)[0]
+        assert int_rank(ints) == minor_rank(ints) == r
+    assert int_rank([]) == 0
+
+
 def test_solve_and_inverse_roundtrip():
+    """a . inverse(a) = I and a . solve(a, b) = b whenever det a != 0;
+    otherwise both raise."""
     rng = random.Random(7)
-    for _ in range(25):
-        n = rng.randint(1, 5)
-        a = tuple(tuple(Q(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n))
-                  for _ in range(n))
-        if rank(a) < n:
+    for a in MATRICES:
+        n = len(a)
+        if n != len(a[0]):
             continue
-        x = vec([rng.randint(-5, 5) for _ in range(n)])
-        b = mat_vec(a, x)
-        assert solve(a, b) == x
-        assert mat_mul(a, inverse(a)) == identity(n)
+        b = [_entry(rng) for _ in range(n)]
+        if det(a):
+            inv = inverse(a)
+            assert [_mat_vec(a, col) for col in zip(*inv)] == [list(e) for e in identity(n)]
+            assert _mat_vec(a, solve(a, b)) == b
+        else:
+            with pytest.raises(ValueError, match="singular"):
+                inverse(a)
+            with pytest.raises(ValueError):
+                solve(a, b)
+
+
+def test_solve_on_random_systems():
+    """A system a x = b is inconsistent when b raises the minor rank,
+    underdetermined when a has fewer independent columns than columns, and
+    otherwise solved: a . solve(a, b) = b, the consistent b being a . x."""
+    rng = random.Random(13)
+    for a, r in zip(MATRICES, RANKS):
+        n_cols = len(a[0])
+        consistent = _mat_vec(a, [_entry(rng) for _ in range(n_cols)])
+        for b in (consistent, [_entry(rng) for _ in a]):
+            if minor_rank([row + [bi] for row, bi in zip(a, b)]) > r:
+                with pytest.raises(ValueError, match="inconsistent"):
+                    solve(a, b)
+            elif r < n_cols:
+                with pytest.raises(ValueError, match="underdetermined"):
+                    solve(a, b)
+            else:
+                assert _mat_vec(a, solve(a, b)) == b
 
 
 def test_solve_rejects_inconsistent_and_underdetermined():
@@ -40,11 +151,11 @@ def test_solve_rejects_inconsistent_and_underdetermined():
 
 
 def test_nullspace_orthogonal_to_rows():
-    rng = random.Random(11)
-    for _ in range(25):
-        rows = tuple(vec([rng.randint(-4, 4) for _ in range(5)]) for _ in range(3))
+    """rows . v = 0 on an independent basis of n_cols - rank vectors."""
+    for rows, r in zip(MATRICES, RANKS):
         ns = nullspace(rows)
-        assert len(ns) == 5 - rank(rows)
+        assert len(ns) == len(rows[0]) - r
+        assert minor_rank(ns) == len(ns)
         for v in ns:
             assert all(dot(r, v) == 0 for r in rows)
 
@@ -56,32 +167,9 @@ def test_primitive_scaling():
         primitive(vec([0, 0]))
 
 
-def test_project_onto_span_is_idempotent_and_orthogonal():
-    basis = [vec([1, 1, 0]), vec([0, 1, 1])]
-    v = vec([3, 0, 1])
-    p = project_onto_span(basis, v)
-    assert project_onto_span(basis, p) == p
-    for b in basis:
-        assert dot(b, tuple(a - c for a, c in zip(v, p))) == 0
-
-
 def test_frac_str():
     assert frac_str(Q(3)) == "3"
     assert frac_str(Q(-5, 2)) == "-5/2"
-
-
-def test_int_rank_matches_fraction_rank():
-    """Fraction-free elimination agrees with Gauss-Jordan over Q, including
-    zero columns, repeated rows and row swaps."""
-    from orbitope.linalg import int_rank
-    rng = random.Random(11)
-    for _ in range(300):
-        n_rows, n_cols = rng.randint(0, 7), rng.randint(1, 6)
-        rows = [[rng.choice((0, 0, 1, -1, rng.randint(-9, 9))) for _ in range(n_cols)]
-                for _ in range(n_rows)]
-        if rows and rng.random() < 0.3:
-            rows.append(list(rows[0]))
-        assert int_rank(rows) == rank(rows)
 
 
 def test_lincomb_and_common_denominator():
@@ -92,7 +180,6 @@ def test_lincomb_and_common_denominator():
 
 
 def test_integral_rows_share_the_least_scale():
-    from orbitope.linalg import integral_rows
     assert integral_rows([vec([Q(1, 2), 1]), vec([Q(-2, 3), 0])]) == ([(3, 6), (-4, 0)], 6)
     assert integral_rows([vec([1, -2])]) == ([(1, -2)], 1)
     assert integral_rows([]) == ([], 1)

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import defining_sum, get_group, get_oracle, get_point, get_rs
 from orbitope import InvalidInputError, build_root_system, chamber_point
-from orbitope.linalg import (dot, lincomb, project_onto_span, solve, transpose,
-                             vadd, vec, vscale, zero_vec)
+from orbitope.linalg import (dot, lincomb, solve, transpose, vadd, vec, vscale,
+                             zero_vec)
 from orbitope.roots import VALID_RANKS
 from orbitope.weyl import weyl_orbit
 
@@ -145,7 +145,9 @@ def test_killing_ambient_gram_equals_defining_sum(label, rank):
     P onto it: <u, v> = killing_ratio * d(Pu, Pv) on the whole ambient space."""
     rs = get_rs(label, rank)
     m = rs.ambient_dim
-    projected = [project_onto_span(rs.simple_roots, e) for e in _units(m)]
+    gram = tuple(tuple(dot(a, b) for b in rs.simple_roots) for a in rs.simple_roots)
+    projected = [lincomb(solve(gram, tuple(dot(a, e) for a in rs.simple_roots)),
+                         rs.simple_roots) for e in _units(m)]
     # the defining sum at unit vectors e_i, e_j, where d(a, e_i) = a[i]
     assert tuple(tuple(rs.killing_ratio * dot(p, q) for q in projected) for p in projected) \
         == tuple(tuple(2 * sum((a[i] * a[j] for a in rs.positive_roots), Q(0)) for j in range(m))

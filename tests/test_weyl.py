@@ -237,5 +237,6 @@ def test_orbit_cap_is_checked_before_the_closure(monkeypatch):
         raise AssertionError("the orbit closure ran past the cap")
 
     monkeypatch.setattr(weyl, "_reflect_labels", fail)
-    with pytest.raises(CapExceededError, match="^hull input has 4032 points, cap is 200$"):
+    with pytest.raises(CapExceededError,
+                       match="^the orbit W.x has 4032 points, the orbit cap is 200$"):
         weyl_orbit(group, x, cap=200)
