@@ -57,13 +57,18 @@ def _vec_strs(v) -> list[str]:
 
 def verify_face_numeric(classification, faces, seeds: int, seed_base: int) -> list[dict]:
     """`numeric.verify_face_numeric` on groups of faces of at most
-    `MAX_NUMERIC_SEEDS` lanes in all, imported on the first call, so only a
-    run that reaches the su(n) check loads `numeric` and numpy."""
+    `MAX_NUMERIC_SEEDS` lanes in all, every group from the one Haar draw of
+    the run's seeds.  `numeric` is imported on the first call, so only a run
+    that reaches the su(n) check loads it and numpy."""
+    if not faces:
+        return []
     from . import numeric
     group = max(1, MAX_NUMERIC_SEEDS // seeds)
+    draw = numeric.haar_starts(numeric.su_from_cartan(classification.x.vector),
+                               range(seed_base, seed_base + seeds))
     return [report for i in range(0, len(faces), group)
             for report in numeric.verify_face_numeric(classification, faces[i:i + group],
-                                                      seeds, seed_base)]
+                                                      seeds, seed_base, draw)]
 
 
 def _pairing_rows(rows) -> list[dict]:
@@ -273,27 +278,22 @@ def _build_parser() -> _Parser:
     parser.add_argument("--rank", required=True, type=int)
     parser.add_argument("--point", required=True,
                         help="fundamental-weight coordinates, e.g. 1,0,2 or 3/2,0,1")
-    parser.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
-    parser.add_argument("--out", default=None, help="write the report to a file")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--numeric-seeds", type=int, default=20)
-    parser.add_argument("--numeric-faces", type=int, default=5,
+    parser.add_argument("--format", dest="fmt", choices=("text", "json"))
+    parser.add_argument("--out", help="write the report to a file")
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--numeric-seeds", type=int)
+    parser.add_argument("--numeric-faces", type=int,
                         help="number of face classes to verify numerically")
-    parser.add_argument("--orbit-cap", type=int, default=DEFAULT_ORBIT_CAP,
-                        help="maximum Weyl orbit size |W.x|")
-    parser.add_argument("--weyl-cap", type=int, default=None,
-                        help="maximum Weyl group order (default: no cap)")
+    parser.add_argument("--orbit-cap", type=int, help="maximum Weyl orbit size |W.x|")
+    parser.add_argument("--weyl-cap", type=int, help="maximum Weyl group order (default: no cap)")
+    parser.set_defaults(**RunConfig._field_defaults)
     return parser
 
 
 def parse_config(argv) -> RunConfig:
-    args = _build_parser().parse_args(argv)
-    return RunConfig(
-        command=args.command, type_label=args.type_label, rank=args.rank,
-        point=tuple(s.strip() for s in args.point.split(",")),
-        fmt=args.fmt, out=args.out, seed=args.seed,
-        numeric_seeds=args.numeric_seeds, numeric_faces=args.numeric_faces,
-        orbit_cap=args.orbit_cap, weyl_cap=args.weyl_cap)
+    args = vars(_build_parser().parse_args(argv))
+    args["point"] = tuple(s.strip() for s in args["point"].split(","))
+    return RunConfig(**args)
 
 
 def main(argv=None) -> int:

@@ -237,7 +237,10 @@ def classify_faces(rs: RootSystem, group: WeylGroup, x: ChamberPoint,
 
     # psi . phi = id, checked on every class representative.
     for d in classification.proper_descriptors:
-        rep_face = poly.face(matching[d.I])
+        rep_face = poly.find_face(matching[d.I])
+        if rep_face is None:
+            raise TheoremViolationError("the least member %s of the class of I=%s is not a face"
+                                        % (matching[d.I], d.I))
         back = psi_of_polytope_face(classification, rep_face)
         if back.I != d.I:
             raise TheoremViolationError("psi(phi([F])) != [F] for I=%s" % (d.I,))

@@ -37,9 +37,9 @@ and the iteration cap are fixed module constants, not settings or arguments.
 numpy is imported inside the functions that use it, so importing the package
 (and every run that never reaches the numeric check) does not load it.
 
-Every lane of a run starts from one seeded Haar draw (`haar_starts`), whose
-Gaussians come from the standard library's `random.Random(seed)`, so a run
-never loads `numpy.random`.
+Every lane of a run, in whatever groups of faces, starts from its one seeded
+Haar draw (`haar_starts`), whose Gaussians come from the standard library's
+`random.Random(seed)`, so a run never loads `numpy.random`.
 """
 
 from __future__ import annotations
@@ -192,14 +192,16 @@ def haar_starts(x0: np.ndarray, seeds: Sequence[int]) -> tuple[np.ndarray, np.nd
     return g, matrix_orbit_point(x0, g)
 
 
-def ascend(x0: np.ndarray, u: np.ndarray, seeds: Iterable[int]) -> AscentResult:
+def ascend(x0: np.ndarray, u: np.ndarray, seeds: Iterable[int],
+           draw: tuple[np.ndarray, np.ndarray] | None = None) -> AscentResult:
     """Maximize mu_u over the orbit of x0 from one Haar-random start per seed,
     by a damped, saddle-free Riemannian Newton ascent run on all lanes in
     lockstep.
 
     u is one nonzero diagonal matrix or a stack (F, n, n) of them.  Each
     (u, seed) pair is a lane, face-major; the start frames are drawn once,
-    `haar_starts(x0, seeds)`, and every u ascends from all of them.
+    `haar_starts(x0, seeds)` unless given as `draw`, and every u ascends
+    from all of them.
 
     With x0 = i*diag(a), u = i*diag(b) and p = V x0 V*, each iteration turns
     V inside the eigenspaces of x0 until the diagonal blocks of
@@ -228,7 +230,7 @@ def ascend(x0: np.ndarray, u: np.ndarray, seeds: Iterable[int]) -> AscentResult:
         raise InvalidInputError("the ascent needs at least one seed")
     if min(seeds) < 0:
         raise InvalidInputError("seeds must be nonnegative, got %d" % min(seeds))
-    frames, starts = haar_starts(x0, seeds)
+    frames, starts = haar_starts(x0, seeds) if draw is None else draw
     v = np.tile(frames, (len(us), 1, 1))
     starts = np.tile(starts, (len(us), 1, 1))
     a = np.diag(x0).imag
@@ -398,13 +400,14 @@ def shadows_escape(poly: KostantPolytope, shadows: np.ndarray) -> np.ndarray:
 
 
 def verify_face_numeric(classification: FaceClassification,
-                        faces: Sequence[FaceDescriptor], seeds: int = 20,
-                        seed_base: int = 0) -> list[dict]:
+                        faces: Sequence[FaceDescriptor], seeds: int = 20, seed_base: int = 0,
+                        draw: tuple[np.ndarray, np.ndarray] | None = None) -> list[dict]:
     """Cross-validate face classes on the su(n) realization: one report per
     descriptor of `faces`, in their order.
 
     Every descriptor is validated before any ascent.  One lockstep `ascend`
-    then runs each face's exposing vector from every seed, and the faces are
+    then runs each face's exposing vector from every seed, starting from
+    `draw` if it is given (the run's `haar_starts`), and the faces are
     checked in order: convergence (which is criticality), the achieved value
     against the exact support value, spectral invariance along the ascent,
     momentum containment of all Cartan projections, the value ceiling,
@@ -429,7 +432,7 @@ def verify_face_numeric(classification: FaceClassification,
     factor = rs.killing_ratio
     x0 = su_from_cartan(classification.x.vector)
     us = np.array([su_from_cartan(d.exposing_u) for d in faces])
-    res = ascend(x0, us, seeds=range(seed_base, seed_base + seeds))
+    res = ascend(x0, us, range(seed_base, seed_base + seeds), draw)
     # the float data of P and the u-free checks, once for every lane
     vertices = np.array([[float(c) for c in v] for v in poly.vertices])
     shadows = np.imag(np.diagonal(np.stack((res.start_points, res.points)), axis1=2, axis2=3))

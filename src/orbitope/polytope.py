@@ -8,12 +8,14 @@ lattice all run on Python ints; only the reported facet normals and offsets
 are turned back into exact fractions, and every polytope keeps its vertices
 as integer rows over one denominator.  The face lattice is the closure of the
 facet/vertex incidences under intersection, graded by the fraction-free rank
-of the rows of the facets through each face.  A face is just its vertex set
-and its dimension: its affine hull is the intersection of the facets through
-it (G. M. Ziegler, Lectures on Polytopes, 2.1), so any geometry of a face is
-read off those facets (`facets_through`).  This module is the independent
-oracle the combinatorial face classification is checked against, so there is
-no floating point anywhere.
+of the rows of the facets through each face; the bitmask of those facets is
+kept for every face (`facet_masks`) and read, never rebuilt.  A face is just
+its vertex set and its dimension: its affine hull is the intersection of the
+facets through it (G. M. Ziegler, Lectures on Polytopes, 2.1), so any
+geometry of a face is read off those facets (`facets_through`).  Each kind of
+polytope finds a face by its vertex set in one way (`find_face`).  This
+module is the independent oracle the combinatorial face classification is
+checked against, so there is no floating point anywhere.
 
 A Kostant polytope is held by the integer rows of its orbit (`weyl.Orbit`)
 and its faces through one vertex x (`KostantPolytope`): they are the faces
@@ -78,9 +80,9 @@ class FaceOrbit(NamedTuple):
 
 
 class _Polytope:
-    """What both kinds of polytope answer: faces by vertex set and the top
-    face.  A subclass sets `vertices`, their `vertex_ints` over `vertex_scale`,
-    `ambient_dim` and `affine_dim`, and finds a face by its sorted vertex set."""
+    """What both kinds of polytope answer: the top face.  A subclass sets
+    `vertices`, their `vertex_ints` over `vertex_scale`, `ambient_dim` and
+    `affine_dim`, and finds a face by its vertex set (`find_face`)."""
 
     vertices: tuple[Vector, ...]
     vertex_ints: Sequence[tuple[int, ...]]
@@ -88,40 +90,30 @@ class _Polytope:
     ambient_dim: int
     affine_dim: int
 
-    def _lookup(self, key: tuple[int, ...]) -> PolytopeFace | None:
-        raise NotImplementedError
-
     @property
     def top(self) -> PolytopeFace:
         return PolytopeFace(vertex_indices=tuple(range(len(self.vertices))), dim=self.affine_dim)
 
-    def face(self, vertex_indices: Iterable[int]) -> PolytopeFace:
-        key = tuple(sorted(vertex_indices))
-        found = self._lookup(key)
-        if found is None:
-            raise InvalidInputError("no face with vertex set %s" % (key,))
-        return found
-
-    def find_face(self, vertex_indices: Iterable[int]) -> PolytopeFace | None:
-        """The face on the given vertex set, or None if there is none."""
-        return self._lookup(tuple(sorted(vertex_indices)))
-
 
 class ExactPolytope(_Polytope):
-    """Exact polytope with full face lattice; immutable after construction."""
+    """Exact polytope with full face lattice and, per face vertex set, the
+    bitmask of the facets through it (bit k for `facets[k]`); immutable."""
 
     def __init__(self, vertices: tuple[Vector, ...], vertex_ints: Sequence[tuple[int, ...]],
                  vertex_scale: int, ambient_dim: int, affine_dim: int, facets: tuple[Facet, ...],
-                 face_lattice: dict[int, tuple[PolytopeFace, ...]]):
+                 face_lattice: dict[int, tuple[PolytopeFace, ...]],
+                 facet_masks: dict[tuple[int, ...], int]):
         self.vertices, self.vertex_ints, self.vertex_scale = vertices, vertex_ints, vertex_scale
         self.ambient_dim = ambient_dim
         self.affine_dim = affine_dim
         self.facets = facets
         self.face_lattice = face_lattice
+        self.facet_masks = facet_masks
         self._by_vertices = {f.vertex_indices: f for fs in face_lattice.values() for f in fs}
 
-    def _lookup(self, key: tuple[int, ...]) -> PolytopeFace | None:
-        return self._by_vertices.get(key)
+    def find_face(self, vertex_indices: Iterable[int]) -> PolytopeFace | None:
+        """The face on the given vertex set, or None if there is none."""
+        return self._by_vertices.get(tuple(sorted(vertex_indices)))
 
     def proper_faces(self) -> tuple[PolytopeFace, ...]:
         return tuple(f for d in sorted(self.face_lattice) if d < self.affine_dim
@@ -133,8 +125,10 @@ class ExactPolytope(_Polytope):
 
     def facets_through(self, face: PolytopeFace) -> tuple[Facet, ...]:
         """The facets containing the face, in the order of `facets`."""
-        vertices = set(face.vertex_indices)
-        return tuple(f for f in self.facets if vertices.issubset(f.vertex_indices))
+        mask = self.facet_masks.get(face.vertex_indices)
+        if mask is None:
+            raise InvalidInputError("no face with vertex set %s" % (face.vertex_indices,))
+        return tuple(self.facets[k] for k in _bits(mask))
 
 
 class KostantPolytope(_Polytope):
@@ -181,23 +175,24 @@ class KostantPolytope(_Polytope):
             raise TheoremViolationError("f-vector fails Euler-Poincare (bug)")
         self._f_vector = tuple(int(counts[dim]) for dim in sorted(counts))
 
+    def _walk(self, path: Iterable[int], image: Iterable[int]) -> tuple[int, ...]:
+        """The image of a vertex list under the simple reflections of `path`,
+        first applied first."""
+        for s in path:
+            perm = self.perms[s]
+            image = [perm[i] for i in image]
+        return tuple(image)
+
     def at_x(self, vertex_indices: Iterable[int]) -> tuple[int, ...]:
         """The sorted image of a nonempty vertex set under the path of simple
         reflections moving its least vertex to x."""
-        image = list(vertex_indices)
-        for s in self._paths[min(image)]:
-            perm = self.perms[s]
-            image = [perm[i] for i in image]
-        return tuple(sorted(image))
+        image = tuple(vertex_indices)
+        return tuple(sorted(self._walk(self._paths[min(image)], image)))
 
     @cached_property
     def x_to_vertex_0(self) -> tuple[int, ...]:
         """The vertex permutation of an element of W taking x to vertex 0."""
-        image = list(range(len(self.vertices)))
-        for s in reversed(self._paths[0]):
-            perm = self.perms[s]
-            image = [perm[i] for i in image]
-        return tuple(image)
+        return self._walk(reversed(self._paths[0]), range(len(self.vertices)))
 
     def face_at_x(self, key: tuple[int, ...]) -> PolytopeFace | None:
         """The face through x that `at_x` moves the sorted vertex set `key`
@@ -206,7 +201,9 @@ class KostantPolytope(_Polytope):
             return None
         return self._by_vertices.get(self.at_x(key))
 
-    def _lookup(self, key: tuple[int, ...]) -> PolytopeFace | None:
+    def find_face(self, vertex_indices: Iterable[int]) -> PolytopeFace | None:
+        """The face on the given vertex set, or None if there is none."""
+        key = tuple(sorted(vertex_indices))
         found = self.face_at_x(key)
         if found is None or found.vertex_indices == key:
             return found
@@ -232,13 +229,7 @@ def hull(points: Sequence[Sequence], cap: int = DEFAULT_HULL_CAP) -> ExactPolyto
     points (desk-scale guard); a single repeated point yields the degenerate
     vertex-only polytope.
     """
-    pts: list[Vector] = []
-    seen = set()
-    for p in points:
-        v = vec(p)
-        if v not in seen:
-            seen.add(v)
-            pts.append(v)
+    pts: list[Vector] = list(dict.fromkeys(vec(p) for p in points))
     if not pts:
         raise InvalidInputError("hull of an empty point set")
     if len(pts) > cap:
@@ -255,7 +246,8 @@ def hull(points: Sequence[Sequence], cap: int = DEFAULT_HULL_CAP) -> ExactPolyto
     if d == 0:
         vertex_ints, vertex_scale = integral_rows(pts[:1])
         return ExactPolytope((pts[0],), vertex_ints, vertex_scale, ambient_dim, affine_dim=0,
-                             facets=(), face_lattice={0: (PolytopeFace((0,), 0),)})
+                             facets=(), face_lattice={0: (PolytopeFace((0,), 0),)},
+                             facet_masks={(0,): 0})
 
     # The reduced basis is the identity on its pivot columns, so a point's
     # affine coordinates are its offset from the base point read there.  Each
@@ -304,10 +296,11 @@ def hull(points: Sequence[Sequence], cap: int = DEFAULT_HULL_CAP) -> ExactPolyto
                              vertex_indices=vidx), a))
     facets.sort(key=lambda fa: (fa[0].vertex_indices, fa[0].normal))
 
-    lattice = _face_lattice([rows[i] for i in vertex_ids], [a for _, a in facets],
-                            [vertex_mask(f.vertex_indices) for f, _ in facets], d)
+    lattice, facet_masks = _face_lattice([rows[i] for i in vertex_ids], [a for _, a in facets],
+                                         [vertex_mask(f.vertex_indices) for f, _ in facets], d)
     poly = ExactPolytope(tuple(vertex_pts), vertex_ints, vertex_scale, ambient_dim, affine_dim=d,
-                         facets=tuple(f for f, _ in facets), face_lattice=lattice)
+                         facets=tuple(f for f, _ in facets), face_lattice=lattice,
+                         facet_masks=facet_masks)
     if tuple(f.vertex_indices for f in lattice[0]) != tuple((i,) for i in range(len(vertex_pts))):
         raise TheoremViolationError("0-faces do not match the vertex set (bug)")
     return poly
@@ -381,13 +374,15 @@ def _dd_rays(rows: Sequence[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
 
 
 def _face_lattice(lifted: Sequence[tuple[int, ...]], facet_rows: Sequence[tuple[int, ...]],
-                  facet_masks: Sequence[int], d: int) -> dict[int, tuple[PolytopeFace, ...]]:
+                  facet_masks: Sequence[int], d: int
+                  ) -> tuple[dict[int, tuple[PolytopeFace, ...]], dict[tuple[int, ...], int]]:
     """Close facet/vertex incidences under intersection and grade by dimension.
 
     `facet_rows[k]` is a positive multiple of facet k's functional on
     affine coordinates and `facet_masks[k]` its vertex bitmask.  A face's
     dimension is d minus the integer rank of the rows of the facets through
     it; it is checked against the affine rank of its own lifted vertex rows.
+    Returns the faces by dimension and the facet bitmask of each vertex set.
     """
     vertex_facets = [0] * len(lifted)
     for k, fm in enumerate(facet_masks):
@@ -406,6 +401,7 @@ def _face_lattice(lifted: Sequence[tuple[int, ...]], facet_rows: Sequence[tuple[
                 queue.append(nm)
 
     levels: dict[int, list[PolytopeFace]] = {}
+    through_face = {}
     for mask in seen:
         vidx = _bits(mask)
         through = vertex_facets[vidx[0]]
@@ -415,8 +411,9 @@ def _face_lattice(lifted: Sequence[tuple[int, ...]], facet_rows: Sequence[tuple[
         if int_rank([lifted[i] for i in vidx]) != dim + 1:
             raise TheoremViolationError("face dimension disagrees with its vertex rank (bug)")
         levels.setdefault(dim, []).append(PolytopeFace(vertex_indices=vidx, dim=dim))
-    return {dim: tuple(sorted(fs, key=lambda f: f.vertex_indices))
-            for dim, fs in sorted(levels.items())}
+        through_face[vidx] = through
+    return ({dim: tuple(sorted(fs, key=lambda f: f.vertex_indices))
+             for dim, fs in sorted(levels.items())}, through_face)
 
 
 def vertex_figure_points(orbit: Orbit, neighbours: Sequence[int]) -> list[Vector]:
@@ -452,27 +449,26 @@ def from_vertex_figure(group: WeylGroup, orbit: Orbit, figure: ExactPolytope) ->
     """P = conv(W.x) from the hull of a vertex figure at x.
 
     A facet m.q <= c of the figure gives the facet of P through x with normal
-    N = m + c(x - b), b the barycenter: b is fixed by W, so x - b lies in the
-    direction space of P.  As (x - b).(v - x) = x.v - x.x, N.(v - x) = (x.x -
-    x.v)(m.q_v - c) at every orbit point v.  So the figure may be the hull of
-    the q_v of any subset of the orbit: it is certified, and is then the hull
-    of every q_v, when each N holds on the whole orbit and each v - x lies in
-    the span of the figure.  A failure is a TheoremViolationError naming the
-    first orbit point that breaks it.  The vertices of a facet are all v on
-    which it is tight, found over the whole orbit, since the far vertices of
-    a facet are not neighbours of x and so are not vertices of the figure.
-    A face G of the figure gives the face of P through x, of dimension
-    dim G + 1, on the vertices of every facet of P whose figure facet
-    contains G; a point figure (P a segment) has one facet, its empty face
-    0.q <= 1.
+    N = m + c x.  The barycenter of W.x is fixed by W and lies in the root
+    span, where W fixes only 0, so it is 0: x lies in the direction space of
+    P, and so does N.  As x.(v - x) = x.v - x.x and v - x = (x.x - x.v) q_v,
+    N.(v - x) = (x.x - x.v)(m.q_v - c) at every orbit point v.  So the figure
+    may be the hull of the q_v of any subset of the orbit: it is certified,
+    and is then the hull of every q_v, when each N holds on the whole orbit
+    and each v - x lies in the span of the figure.  A failure is a
+    TheoremViolationError naming the first orbit point that breaks it.  The
+    vertices of a facet are all v on which it is tight, found over the whole
+    orbit, since the far vertices of a facet are not neighbours of x and so
+    are not vertices of the figure.  A face G of the figure gives the face
+    of P through x, of dimension dim G + 1, on the vertices of every facet of
+    P whose figure facet contains G (the figure's `facet_masks`); a point
+    figure (P a segment) has one facet, its empty face 0.q <= 1.
     """
     perms = vertex_permutations(group, orbit)
     vertices, vertex_ints, scale, x_index = orbit.vectors, orbit.ints, orbit.scale, orbit.x_index
-    n = len(vertices)
-    barycenter = tuple(Fraction(sum(c), n * scale) for c in zip(*vertex_ints))
-    x_dir = vsub(vertices[x_index], barycenter)
+    x = vertices[x_index]
     bounds = ([(f.normal, f.offset) for f in figure.facets] if figure.affine_dim
-              else [(zero_vec(len(x_dir)), Fraction(1))])
+              else [(zero_vec(len(x)), Fraction(1))])
     x_ints = vertex_ints[x_index]
     for z in map(primitive, nullspace(figure.vertices)):
         zx = int_dot(z, x_ints)
@@ -484,7 +480,7 @@ def from_vertex_figure(group: WeylGroup, orbit: Orbit, figure: ExactPolytope) ->
                     off, _point_str(vertices[off]), _point_str(z), frac_str(Fraction(zx, scale))))
     facets = []
     for m, c in bounds:
-        normal = primitive(vadd(m, vscale(c, x_dir)))
+        normal = primitive(vadd(m, vscale(c, x)))
         values = [int_dot(normal, v) for v in vertex_ints]
         top = values[x_index]
         cut = next((i for i, val in enumerate(values) if val > top), None)
@@ -496,20 +492,13 @@ def from_vertex_figure(group: WeylGroup, orbit: Orbit, figure: ExactPolytope) ->
         facets.append(Facet(normal=vec(normal), offset=Fraction(top, scale),
                             vertex_indices=tuple(i for i, val in enumerate(values) if val == top)))
 
-    facet_masks = [vertex_mask(f.vertex_indices) for f in facets]
-    through_vertex = [0] * len(figure.vertices)
-    for k, f in enumerate(figure.facets):
-        for i in f.vertex_indices:
-            through_vertex[i] |= 1 << k
+    tight_masks = [vertex_mask(f.vertex_indices) for f in facets]
     levels: dict[int, list[PolytopeFace]] = {0: [PolytopeFace((x_index,), 0)]}
     for dim, faces in figure.face_lattice.items():
         for g in faces:
-            through = (1 << len(figure.facets)) - 1
-            for i in g.vertex_indices:
-                through &= through_vertex[i]
-            mask = (1 << n) - 1
-            for k in _bits(through):
-                mask &= facet_masks[k]
+            mask = (1 << len(vertices)) - 1
+            for k in _bits(figure.facet_masks[g.vertex_indices]):
+                mask &= tight_masks[k]
             levels.setdefault(dim + 1, []).append(PolytopeFace(_bits(mask), dim + 1))
     return KostantPolytope(
         orbit=orbit, perms=perms,

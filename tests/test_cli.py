@@ -13,6 +13,7 @@ import pytest
 
 import orbitope.cli
 import orbitope.numeric
+import orbitope.polytope
 from orbitope.cli import RunConfig, main, run
 
 
@@ -207,6 +208,41 @@ def test_numeric_faces_in_groups_give_the_same_report(monkeypatch):
     monkeypatch.setattr(orbitope.cli, "MAX_NUMERIC_SEEDS", 40)
     assert run(cfg) == whole
     assert whole[0] == 0 and groups == [2, 2, 1]
+
+
+def test_a_run_in_groups_draws_the_numeric_start_points_once(monkeypatch):
+    """With faces in three groups, every group ascends from the run's one
+    Haar draw."""
+    draws = []
+    original = orbitope.numeric.haar_starts
+    monkeypatch.setattr(orbitope.numeric, "haar_starts",
+                        lambda *args: draws.append(args) or original(*args))
+    monkeypatch.setattr(orbitope.cli, "MAX_NUMERIC_SEEDS", 40)
+    code, text = run(_cfg(command="verify-numeric", rank=3, point=("1", "1", "1"),
+                          numeric_seeds=20))
+    assert code == 0
+    assert len(json.loads(text)["numeric"]["faces"]) == 5
+    assert len(draws) == 1
+
+
+@pytest.mark.parametrize("type_label,rank,point", [
+    ("A", 3, ("1", "1", "1")), ("B", 3, ("1", "0", "1")), ("D", 4, ("1", "1", "1", "1"))])
+def test_a_failed_face_lookup_in_psi_phi_exits_2(monkeypatch, type_label, rank, point):
+    """An element taking x to vertex 0 with the images of x and of the next
+    vertex swapped sends some class's least member off the faces: the psi.phi
+    round trip reports it as a theorem violation, not as an input error."""
+    original = orbitope.polytope.KostantPolytope.x_to_vertex_0.func
+
+    def swapped(poly):
+        image = list(original(poly))
+        x, y = poly.x_index, (poly.x_index + 1) % len(image)
+        image[x], image[y] = image[y], image[x]
+        return tuple(image)
+
+    monkeypatch.setattr(orbitope.polytope.KostantPolytope, "x_to_vertex_0", property(swapped))
+    code, text = run(_cfg(command="verify-all", type_label=type_label, rank=rank, point=point))
+    assert code == 2
+    assert text.startswith("theorem violation: the least member ") and "is not a face" in text
 
 
 def test_verify_all_non_a_omits_numeric():

@@ -141,7 +141,7 @@ def test_psi_on_hexagon_and_triangle():
     cl = get_classification("A", 2, (1, 1))
     hexa = cl.polytope
     x = cl.x.vector
-    vertex = hexa.face((hexa.vertices.index(x),))
+    vertex = hexa.find_face((hexa.vertices.index(x),))
     assert psi_of_polytope_face(cl, vertex).I == ()
     # every edge, most of them away from x, from the full hull's lattice
     for edge in hull(hexa.vertices).face_lattice[1]:
@@ -185,7 +185,7 @@ def test_phi_psi_inverse_on_all_classes():
         cl = get_classification(*args)
         for d in cl.proper_descriptors:
             orbit = phi_of_descriptor(cl, d)
-            rep_face = cl.polytope.face(orbit.representative)
+            rep_face = cl.polytope.find_face(orbit.representative)
             assert psi_of_polytope_face(cl, rep_face).I == d.I
 
 

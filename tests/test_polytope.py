@@ -192,7 +192,7 @@ def test_face_stabilizers_on_hexagon():
     oracle = get_oracle("A", 2)
     images = oracle.vertex_images(hexa.vertices)
     x = get_point("A", 2, (1, 1)).vector
-    vertex = hexa.face((hexa.vertices.index(x),))
+    vertex = hexa.find_face((hexa.vertices.index(x),))
     stab = oracle.face_stabilizer(images, vertex.vertex_indices)
     assert len(stab) == 1 and _fixed_subspace_dim(oracle, stab) == 2
     edge = hexa.face_lattice[1][0]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +27,8 @@ from hypothesis import strategies as st
 import orbitope.faces
 import orbitope.numeric
 from conftest import get_classification, get_group, get_rs
-from orbitope import (InvalidInputError, RootSystem, act_on_faces, build_poset,
-                      chamber_point, classify_faces, hull, phi_of_descriptor,
+from orbitope import (InvalidInputError, PolytopeFace, RootSystem, act_on_faces,
+                      build_poset, chamber_point, classify_faces, hull, phi_of_descriptor,
                       weyl_orbit)
 from orbitope.cli import RunConfig, run
 from orbitope.numeric import shadows_escape
@@ -140,6 +141,39 @@ def test_a_neighbour_set_without_s1_x_fails_the_certificate(monkeypatch, type_la
         assert message in text
 
 
+def _facets_by_scan(p, face):
+    """The facets containing a face, by a subset test on every facet."""
+    vertices = set(face.vertex_indices)
+    return tuple(f for f in p.facets if vertices.issubset(f.vertex_indices))
+
+
+@pytest.mark.parametrize("case", [("A", 1, ("1",)), ("A", 2, ("1", "0")),
+                                  ("A", 3, ("1", "1", "1")), ("B", 3, ("1", "0", "1")),
+                                  ("C", 3, ("1", "0", "1")), ("D", 4, ("1", "1", "1", "1")),
+                                  ("G", 2, ("3/2", "1"))],
+                         ids=lambda c: "%s%d %s" % (c[0], c[1], ",".join(c[2])))
+def test_facets_through_reads_the_facet_masks_of_the_lattice(case):
+    """On every face of the vertex figure at x and of the hull of the whole
+    orbit, `facets_through` gives the facets a scan of all of them finds, in
+    the order of `facets`; A1's figure is a point, with no facet."""
+    type_label, rank, coords = case
+    group = get_group(type_label, rank)
+    orbit = weyl_orbit(group, chamber_point(get_rs(type_label, rank), coords))
+    figure = hull(vertex_figure_points(orbit, reflection_neighbours(group, orbit)))
+    for p in (figure, hull(orbit.vectors)):
+        for faces in p.face_lattice.values():
+            for face in faces:
+                assert p.facets_through(face) == _facets_by_scan(p, face)
+
+
+def test_facets_through_rejects_a_vertex_set_that_is_no_face():
+    hexagon = hull(get_classification("A", 2, ("1", "1")).polytope.vertices)
+    diagonal = next(pair for pair in combinations(range(6), 2) if hexagon.find_face(pair) is None)
+    for key in (diagonal, (), (0, 6)):
+        with pytest.raises(InvalidInputError):
+            hexagon.facets_through(PolytopeFace(key, 1))
+
+
 _MEMBERSHIP_CASES = [("A", 1, ("1",)), ("A", 2, ("3/2", "0")), ("A", 3, ("1", "1", "1")),
                      ("A", 3, ("1", "0", "1")), ("A", 4, ("0", "1", "1", "0")),
                      ("A", 5, ("1", "0", "1", "0", "1"))]
@@ -171,7 +205,7 @@ def test_sorted_escape_test_matches_every_facet(case):
 
 def test_facets_through_needs_a_face_through_x():
     poly = get_classification("A", 2, ("1", "1")).polytope
-    away = poly.face([next(i for i in range(len(poly.vertices)) if i != poly.x_index)])
+    away = poly.find_face([next(i for i in range(len(poly.vertices)) if i != poly.x_index)])
     with pytest.raises(InvalidInputError):
         poly.facets_through(away)
 
