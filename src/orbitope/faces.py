@@ -97,9 +97,9 @@ class FaceClassification(NamedTuple):
 
 
 def is_x_connected(rs: RootSystem, x: ChamberPoint, subset: Sequence[int]) -> bool:
-    """Every connected component of the subset must see a root with alpha(x) != 0."""
-    singular = set(x.singular_set)
-    return all(any(i not in singular for i in comp) for comp in rs.components(subset))
+    """Every connected component of the subset sees a root with alpha(x) != 0,
+    so the subset is its own `largest_x_connected_subset`."""
+    return largest_x_connected_subset(rs, x, subset) == tuple(sorted(set(subset)))
 
 
 def x_connected_subsets(rs: RootSystem, x: ChamberPoint) -> tuple[tuple[int, ...], ...]:

@@ -85,10 +85,10 @@ def induce_face_weight(rs: RootSystem, x: ChamberPoint, d: FaceDescriptor) -> Fa
         root = rs.positive_roots[k]
         # a root of Delta_I lies in the span of one component
         factor = ratio[next(i for i in d.I if rs.positive_coords[k][i])]
-        value = factor * dot(x1p, rs.coroot(root))
-        for sign in (1, -1):
-            rows.append(PairingRow(root=vscale(Fraction(sign), root), knapp=sign * value,
-                                   half_display=sign * value / 2))
+        value = factor * 2 * dot(x1p, root) / rs.root_lengths[k]
+        rows.append(PairingRow(root=root, knapp=value, half_display=value / 2))
+        rows.append(PairingRow(root=vscale(Fraction(-1), root), knapp=-value,
+                               half_display=-value / 2))
     return FaceWeight(I=d.I, x1=x1, x1_prime=x1p, pairings=tuple(rows),
                       is_integral=all(r.knapp.denominator == 1 for r in rows))
 

@@ -208,3 +208,8 @@ def integral_rows(m: Sequence[Sequence[Fraction]]) -> tuple[list[tuple[int, ...]
 def frac_str(x: Fraction | int) -> str:
     """Compact 'p' or 'p/q' rendering used in all reports."""
     return str(x.numerator) if x.denominator == 1 else "%d/%d" % (x.numerator, x.denominator)
+
+
+def point_str(v: Sequence[Fraction | int]) -> str:
+    """'(a,b,...)' rendering of a point in messages, each entry by `frac_str`."""
+    return "(%s)" % ",".join(map(frac_str, v))

@@ -12,14 +12,16 @@ of the rows of the facets through each face; the bitmask of those facets is
 kept for every face (`facet_masks`) and read, never rebuilt.  A face is just
 its vertex set and its dimension: its affine hull is the intersection of the
 facets through it (G. M. Ziegler, Lectures on Polytopes, 2.1), so any
-geometry of a face is read off those facets (`facets_through`).  Each kind of
-polytope finds a face by its vertex set in one way (`find_face`).  This
+geometry of a face is read off those facets (`facets_through`).  Both kinds
+of polytope hold one face table (`_Polytope`): the faces and facets they
+keep and each kept face's facet mask, so `facets_through` is one mask read
+for both; each finds a face by its vertex set in one way (`find_face`).  This
 module is the independent oracle the combinatorial face classification is
 checked against, so there is no floating point anywhere.
 
 A Kostant polytope is held by the integer rows of its orbit (`weyl.Orbit`)
-and its faces through one vertex x (`KostantPolytope`): they are the faces
-of the vertex figure at x, so `hull` of the neighbours s_beta.x of x builds
+and its faces and facets through one vertex x (`KostantPolytope`): they
+come from the vertex figure at x, so `hull` of the neighbours s_beta.x of x builds
 them, at most one per positive root, certified against the whole orbit
 (`from_vertex_figure`); every other face and facet is a W-image of one of
 them, never built.  The full lattice of `hull` stays as the oracle.
@@ -45,9 +47,9 @@ from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CapExceededError, InvalidInputError, TheoremViolationError
-from .linalg import (Vector, dot, frac_str, int_dot, int_rank, integral_rows,
-                     inverse, lincomb, mat_mul, nullspace, primitive, rref,
-                     transpose, vadd, vec, vscale, vsub, zero_vec)
+from .linalg import (Vector, dot, frac_str, int_dot, int_rank, integral_rows, inverse,
+                     lincomb, mat_mul, nullspace, point_str, primitive, rref, transpose,
+                     vadd, vec, vscale, vsub, zero_vec)
 from .weyl import Orbit, WeylGroup, vertex_permutations
 
 #: desk-scale guard on hull input size
@@ -80,36 +82,41 @@ class FaceOrbit(NamedTuple):
 
 
 class _Polytope:
-    """What both kinds of polytope answer: the top face.  A subclass sets
-    `vertices`, their `vertex_ints` over `vertex_scale`, `ambient_dim` and
-    `affine_dim`, and finds a face by its vertex set (`find_face`)."""
+    """The face table both kinds of polytope are read through: the vertices,
+    their integer rows `vertex_ints` over `vertex_scale`, the faces it keeps
+    by dimension, the facets it keeps, and for each kept face the bitmask of
+    the kept facets through it (`facet_masks`, bit k for the k-th facet).  A
+    subclass names its kept faces and facets and finds a face by its vertex
+    set (`find_face`)."""
 
-    vertices: tuple[Vector, ...]
-    vertex_ints: Sequence[tuple[int, ...]]
-    vertex_scale: int
-    ambient_dim: int
-    affine_dim: int
+    def __init__(self, vertices: tuple[Vector, ...], vertex_ints: Sequence[tuple[int, ...]],
+                 vertex_scale: int, faces: dict[int, tuple[PolytopeFace, ...]],
+                 facets: tuple[Facet, ...], facet_masks: dict[tuple[int, ...], int]):
+        self.vertices, self.vertex_ints, self.vertex_scale = vertices, vertex_ints, vertex_scale
+        self.ambient_dim = len(vertices[0])
+        self.affine_dim = max(faces)
+        self._faces, self._facets, self.facet_masks = faces, facets, facet_masks
+        self._by_vertices = {f.vertex_indices: f for fs in faces.values() for f in fs}
 
     @property
     def top(self) -> PolytopeFace:
         return PolytopeFace(vertex_indices=tuple(range(len(self.vertices))), dim=self.affine_dim)
 
+    def facets_through(self, face: PolytopeFace) -> tuple[Facet, ...]:
+        """The kept facets containing a kept face, in the order they are kept."""
+        mask = self.facet_masks.get(face.vertex_indices)
+        if mask is None:
+            raise InvalidInputError("vertex set %s is not a face this polytope keeps"
+                                    % (face.vertex_indices,))
+        return tuple(self._facets[k] for k in _bits(mask))
+
 
 class ExactPolytope(_Polytope):
-    """Exact polytope with full face lattice and, per face vertex set, the
-    bitmask of the facets through it (bit k for `facets[k]`); immutable."""
+    """Exact polytope that keeps its whole face lattice and all its facets;
+    immutable."""
 
-    def __init__(self, vertices: tuple[Vector, ...], vertex_ints: Sequence[tuple[int, ...]],
-                 vertex_scale: int, ambient_dim: int, affine_dim: int, facets: tuple[Facet, ...],
-                 face_lattice: dict[int, tuple[PolytopeFace, ...]],
-                 facet_masks: dict[tuple[int, ...], int]):
-        self.vertices, self.vertex_ints, self.vertex_scale = vertices, vertex_ints, vertex_scale
-        self.ambient_dim = ambient_dim
-        self.affine_dim = affine_dim
-        self.facets = facets
-        self.face_lattice = face_lattice
-        self.facet_masks = facet_masks
-        self._by_vertices = {f.vertex_indices: f for fs in face_lattice.values() for f in fs}
+    face_lattice = property(lambda self: self._faces)
+    facets = property(lambda self: self._facets)
 
     def find_face(self, vertex_indices: Iterable[int]) -> PolytopeFace | None:
         """The face on the given vertex set, or None if there is none."""
@@ -123,19 +130,14 @@ class ExactPolytope(_Polytope):
         """Face counts per dimension, top face included."""
         return tuple(len(self.face_lattice[d]) for d in sorted(self.face_lattice))
 
-    def facets_through(self, face: PolytopeFace) -> tuple[Facet, ...]:
-        """The facets containing the face, in the order of `facets`."""
-        mask = self.facet_masks.get(face.vertex_indices)
-        if mask is None:
-            raise InvalidInputError("no face with vertex set %s" % (face.vertex_indices,))
-        return tuple(self.facets[k] for k in _bits(mask))
-
 
 class KostantPolytope(_Polytope):
-    """The orbit polytope P = conv(W.x), held by its faces through the vertex x.
+    """The orbit polytope P = conv(W.x), which keeps its faces and facets
+    through the vertex x.
 
     W is transitive on the vertices, so every face of P is a W-image of a
-    face through x (`from_vertex_figure` builds those).  A vertex set is
+    face through x (`from_vertex_figure` builds those, with their facet
+    masks); `facets_through` takes a face through x only.  A vertex set is
     looked up by moving its least vertex to x along a path of simple
     reflections, which a breadth-first search of the orbit from x records.
     A face F through x stands for |W.x| / |F| faces of its dimension: each
@@ -144,18 +146,17 @@ class KostantPolytope(_Polytope):
     satisfy Euler-Poincare.
     """
 
+    faces_through_x = property(lambda self: self._faces)
+    facets_through_x = property(lambda self: self._facets)
+
     def __init__(self, orbit: Orbit, perms: Sequence[Sequence[int]],
                  faces_through_x: dict[int, tuple[PolytopeFace, ...]],
-                 facets_through_x: tuple[Facet, ...]):
-        self.vertices, self.vertex_ints, self.vertex_scale = orbit.vectors, orbit.ints, orbit.scale
-        self.ambient_dim = len(orbit.vectors[0])
-        self.affine_dim = max(faces_through_x)
+                 facets_through_x: tuple[Facet, ...], facet_masks: dict[tuple[int, ...], int]):
+        super().__init__(orbit.vectors, orbit.ints, orbit.scale, faces_through_x,
+                         facets_through_x, facet_masks)
         self.x_index = x_index = orbit.x_index
         #: entry s sends the index of v to the index of s(v), s simple
         self.perms = perms
-        self.faces_through_x = faces_through_x
-        self.facets_through_x = facets_through_x
-        self._by_vertices = {f.vertex_indices: f for fs in faces_through_x.values() for f in fs}
         # the simple reflections moving each vertex to x, first applied first
         paths = {x_index: ()}
         frontier = [x_index]
@@ -183,23 +184,18 @@ class KostantPolytope(_Polytope):
             image = [perm[i] for i in image]
         return tuple(image)
 
-    def at_x(self, vertex_indices: Iterable[int]) -> tuple[int, ...]:
-        """The sorted image of a nonempty vertex set under the path of simple
-        reflections moving its least vertex to x."""
-        image = tuple(vertex_indices)
-        return tuple(sorted(self._walk(self._paths[min(image)], image)))
-
     @cached_property
     def x_to_vertex_0(self) -> tuple[int, ...]:
         """The vertex permutation of an element of W taking x to vertex 0."""
         return self._walk(reversed(self._paths[0]), range(len(self.vertices)))
 
     def face_at_x(self, key: tuple[int, ...]) -> PolytopeFace | None:
-        """The face through x that `at_x` moves the sorted vertex set `key`
-        to, by one walk of its reflection path, or None if `key` is no face."""
+        """The face through x that the sorted vertex set `key` is moved to by
+        one walk of the simple reflections taking its least vertex to x, or
+        None if `key` is no face."""
         if not key or key[0] < 0 or key[-1] >= len(self.vertices):
             return None
-        return self._by_vertices.get(self.at_x(key))
+        return self._by_vertices.get(tuple(sorted(self._walk(self._paths[key[0]], key))))
 
     def find_face(self, vertex_indices: Iterable[int]) -> PolytopeFace | None:
         """The face on the given vertex set, or None if there is none."""
@@ -212,13 +208,6 @@ class KostantPolytope(_Polytope):
     def f_vector(self) -> tuple[int, ...]:
         """Face counts per dimension, top face included."""
         return self._f_vector
-
-    def facets_through(self, face: PolytopeFace) -> tuple[Facet, ...]:
-        """The facets containing a face through x, in `facets_through_x` order."""
-        if self.x_index not in face.vertex_indices:
-            raise InvalidInputError("face %s does not contain x" % (face.vertex_indices,))
-        vertices = set(face.vertex_indices)
-        return tuple(f for f in self.facets_through_x if vertices.issubset(f.vertex_indices))
 
 
 def hull(points: Sequence[Sequence], cap: int = DEFAULT_HULL_CAP) -> ExactPolytope:
@@ -234,8 +223,7 @@ def hull(points: Sequence[Sequence], cap: int = DEFAULT_HULL_CAP) -> ExactPolyto
         raise InvalidInputError("hull of an empty point set")
     if len(pts) > cap:
         raise CapExceededError("hull input has %d points, cap is %d" % (len(pts), cap))
-    ambient_dim = len(pts[0])
-    if any(len(p) != ambient_dim for p in pts):
+    if any(len(p) != len(pts[0]) for p in pts):
         raise InvalidInputError("points have mixed dimensions")
 
     base = pts[0]
@@ -245,9 +233,8 @@ def hull(points: Sequence[Sequence], cap: int = DEFAULT_HULL_CAP) -> ExactPolyto
 
     if d == 0:
         vertex_ints, vertex_scale = integral_rows(pts[:1])
-        return ExactPolytope((pts[0],), vertex_ints, vertex_scale, ambient_dim, affine_dim=0,
-                             facets=(), face_lattice={0: (PolytopeFace((0,), 0),)},
-                             facet_masks={(0,): 0})
+        return ExactPolytope((pts[0],), vertex_ints, vertex_scale,
+                             {0: (PolytopeFace((0,), 0),)}, (), {(0,): 0})
 
     # The reduced basis is the identity on its pivot columns, so a point's
     # affine coordinates are its offset from the base point read there.  Each
@@ -298,9 +285,8 @@ def hull(points: Sequence[Sequence], cap: int = DEFAULT_HULL_CAP) -> ExactPolyto
 
     lattice, facet_masks = _face_lattice([rows[i] for i in vertex_ids], [a for _, a in facets],
                                          [vertex_mask(f.vertex_indices) for f, _ in facets], d)
-    poly = ExactPolytope(tuple(vertex_pts), vertex_ints, vertex_scale, ambient_dim, affine_dim=d,
-                         facets=tuple(f for f, _ in facets), face_lattice=lattice,
-                         facet_masks=facet_masks)
+    poly = ExactPolytope(tuple(vertex_pts), vertex_ints, vertex_scale, lattice,
+                         tuple(f for f, _ in facets), facet_masks)
     if tuple(f.vertex_indices for f in lattice[0]) != tuple((i,) for i in range(len(vertex_pts))):
         raise TheoremViolationError("0-faces do not match the vertex set (bug)")
     return poly
@@ -436,13 +422,9 @@ def vertex_figure_points(orbit: Orbit, neighbours: Sequence[int]) -> list[Vector
         if gap <= 0:
             raise TheoremViolationError(
                 "x.x <= x.v at the orbit point %s: x is not a vertex (ext P = W.x failed)"
-                % _point_str(orbit.vectors[k]))
+                % point_str(orbit.vectors[k]))
         points.append(tuple(Fraction(scale * (a - b), gap) for a, b in zip(v_ints, x_ints)))
     return points
-
-
-def _point_str(v: Sequence) -> str:
-    return "(%s)" % ",".join(frac_str(Fraction(c)) for c in v)
 
 
 def from_vertex_figure(group: WeylGroup, orbit: Orbit, figure: ExactPolytope) -> KostantPolytope:
@@ -461,7 +443,9 @@ def from_vertex_figure(group: WeylGroup, orbit: Orbit, figure: ExactPolytope) ->
     orbit, since the far vertices of a facet are not neighbours of x and so
     are not vertices of the figure.  A face G of the figure gives the face
     of P through x, of dimension dim G + 1, on the vertices of every facet of
-    P whose figure facet contains G (the figure's `facet_masks`); a point
+    P whose figure facet contains G (the figure's `facet_masks`), and those
+    facets give its facet mask, in `facets_through_x` order; the vertex x,
+    the empty face of the figure, is on every facet through x.  A point
     figure (P a segment) has one facet, its empty face 0.q <= 1.
     """
     perms = vertex_permutations(group, orbit)
@@ -477,7 +461,7 @@ def from_vertex_figure(group: WeylGroup, orbit: Orbit, figure: ExactPolytope) ->
             raise TheoremViolationError(
                 "vertex-figure certificate failed: orbit point %d %s is off the span of "
                 "the figure at x, the hyperplane %s.v = %s" % (
-                    off, _point_str(vertices[off]), _point_str(z), frac_str(Fraction(zx, scale))))
+                    off, point_str(vertices[off]), point_str(z), frac_str(Fraction(zx, scale))))
     facets = []
     for m, c in bounds:
         normal = primitive(vadd(m, vscale(c, x)))
@@ -487,24 +471,28 @@ def from_vertex_figure(group: WeylGroup, orbit: Orbit, figure: ExactPolytope) ->
         if cut is not None:
             raise TheoremViolationError(
                 "vertex-figure certificate failed: orbit point %d %s cuts the facet "
-                "%s.v <= %s through x" % (cut, _point_str(vertices[cut]),
-                                          _point_str(normal), frac_str(Fraction(top, scale))))
+                "%s.v <= %s through x" % (cut, point_str(vertices[cut]),
+                                          point_str(normal), frac_str(Fraction(top, scale))))
         facets.append(Facet(normal=vec(normal), offset=Fraction(top, scale),
                             vertex_indices=tuple(i for i, val in enumerate(values) if val == top)))
 
-    tight_masks = [vertex_mask(f.vertex_indices) for f in facets]
+    facets_through_x = tuple(sorted(facets, key=lambda f: (f.vertex_indices, f.normal)))
+    bit = {f: 1 << k for k, f in enumerate(facets_through_x)}
+    lifted = [(vertex_mask(f.vertex_indices), bit[f]) for f in facets]
     levels: dict[int, list[PolytopeFace]] = {0: [PolytopeFace((x_index,), 0)]}
+    masks = {(x_index,): (1 << len(facets)) - 1}
     for dim, faces in figure.face_lattice.items():
         for g in faces:
-            mask = (1 << len(vertices)) - 1
+            mask, through = (1 << len(vertices)) - 1, 0
             for k in _bits(figure.facet_masks[g.vertex_indices]):
-                mask &= tight_masks[k]
-            levels.setdefault(dim + 1, []).append(PolytopeFace(_bits(mask), dim + 1))
+                mask &= lifted[k][0]
+                through |= lifted[k][1]
+            face = PolytopeFace(_bits(mask), dim + 1)
+            levels.setdefault(dim + 1, []).append(face)
+            masks[face.vertex_indices] = through
     return KostantPolytope(
-        orbit=orbit, perms=perms,
-        faces_through_x={dim: tuple(sorted(fs, key=lambda f: f.vertex_indices))
-                         for dim, fs in sorted(levels.items())},
-        facets_through_x=tuple(sorted(facets, key=lambda f: (f.vertex_indices, f.normal))))
+        orbit, perms, {dim: tuple(sorted(fs, key=lambda f: f.vertex_indices))
+                       for dim, fs in sorted(levels.items())}, facets_through_x, masks)
 
 
 def support_set(p: _Polytope, u: Sequence) -> tuple[PolytopeFace, Fraction]:

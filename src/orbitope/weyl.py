@@ -23,8 +23,7 @@ from math import prod
 from typing import Sequence
 
 from .errors import CapExceededError, TheoremViolationError
-from .linalg import (Vector, dot, frac_str, int_dot, integral_rows, lincomb,
-                     primitive)
+from .linalg import Vector, dot, int_dot, integral_rows, lincomb, point_str, primitive
 from .roots import ChamberPoint, RootSystem
 
 Labels = tuple[int, ...]
@@ -167,8 +166,8 @@ def reflection_neighbours(group: WeylGroup, orbit: Orbit) -> tuple[int, ...]:
             k = orbit.index.get(tuple(lam - pairing * b for lam, b in zip(labels, root)))
             if k is None:
                 image = rs.reflect(beta, orbit.vectors[orbit.x_index])
-                raise TheoremViolationError("reflection image (%s) of x is not in W.x (bug)"
-                                            % ",".join(map(frac_str, image)))
+                raise TheoremViolationError("reflection image %s of x is not in W.x (bug)"
+                                            % point_str(image))
             found.add(k)
     return tuple(sorted(found))
 

@@ -8,7 +8,7 @@ vertex of the figure must fail the certificate.  The oracle is the hull of the w
 every face classed under all r simple reflections; the two must agree on all
 that the reports read: the faces through x, the f-vector, the classes and
 their least members, the containment order and the facets through each
-sigma.  The numeric check's escape test, which reads only the facets through
+face through x.  The numeric check's escape test, which reads only the facets through
 x, must agree with every facet of that hull.
 """
 
@@ -77,7 +77,9 @@ def _compare_with_full_lattice(type_label, rank, coords):
         orbit = orbit_of[d.sigma.vertex_indices]
         assert cl.matching[d.I] == orbit.representative
         assert phi_of_descriptor(cl, d).members == tuple(m for m in orbit.members if x in m)
-        assert poly.facets_through(d.sigma) == full.facets_through(d.sigma)
+    for faces in poly.faces_through_x.values():
+        for face in faces:
+            assert poly.facets_through(face) == full.facets_through(face)
 
     nodes = cl.descriptors
     contained = {(i, j) for i, a in enumerate(nodes) for j, b in enumerate(nodes)
@@ -206,7 +208,9 @@ def test_sorted_escape_test_matches_every_facet(case):
 def test_facets_through_needs_a_face_through_x():
     poly = get_classification("A", 2, ("1", "1")).polytope
     away = poly.find_face([next(i for i in range(len(poly.vertices)) if i != poly.x_index)])
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError,
+                       match=r"^vertex set \(%d,\) is not a face this polytope keeps$"
+                       % away.vertex_indices):
         poly.facets_through(away)
 
 
