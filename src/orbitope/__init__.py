@@ -18,8 +18,7 @@ from .faces import (FaceClassification, FaceDescriptor, classify_faces,
 from .integrality import (FaceWeight, WeightData, check_integral,
                           induce_face_weight)
 from .polytope import (ExactPolytope, FaceOrbit, Facet, KostantPolytope,
-                       PolytopeFace, act_on_faces, fixed_vector_in_cone, hull,
-                       support_set)
+                       PolytopeFace, act_on_faces, hull, support_set)
 from .roots import ChamberPoint, RootSystem, build_root_system, chamber_point
 from .strata import StratumDims, StratumPoset, build_poset, stratum_dim
 from .weyl import WeylGroup, build_weyl_group, weyl_orbit
@@ -46,7 +45,7 @@ __all__ = [
     "WeightData", "WeylGroup",
     "act_on_faces", "ascend", "build_poset", "build_root_system",
     "build_weyl_group", "chamber_point", "check_integral", "classify_faces",
-    "fixed_vector_in_cone", "hessian_signature", "hull",
+    "hessian_signature", "hull",
     "induce_face_weight", "matrix_orbit_point", "parabolic_report",
     "phi_of_descriptor", "psi_of_polytope_face", "saturate", "stratum_dim",
     "support_set", "verify_face_numeric", "weyl_orbit", "x_connected_subsets",

@@ -31,15 +31,20 @@ A momentum shadow y is tested on the facets through x alone: every facet is
 a W-image of one, and W = S_n permutes the coordinates, so the largest value
 of a W-image of a normal m at y is sort(m) . sort(y), by the rearrangement
 inequality (Hardy, Littlewood and Polya, Inequalities, 10.2).
-A run converts the vertices and the facets through x to floats once, and
-tests the shadows of all its lanes against them in one call.  The tolerances
-and the iteration cap are fixed module constants, not settings or arguments.
-numpy is imported inside the functions that use it, so importing the package
-(and every run that never reaches the numeric check) does not load it.
+A run converts the vertices (from their integer rows, in one division) and
+the facets through x to floats once, and tests the shadows of all its lanes
+against them in one call.  Each face's exact support value is h = u . x:
+x lies in sigma, and `classify_faces` has certified that u exposes sigma, so
+no pass over the orbit is made again here.  The tolerances and the iteration
+cap are fixed module constants, not settings or arguments.
 
+numpy is imported inside the functions that use it, so importing the package
+(and every run that never reaches the numeric check) does not load it, and a
+type-A run loads numpy's core only, never `numpy.random` or `numpy.ma`.
 Every lane of a run, in whatever groups of faces, starts from its one seeded
 Haar draw (`haar_starts`), whose Gaussians come from the standard library's
-`random.Random(seed)`, so a run never loads `numpy.random`.
+`random.Random(seed)`; the eigenspaces of x0 come from its distinct diagonal
+values sorted in Python, since `np.unique` loads `numpy.ma`.
 """
 
 from __future__ import annotations
@@ -49,7 +54,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InvalidInputError, TheoremViolationError
 from .faces import FaceClassification, FaceDescriptor
-from .polytope import KostantPolytope, support_set
+from .linalg import dot
+from .polytope import KostantPolytope
 
 _HERM_TOL = 1e-10
 #: a seed has converged once ||[p, u]|| falls below this.  Convergence is
@@ -237,8 +243,9 @@ def ascend(x0: np.ndarray, u: np.ndarray, seeds: Iterable[int],
     b = np.repeat(np.diagonal(us, axis1=1, axis2=2).imag, len(seeds), axis=0)
     r = a[:, None] - a[None, :]
     r2 = r * r
-    # the eigenspaces of x0 in which the frame turns freely
-    blocks = [np.flatnonzero(a == c) for c in np.unique(a)]
+    # the eigenspaces of x0 in which the frame turns freely (not by np.unique,
+    # which loads numpy.ma)
+    blocks = [np.flatnonzero(a == c) for c in sorted(set(a.tolist()))]
     blocks = [idx for idx in blocks if len(idx) > 1]
     # mu_u(V x0 V*) = sum_ik b_i |V_ik|^2 a_k
     weights = b[:, :, None] * a
@@ -399,6 +406,14 @@ def shadows_escape(poly: KostantPolytope, shadows: np.ndarray) -> np.ndarray:
     return ~(np.sort(shadows, axis=1) @ normals.T <= offsets + _INSIDE_TOL).all(axis=1)
 
 
+def vertex_floats(poly: KostantPolytope) -> np.ndarray:
+    """The vertices of P as a float table, from the integer rows in one
+    division: over Python ints, each quotient is correctly rounded, so the
+    bits are those of float(Fraction) per coordinate at every size."""
+    import numpy as np
+    return (np.array(poly.vertex_ints, dtype=object) / poly.vertex_scale).astype(float)
+
+
 def verify_face_numeric(classification: FaceClassification,
                         faces: Sequence[FaceDescriptor], seeds: int = 20, seed_base: int = 0,
                         draw: tuple[np.ndarray, np.ndarray] | None = None) -> list[dict]:
@@ -409,10 +424,10 @@ def verify_face_numeric(classification: FaceClassification,
     then runs each face's exposing vector from every seed, starting from
     `draw` if it is given (the run's `haar_starts`), and the faces are
     checked in order: convergence (which is criticality), the achieved value
-    against the exact support value, spectral invariance along the ascent,
-    momentum containment of all Cartan projections, the value ceiling,
-    membership of the maximizers in sigma, and the Hessian block signs, all
-    at the module's fixed tolerances.  The first face with a mismatch raises
+    against the exact support value h = u . x, spectral invariance along the
+    ascent, momentum containment of all Cartan projections, the value
+    ceiling, membership of the maximizers in sigma, and the Hessian block
+    signs, all at the module's fixed tolerances.  The first face with a mismatch raises
     TheoremViolationError with a counterexample summary.
     """
     import numpy as np
@@ -434,7 +449,7 @@ def verify_face_numeric(classification: FaceClassification,
     us = np.array([su_from_cartan(d.exposing_u) for d in faces])
     res = ascend(x0, us, range(seed_base, seed_base + seeds), draw)
     # the float data of P and the u-free checks, once for every lane
-    vertices = np.array([[float(c) for c in v] for v in poly.vertices])
+    vertices = vertex_floats(poly)
     shadows = np.imag(np.diagonal(np.stack((res.start_points, res.points)), axis1=2, axis2=3))
     escapes = dict(zip(("start", "maximizer"),
                        shadows_escape(poly, shadows.reshape(-1, n)).reshape(2, -1)))
@@ -444,7 +459,8 @@ def verify_face_numeric(classification: FaceClassification,
         # this face's lanes, as the per-seed result of an ascent of its own
         face = AscentResult(res.seeds, *(a[lanes] for a in res[1:]))
         u_exact = d.exposing_u
-        _, h = support_set(poly, u_exact)
+        # x lies in sigma, which u exposes (`classify_faces` certified it)
+        h = dot(u_exact, classification.x.vector)
         h_trace = float(h)
         sigma_set = set(d.sigma.vertex_indices)
         blocks: dict[Fraction, list[int]] = {}

@@ -27,10 +27,7 @@ them, at most one per positive root, certified against the whole orbit
 them, never built.  The full lattice of `hull` stays as the oracle.
 
 The Weyl group reaches a polytope only through the r simple-reflection
-permutations of its vertices (`act_on_faces`, `face_orbit`).  An exposing
-vector fixed by a face's stabilizer is a sum of facet normals, each divided
-by offset - normal . b for the vertex barycenter b, so it needs no group
-element at all.
+permutations of its vertices (`act_on_faces`, `face_orbit`).
 
 Every inner product here is the coordinate dot product.  On a Kostant
 polytope that loses nothing: W.x lies in the root span, where W acts by
@@ -48,7 +45,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CapExceededError, InvalidInputError, TheoremViolationError
 from .linalg import (Vector, dot, frac_str, int_dot, int_rank, integral_rows, inverse,
-                     lincomb, mat_mul, nullspace, point_str, primitive, rref, transpose,
+                     mat_mul, nullspace, point_str, primitive, rref, transpose,
                      vadd, vec, vscale, vsub, zero_vec)
 from .weyl import Orbit, WeylGroup, vertex_permutations
 
@@ -556,25 +553,3 @@ def act_on_faces(perms: Sequence[Sequence[int]],
             orbits.append(FaceOrbit(dim=dim, representative=members[0], members=members))
         out[dim] = tuple(orbits)
     return out
-
-
-def fixed_vector_in_cone(p: _Polytope, face: PolytopeFace) -> Vector:
-    """A vector exposing exactly the given proper face, fixed by its stabilizer.
-
-    Sums the outward normals of the facets containing the face, each scaled
-    by 1 / (offset - normal . b) for the barycenter b of the vertices.  That
-    scaling does not depend on the normal's length, and every dot-orthogonal
-    symmetry of P (all of W, on a Kostant polytope) fixes b and permutes the
-    facets through the face, so the sum is fixed by the face's stabilizer.
-    With Killing offsets the same sum is this vector over `killing_ratio`.
-    """
-    if face.vertex_indices == p.top.vertex_indices:
-        raise InvalidInputError("the whole polytope has no exposing vector")
-    barycenter = vscale(Fraction(1, len(p.vertices)), lincomb([1] * len(p.vertices), p.vertices))
-    u = zero_vec(p.ambient_dim)
-    for f in p.facets_through(face):
-        u = vadd(u, vscale(1 / (f.offset - dot(f.normal, barycenter)), f.normal))
-    exposed, _ = support_set(p, u)
-    if exposed.vertex_indices != face.vertex_indices:
-        raise TheoremViolationError("scaled normal sum does not expose the face (bug)")
-    return u

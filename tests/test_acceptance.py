@@ -13,12 +13,12 @@ import time
 from fractions import Fraction as Q
 
 from conftest import get_classification, get_point, get_rs
-from orbitope import (build_poset, check_integral, fixed_vector_in_cone,
-                      hessian_signature, induce_face_weight, parabolic_report,
-                      psi_of_polytope_face, stratum_dim, support_set,
-                      verify_face_numeric)
+from orbitope import (build_poset, check_integral, hessian_signature,
+                      induce_face_weight, parabolic_report, psi_of_polytope_face,
+                      stratum_dim, support_set, verify_face_numeric)
 from orbitope.cli import RunConfig, run
 from orbitope.numeric import ascend, su_from_cartan
+from polytope_oracle import fixed_vector_in_cone
 
 #: criterion-3 grid; A1 has no full singular point (x = 0 is rejected), so it
 #: contributes the regular point only

@@ -237,7 +237,7 @@ def test_exposing_vs_canonical_cone_vector_shadow():
     """If u exposes sigma and v is the stabilizer-fixed exposing vector (the
     scaled facet-normal sum), then alpha(u) = 0 forces alpha(v) = 0 and
     alpha(u) > 0 forces alpha(v) >= 0, for positive roots alpha."""
-    from orbitope import fixed_vector_in_cone
+    from polytope_oracle import fixed_vector_in_cone
     for args in [("A", 2, (1, 1)), ("B", 2, (1, 0)), ("A", 3, (1, 0, 1))]:
         cl = get_classification(*args)
         rs = cl.root_system

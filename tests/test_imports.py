@@ -15,8 +15,8 @@ import orbitope
 _SCRIPT = """\
 import sys
 def loaded():
-    print(*[m for m in ("dataclasses", "numpy", "numpy.random", "orbitope.numeric")
-            if m in sys.modules],
+    print(*[m for m in ("dataclasses", "numpy", "numpy.ma", "numpy.random",
+                        "orbitope.numeric") if m in sys.modules],
           sep=",", file=sys.stderr)
 import orbitope.cli
 loaded()
@@ -30,7 +30,8 @@ loaded()
 def test_only_a_numeric_run_loads_numeric_and_numpy():
     """`import orbitope.cli` loads neither dataclasses, numpy nor `numeric`;
     a type D run still loads neither of the last two, a type A run both, but
-    never `numpy.random`: its Haar starts draw from the standard library."""
+    never `numpy.random` or `numpy.ma`: its Haar starts draw from the
+    standard library, and its eigenspace blocks come without `np.unique`."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run([sys.executable, "-c", _SCRIPT], env=env, capture_output=True,
                           text=True, timeout=120)
@@ -41,6 +42,7 @@ def test_only_a_numeric_run_loads_numeric_and_numpy():
     assert not after_d4 & {"numpy", "orbitope.numeric"}
     assert after_a2 >= {"numpy", "orbitope.numeric"}
     assert "numpy.random" not in after_a2
+    assert "numpy.ma" not in after_a2
 
 
 def test_every_exported_name_resolves():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -10,9 +12,10 @@ from ascent_oracle import ascend_one
 from conftest import get_classification, get_rs
 from orbitope import (InvalidInputError, TheoremViolationError, ascend,
                       build_weyl_group, chamber_point, classify_faces,
-                      hessian_signature, matrix_orbit_point,
+                      hessian_signature, matrix_orbit_point, support_set,
                       verify_face_numeric)
-from orbitope.numeric import random_special_unitaries, su_from_cartan
+from orbitope.linalg import dot
+from orbitope.numeric import random_special_unitaries, su_from_cartan, vertex_floats
 
 
 def test_matrix_orbit_point_validation():
@@ -333,3 +336,36 @@ def test_every_lane_converges_within_40_iterations():
         for rep in verify_face_numeric(cl, cl.proper_descriptors[:faces], seeds=200):
             assert rep["n_converged"] == 200
             assert rep["max_iterations"] <= 40, (coords, rep["I"], rep["max_iterations"])
+
+
+#: the type-A cases whose exact data the float check reads
+_EXACT_CASES = ((1, 1, 1), (1, 0, 1), (0, 1, 1, 0), (1, 0, 1, 0, 1))
+
+
+def test_support_value_is_u_dot_x():
+    """x lies in sigma, which u exposes, so u . x is the support value that
+    the scan over the whole orbit finds, for every proper descriptor; the
+    report's Killing value is that value times the factor."""
+    for coords in _EXACT_CASES:
+        cl = get_classification("A", len(coords), coords)
+        for d in cl.proper_descriptors:
+            assert dot(d.exposing_u, cl.x.vector) == support_set(cl.polytope, d.exposing_u)[1]
+    cl = get_classification("A", 3, (1, 1, 1))
+    for d, rep in zip(cl.proper_descriptors, verify_face_numeric(cl, cl.proper_descriptors,
+                                                                 seeds=2)):
+        h = support_set(cl.polytope, d.exposing_u)[1]
+        assert rep["h_killing"] == str(cl.root_system.killing_ratio * h)
+        assert rep["h_trace"] == float(h)
+
+
+@pytest.mark.parametrize("coords", _EXACT_CASES + (
+    # integer rows past 2^53, where an int64 division rounds twice and misses
+    # a bit, and past 2^63
+    (Fraction(218279948466286009, 200090642723222005), 1),
+    (Fraction(10 ** 20 + 1, 10 ** 20), 1)))
+def test_vertex_floats_equal_the_fraction_floats(coords):
+    """The float table from the integer rows has the bits of float(Fraction)
+    per coordinate."""
+    poly = get_classification("A", len(coords), coords).polytope
+    table = np.array([[float(c) for c in v] for v in poly.vertices])
+    assert np.array_equal(vertex_floats(poly), table)

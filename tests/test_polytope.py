@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from conftest import defining_sum, get_group, get_oracle, get_point, get_rs
-from orbitope import (CapExceededError, InvalidInputError, act_on_faces,
-                      fixed_vector_in_cone, hull, support_set, weyl_orbit)
+from orbitope import (CapExceededError, InvalidInputError, act_on_faces, hull,
+                      support_set, weyl_orbit)
 from orbitope.linalg import dot, vec
+from polytope_oracle import fixed_vector_in_cone
 from tests_util_det import minor_rank
 from weyl_oracle import reflection_permutations
 
