@@ -117,10 +117,13 @@ def build_report(config: RunConfig) -> dict:
     else:
         classification = classify_faces(rs, group, x, orbit_cap=config.orbit_cap)
         poly = classification.polytope
+    rows = poly.vertex_ints
+    # the integer rows over one scale, each coordinate value rendered once
+    strs = {c: frac_str(Fraction(c, poly.vertex_scale)) for c in set().union(*rows)}
     report["polytope"] = {
-        "n_vertices": len(poly.vertices),
+        "n_vertices": len(rows),
         "f_vector": list(poly.f_vector()),
-        "vertices": [_vec_strs(v) for v in poly.vertices],
+        "vertices": [[strs[c] for c in row] for row in rows],
     }
     if config.command == "polytope":
         return report

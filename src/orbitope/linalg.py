@@ -210,6 +210,7 @@ def frac_str(x: Fraction | int) -> str:
     return str(x.numerator) if x.denominator == 1 else "%d/%d" % (x.numerator, x.denominator)
 
 
-def point_str(v: Sequence[Fraction | int]) -> str:
-    """'(a,b,...)' rendering of a point in messages, each entry by `frac_str`."""
-    return "(%s)" % ",".join(map(frac_str, v))
+def point_str(v: Sequence[Fraction | int], scale: int = 1) -> str:
+    """'(a,b,...)' rendering of a point in messages, each entry divided by
+    `scale` (an integer row over its scale) and rendered by `frac_str`."""
+    return "(%s)" % ",".join(frac_str(Fraction(c, scale)) for c in v)

@@ -36,7 +36,9 @@ the facets through x to floats once, and tests the shadows of all its lanes
 against them in one call.  Each face's exact support value is h = u . x:
 x lies in sigma, and `classify_faces` has certified that u exposes sigma, so
 no pass over the orbit is made again here.  The tolerances and the iteration
-cap are fixed module constants, not settings or arguments.
+cap are fixed module constants, not settings or arguments.  Each tolerance
+is relative: a point or spectrum is compared at ||x0|| = max |a_k|, a height,
+value or ||[p, u]|| at ||x0|| ||u|| (||u|| = max |b_k|), n . y at ||x0|| |n|_1.
 
 numpy is imported inside the functions that use it, so importing the package
 (and every run that never reaches the numeric check) does not load it, and a
@@ -78,7 +80,7 @@ _INSIDE_TOL = 1e-9
 _ROUND_TOL = 1e-6
 #: rotation angle of the finite-difference Hessian check
 _FD_STEP = 1e-3
-#: differences and eigenvalues at most this are zero in the Hessian signs
+#: differences of x's or u's entries at most this are zero in the Hessian signs
 _ZERO_TOL = 1e-12
 
 
@@ -86,11 +88,10 @@ def su_from_cartan(v: Sequence) -> np.ndarray:
     """The diagonal skew-Hermitian matrix i*diag(v) for a realization vector."""
     import numpy as np
     try:
-        a = np.array([float(Fraction(c)) if isinstance(c, str) else float(c) for c in v],
-                     dtype=float)
+        a = np.array([float(Fraction(c)) for c in v])
     except OverflowError:
         raise InvalidInputError("Cartan vector has an entry beyond the float range") from None
-    if abs(a.sum()) > 1e-9:
+    if abs(a.sum()) > _HERM_TOL * np.abs(a).max():
         raise InvalidInputError("Cartan vector is not traceless")
     return 1j * np.diag(a)
 
@@ -127,11 +128,12 @@ def matrix_orbit_point(x0: np.ndarray, g: np.ndarray) -> np.ndarray:
     g, the stack of points."""
     import numpy as np
     p = g @ x0 @ g.conj().swapaxes(-1, -2)
-    if np.abs(p + p.conj().swapaxes(-1, -2)).max() > _HERM_TOL:
+    tol = _HERM_TOL * np.abs(x0).max()
+    if np.abs(p + p.conj().swapaxes(-1, -2)).max() > tol:
         raise InvalidInputError("orbit point is not skew-Hermitian")
-    if np.abs(np.trace(p, axis1=-2, axis2=-1)).max() > _HERM_TOL:
+    if np.abs(np.trace(p, axis1=-2, axis2=-1)).max() > tol:
         raise InvalidInputError("orbit point is not traceless")
-    if np.abs(sorted_spectrum(p) - sorted_spectrum(x0)).max() > _HERM_TOL:
+    if np.abs(sorted_spectrum(p) - sorted_spectrum(x0)).max() > tol:
         raise InvalidInputError("orbit point changed the eigenvalue multiset")
     return p
 
@@ -213,11 +215,11 @@ def ascend(x0: np.ndarray, u: np.ndarray, seeds: Iterable[int],
     V inside the eigenspaces of x0 until the diagonal blocks of
     H = V* diag(b) V are diagonal, stops the lane if ||[p, u]||, which is
     sqrt(sum_kj r_kj^2 |H_kj|^2) with r_kj = a_k - a_j, is below the
-    tolerance, and otherwise tries V <- V cayley(Omega) with
-    Omega_kj = -r_kj H_kj / (lambda + |r_kj (H_kk - H_jj)|).  The try is
+    tolerance times c = max|a| max|b|, and otherwise tries V <- V cayley(Omega)
+    with Omega_kj = -r_kj H_kj / (lambda + |r_kj (H_kk - H_jj)|).  The try is
     accepted when mu_u rises by at least 1e-4 of the first-order prediction,
-    or, once that prediction is below 1e-12 (1 + |mu|), when ||[p, u]||
-    falls and mu_u drops by at most 1e-11 (1 + |mu|).  lambda starts at
+    or, once that prediction is below 1e-12 (c + |mu|), when ||[p, u]||
+    falls and mu_u drops by at most 1e-11 (c + |mu|).  lambda starts at
     max|b| (max a - min a); it is multiplied by 0.3 when the gain exceeds
     half the quadratic model's, and by 4 on a rejection or when it is below
     a quarter of it.  A lane stops unconverged at the iteration cap, or once
@@ -251,6 +253,7 @@ def ascend(x0: np.ndarray, u: np.ndarray, seeds: Iterable[int],
     weights = b[:, :, None] * a
     count = len(v)
     lam = np.abs(b).max(axis=1) * (a.max() - a.min())
+    size = np.abs(b).max(axis=1) * np.abs(a).max()  # ||x0|| ||u|| per lane
     value = _lane_sums(_abs2(v) * weights)
     prev_spec = sorted_spectrum(starts)
     drift = np.zeros(count)
@@ -275,7 +278,7 @@ def ascend(x0: np.ndarray, u: np.ndarray, seeds: Iterable[int],
         h2 = _abs2(h)
         grad_sq = _lane_sums(r2 * h2)
         grad_norm[live] = np.sqrt(grad_sq)
-        done = grad_norm[live] < _GRAD_TOL
+        done = grad_norm[live] < _GRAD_TOL * size[live]
         converged[live[done]] = True
         live, vl, bl, h, h2, grad_sq = (z[~done] for z in (live, vl, bl, h, h2, grad_sq))
         if not live.size:
@@ -293,7 +296,7 @@ def ascend(x0: np.ndarray, u: np.ndarray, seeds: Iterable[int],
         pred = _lane_sums(terms)
         model = pred - 0.5 * _lane_sums(terms * curv / damp)
         ok = gain >= 1e-4 * pred
-        scale = 1.0 + np.abs(val)
+        scale = size[live] + np.abs(val)
         late = np.flatnonzero(~ok & (pred < 1e-12 * scale))
         if late.size:
             cand_grad_sq = _lane_sums(r2 * _abs2(_frame_h(cand[late], bl[late])))
@@ -336,11 +339,6 @@ class HessianReport(NamedTuple):
     is_min: bool
 
 
-def _cartan_vec(x) -> np.ndarray:
-    import numpy as np
-    return np.array([float(c) for c in x], dtype=float)
-
-
 def hessian_signature(x_crit, u) -> HessianReport:
     """Per-root-plane Hessian signs at a diagonal critical point, plus a
     finite-difference cross-check of the block eigenvalues.
@@ -353,9 +351,9 @@ def hessian_signature(x_crit, u) -> HessianReport:
     |second difference - eigenvalue| / max(1, |eigenvalue|).
     """
     import numpy as np
-    a = _cartan_vec(x_crit)
-    b = _cartan_vec(u)
+    a, b = np.array([float(c) for c in x_crit]), np.array([float(c) for c in u])
     n = len(a)
+    a_zero, b_zero = _ZERO_TOL * np.abs(a).max(), _ZERO_TOL * np.abs(b).max()
     blocks = []
     excluded = []
     neg = zero = pos = 0
@@ -363,12 +361,12 @@ def hessian_signature(x_crit, u) -> HessianReport:
         for j in range(i + 1, n):
             r = a[i] - a[j]
             s = b[i] - b[j]
-            if abs(r) <= _ZERO_TOL:
+            if abs(r) <= a_zero:
                 excluded.append((i, j))
                 continue
             eig = -s / r
             blocks.append((i, j, r, s, eig))
-            if abs(eig) <= _ZERO_TOL:
+            if abs(s) <= b_zero:
                 zero += 2
             elif eig < 0:
                 neg += 2
@@ -399,11 +397,13 @@ def hessian_signature(x_crit, u) -> HessianReport:
 
 
 def shadows_escape(poly: KostantPolytope, shadows: np.ndarray) -> np.ndarray:
-    """Whether each shadow lies beyond a facet of P by more than `_INSIDE_TOL`."""
+    """Whether each shadow lies beyond a facet n . y <= c by over `_INSIDE_TOL` ||x0|| |n|_1."""
     import numpy as np
     normals = np.sort([[float(c) for c in f.normal] for f in poly.facets_through_x], axis=1)
     offsets = np.array([float(f.offset) for f in poly.facets_through_x])
-    return ~(np.sort(shadows, axis=1) @ normals.T <= offsets + _INSIDE_TOL).all(axis=1)
+    slack = _INSIDE_TOL * max(map(abs, poly.vertex_ints[poly.x_index])) / poly.vertex_scale
+    return ~(np.sort(shadows, axis=1) @ normals.T
+             <= offsets + slack * np.abs(normals).sum(axis=1)).all(axis=1)
 
 
 def vertex_floats(poly: KostantPolytope) -> np.ndarray:
@@ -446,6 +446,7 @@ def verify_face_numeric(classification: FaceClassification,
     n = rs.rank + 1
     factor = rs.killing_ratio
     x0 = su_from_cartan(classification.x.vector)
+    x_size = np.abs(x0).max()
     us = np.array([su_from_cartan(d.exposing_u) for d in faces])
     res = ascend(x0, us, range(seed_base, seed_base + seeds), draw)
     # the float data of P and the u-free checks, once for every lane
@@ -462,11 +463,12 @@ def verify_face_numeric(classification: FaceClassification,
         # x lies in sigma, which u exposes (`classify_faces` certified it)
         h = dot(u_exact, classification.x.vector)
         h_trace = float(h)
+        size = x_size * np.abs(u).max()  # ||x0|| ||u||
         sigma_set = set(d.sigma.vertex_indices)
         blocks: dict[Fraction, list[int]] = {}
         for i, c in enumerate(u_exact):
             blocks.setdefault(c, []).append(i)
-        exceeds = {name: _heights(q, np.diag(u)) > h_trace + _INSIDE_TOL
+        exceeds = {name: _heights(q, np.diag(u)) > h_trace + _INSIDE_TOL * size
                    for name, q in (("start", face.start_points), ("maximizer", face.points))}
         plane_gap = np.abs(shadows[1, lanes] @ np.array([float(c) for c in u_exact]) - h_trace)
         # block-diagonalize within the eigenspaces of u and round to the orbit
@@ -484,9 +486,9 @@ def verify_face_numeric(classification: FaceClassification,
                 failures.append("%s: no convergence (grad %.2e)" % (tag, face.grad_norms[k]))
                 continue
             gap = abs(face.values[k] - h_trace)
-            if gap > _VALUE_TOL:
-                failures.append("%s: value gap %.2e > %.0e" % (tag, gap, _VALUE_TOL))
-            if face.spectral_drifts[k] > _DRIFT_TOL:
+            if gap > _VALUE_TOL * size:
+                failures.append("%s: value gap %.2e > %.0e" % (tag, gap, _VALUE_TOL * size))
+            if face.spectral_drifts[k] > _DRIFT_TOL * x_size:
                 failures.append("%s: spectral drift %.2e per step"
                                 % (tag, face.spectral_drifts[k]))
             for name in ("start", "maximizer"):
@@ -494,16 +496,16 @@ def verify_face_numeric(classification: FaceClassification,
                     failures.append("%s: %s momentum shadow escapes P" % (tag, name))
                 if exceeds[name][k]:
                     failures.append("%s: %s exceeds the support ceiling" % (tag, name))
-            if plane_gap[k] > _VALUE_TOL:
+            if plane_gap[k] > _VALUE_TOL * size:
                 failures.append("%s: maximizer shadow is not on the supporting hyperplane" % tag)
             near = nearest[k]
-            if dist[k, near] > _ROUND_TOL:
+            if dist[k, near] > _ROUND_TOL * x_size:
                 failures.append("%s: maximizer does not round to an orbit point (%.2e)"
                                 % (tag, dist[k, near]))
             elif near not in sigma_set:
                 failures.append("%s: maximizer rounds to vertex %d outside sigma" % (tag, near))
 
-        hess = hessian_signature(poly.vertices[d.sigma.vertex_indices[0]], u_exact)
+        hess = hessian_signature(vertices[d.sigma.vertex_indices[0]], u_exact)
         if not hess.is_max:
             failures.append("Hessian on sigma vertex has positive blocks")
         if hess.fd_max_error > _FD_TOL:

@@ -19,15 +19,17 @@ for both; each finds a face by its vertex set in one way (`find_face`).  This
 module is the independent oracle the combinatorial face classification is
 checked against, so there is no floating point anywhere.
 
-A Kostant polytope is held by the integer rows of its orbit (`weyl.Orbit`)
-and its faces and facets through one vertex x (`KostantPolytope`): they
-come from the vertex figure at x, so `hull` of the neighbours s_beta.x of x builds
-them, at most one per positive root, certified against the whole orbit
+A Kostant polytope is held by its orbit (`weyl.Orbit`), whose integer rows are
+its vertex table (`vertices` derives fractions from them on first read), and
+its faces and facets through one vertex x (`KostantPolytope`): they come from
+the vertex figure at x, so `hull` of the neighbours s_beta.x of x builds them,
+at most one per positive root, certified against the whole orbit
 (`from_vertex_figure`); every other face and facet is a W-image of one of
 them, never built.  The full lattice of `hull` stays as the oracle.
 
 The Weyl group reaches a polytope only through the r simple-reflection
-permutations of its vertices (`act_on_faces`, `face_orbit`).
+permutations of its vertices (`act_on_faces`, `face_orbit`) and the orbit's
+search tree, read as paths of simple reflections to x.
 
 Every inner product here is the coordinate dot product.  On a Kostant
 polytope that loses nothing: W.x lies in the root span, where W acts by
@@ -79,25 +81,30 @@ class FaceOrbit(NamedTuple):
 
 
 class _Polytope:
-    """The face table both kinds of polytope are read through: the vertices,
-    their integer rows `vertex_ints` over `vertex_scale`, the faces it keeps
+    """The face table both kinds of polytope are read through: the vertices
+    as integer rows `vertex_ints` over `vertex_scale`, the faces it keeps
     by dimension, the facets it keeps, and for each kept face the bitmask of
     the kept facets through it (`facet_masks`, bit k for the k-th facet).  A
     subclass names its kept faces and facets and finds a face by its vertex
     set (`find_face`)."""
 
-    def __init__(self, vertices: tuple[Vector, ...], vertex_ints: Sequence[tuple[int, ...]],
-                 vertex_scale: int, faces: dict[int, tuple[PolytopeFace, ...]],
-                 facets: tuple[Facet, ...], facet_masks: dict[tuple[int, ...], int]):
-        self.vertices, self.vertex_ints, self.vertex_scale = vertices, vertex_ints, vertex_scale
-        self.ambient_dim = len(vertices[0])
+    def __init__(self, vertex_ints: Sequence[tuple[int, ...]], vertex_scale: int,
+                 faces: dict[int, tuple[PolytopeFace, ...]], facets: tuple[Facet, ...],
+                 facet_masks: dict[tuple[int, ...], int]):
+        self.vertex_ints, self.vertex_scale = vertex_ints, vertex_scale
+        self.ambient_dim = len(vertex_ints[0])
         self.affine_dim = max(faces)
         self._faces, self._facets, self.facet_masks = faces, facets, facet_masks
         self._by_vertices = {f.vertex_indices: f for fs in faces.values() for f in fs}
 
+    @cached_property
+    def vertices(self) -> tuple[Vector, ...]:
+        """The vertices as exact fractions, derived from the integer rows."""
+        return tuple(tuple(Fraction(c, self.vertex_scale) for c in row) for row in self.vertex_ints)
+
     @property
     def top(self) -> PolytopeFace:
-        return PolytopeFace(vertex_indices=tuple(range(len(self.vertices))), dim=self.affine_dim)
+        return PolytopeFace(tuple(range(len(self.vertex_ints))), self.affine_dim)
 
     def facets_through(self, face: PolytopeFace) -> tuple[Facet, ...]:
         """The kept facets containing a kept face, in the order they are kept."""
@@ -135,8 +142,7 @@ class KostantPolytope(_Polytope):
     W is transitive on the vertices, so every face of P is a W-image of a
     face through x (`from_vertex_figure` builds those, with their facet
     masks); `facets_through` takes a face through x only.  A vertex set is
-    looked up by moving its least vertex to x along a path of simple
-    reflections, which a breadth-first search of the orbit from x records.
+    looked up by moving its least vertex to x along the orbit's search tree.
     A face F through x stands for |W.x| / |F| faces of its dimension: each
     face has |F| vertices, and as many faces of a kind pass through every
     vertex as through x.  The f-vector is checked to be integral and to
@@ -149,22 +155,11 @@ class KostantPolytope(_Polytope):
     def __init__(self, orbit: Orbit, perms: Sequence[Sequence[int]],
                  faces_through_x: dict[int, tuple[PolytopeFace, ...]],
                  facets_through_x: tuple[Facet, ...], facet_masks: dict[tuple[int, ...], int]):
-        super().__init__(orbit.vectors, orbit.ints, orbit.scale, faces_through_x,
-                         facets_through_x, facet_masks)
-        self.x_index = x_index = orbit.x_index
+        super().__init__(orbit.ints, orbit.scale, faces_through_x, facets_through_x, facet_masks)
+        self.orbit = orbit
+        self.x_index = orbit.x_index
         #: entry s sends the index of v to the index of s(v), s simple
         self.perms = perms
-        # the simple reflections moving each vertex to x, first applied first
-        paths = {x_index: ()}
-        frontier = [x_index]
-        for v in frontier:
-            for s, perm in enumerate(perms):
-                if perm[v] not in paths:
-                    paths[perm[v]] = (s,) + paths[v]
-                    frontier.append(perm[v])
-        if len(paths) != len(orbit):
-            raise TheoremViolationError("the vertices are not one orbit of the generators (bug)")
-        self._paths = [paths[v] for v in range(len(orbit))]
         counts = {dim: sum(Fraction(len(orbit), len(f.vertex_indices)) for f in fs)
                   for dim, fs in faces_through_x.items()}
         if any(c.denominator != 1 for c in counts.values()):
@@ -173,34 +168,35 @@ class KostantPolytope(_Polytope):
             raise TheoremViolationError("f-vector fails Euler-Poincare (bug)")
         self._f_vector = tuple(int(counts[dim]) for dim in sorted(counts))
 
-    def _walk(self, path: Iterable[int], image: Iterable[int]) -> tuple[int, ...]:
-        """The image of a vertex list under the simple reflections of `path`,
-        first applied first."""
-        for s in path:
+    def _to_x(self, k: int, image: Iterable[int]) -> tuple[int, ...]:
+        """The image of a vertex list under the simple reflections that move
+        vertex k to x along the orbit's search tree (`Orbit.tree`)."""
+        while k != self.x_index:
+            s, k = self.orbit.tree[k]
             perm = self.perms[s]
             image = [perm[i] for i in image]
         return tuple(image)
 
     @cached_property
     def x_to_vertex_0(self) -> tuple[int, ...]:
-        """The vertex permutation of an element of W taking x to vertex 0."""
-        return self._walk(reversed(self._paths[0]), range(len(self.vertices)))
+        """The vertex permutation of an element of W taking x to vertex 0:
+        the inverse of the one taking vertex 0 to x."""
+        to_x = self._to_x(0, range(len(self.vertex_ints)))
+        return tuple(sorted(range(len(to_x)), key=to_x.__getitem__))
 
     def face_at_x(self, key: tuple[int, ...]) -> PolytopeFace | None:
         """The face through x that the sorted vertex set `key` is moved to by
         one walk of the simple reflections taking its least vertex to x, or
         None if `key` is no face."""
-        if not key or key[0] < 0 or key[-1] >= len(self.vertices):
+        if not key or key[0] < 0 or key[-1] >= len(self.vertex_ints):
             return None
-        return self._by_vertices.get(tuple(sorted(self._walk(self._paths[key[0]], key))))
+        return self._by_vertices.get(tuple(sorted(self._to_x(key[0], key))))
 
     def find_face(self, vertex_indices: Iterable[int]) -> PolytopeFace | None:
         """The face on the given vertex set, or None if there is none."""
         key = tuple(sorted(vertex_indices))
         found = self.face_at_x(key)
-        if found is None or found.vertex_indices == key:
-            return found
-        return PolytopeFace(vertex_indices=key, dim=found.dim)
+        return None if found is None else PolytopeFace(vertex_indices=key, dim=found.dim)
 
     def f_vector(self) -> tuple[int, ...]:
         """Face counts per dimension, top face included."""
@@ -230,7 +226,7 @@ def hull(points: Sequence[Sequence], cap: int = DEFAULT_HULL_CAP) -> ExactPolyto
 
     if d == 0:
         vertex_ints, vertex_scale = integral_rows(pts[:1])
-        return ExactPolytope((pts[0],), vertex_ints, vertex_scale,
+        return ExactPolytope(vertex_ints, vertex_scale,
                              {0: (PolytopeFace((0,), 0),)}, (), {(0,): 0})
 
     # The reduced basis is the identity on its pivot columns, so a point's
@@ -256,7 +252,6 @@ def hull(points: Sequence[Sequence], cap: int = DEFAULT_HULL_CAP) -> ExactPolyto
             active_per_point[i].append(a)
     vertex_ids = [i for i in range(len(pts)) if int_rank(active_per_point[i]) == d]
     vertex_ids.sort(key=lambda i: pts[i])
-    vertex_pts = [pts[i] for i in vertex_ids]
     old_to_new = {old: new for new, old in enumerate(vertex_ids)}
 
     # Facet normal n = B^T (B B^T)^-1 (-a) for the direction basis B, the
@@ -264,7 +259,7 @@ def hull(points: Sequence[Sequence], cap: int = DEFAULT_HULL_CAP) -> ExactPolyto
     # coordinates.  Its primitive form comes from one integer matrix per hull.
     basis_t = transpose(dir_basis)
     to_normal = integral_rows(mat_mul(basis_t, inverse(mat_mul(dir_basis, basis_t))))[0]
-    vertex_ints, vertex_scale = integral_rows(vertex_pts)
+    vertex_ints, vertex_scale = integral_rows([pts[i] for i in vertex_ids])
 
     facets = []
     for a, tight in facet_data:
@@ -282,9 +277,9 @@ def hull(points: Sequence[Sequence], cap: int = DEFAULT_HULL_CAP) -> ExactPolyto
 
     lattice, facet_masks = _face_lattice([rows[i] for i in vertex_ids], [a for _, a in facets],
                                          [vertex_mask(f.vertex_indices) for f, _ in facets], d)
-    poly = ExactPolytope(tuple(vertex_pts), vertex_ints, vertex_scale, lattice,
+    poly = ExactPolytope(vertex_ints, vertex_scale, lattice,
                          tuple(f for f, _ in facets), facet_masks)
-    if tuple(f.vertex_indices for f in lattice[0]) != tuple((i,) for i in range(len(vertex_pts))):
+    if tuple(f.vertex_indices for f in lattice[0]) != tuple((i,) for i in range(len(vertex_ids))):
         raise TheoremViolationError("0-faces do not match the vertex set (bug)")
     return poly
 
@@ -419,7 +414,7 @@ def vertex_figure_points(orbit: Orbit, neighbours: Sequence[int]) -> list[Vector
         if gap <= 0:
             raise TheoremViolationError(
                 "x.x <= x.v at the orbit point %s: x is not a vertex (ext P = W.x failed)"
-                % point_str(orbit.vectors[k]))
+                % point_str(v_ints, scale))
         points.append(tuple(Fraction(scale * (a - b), gap) for a, b in zip(v_ints, x_ints)))
     return points
 
@@ -446,29 +441,29 @@ def from_vertex_figure(group: WeylGroup, orbit: Orbit, figure: ExactPolytope) ->
     figure (P a segment) has one facet, its empty face 0.q <= 1.
     """
     perms = vertex_permutations(group, orbit)
-    vertices, vertex_ints, scale, x_index = orbit.vectors, orbit.ints, orbit.scale, orbit.x_index
-    x = vertices[x_index]
-    bounds = ([(f.normal, f.offset) for f in figure.facets] if figure.affine_dim
-              else [(zero_vec(len(x)), Fraction(1))])
+    vertex_ints, scale, x_index = orbit.ints, orbit.scale, orbit.x_index
     x_ints = vertex_ints[x_index]
-    for z in map(primitive, nullspace(figure.vertices)):
+    bounds = ([(f.normal, f.offset) for f in figure.facets] if figure.affine_dim
+              else [(zero_vec(len(x_ints)), Fraction(1))])
+    for z in map(primitive, nullspace(figure.vertex_ints)):
         zx = int_dot(z, x_ints)
         off = next((i for i, v in enumerate(vertex_ints) if int_dot(z, v) != zx), None)
         if off is not None:
             raise TheoremViolationError(
                 "vertex-figure certificate failed: orbit point %d %s is off the span of "
                 "the figure at x, the hyperplane %s.v = %s" % (
-                    off, point_str(vertices[off]), point_str(z), frac_str(Fraction(zx, scale))))
+                    off, point_str(vertex_ints[off], scale), point_str(z),
+                    frac_str(Fraction(zx, scale))))
     facets = []
     for m, c in bounds:
-        normal = primitive(vadd(m, vscale(c, x)))
+        normal = primitive(vadd(m, vscale(c / scale, x_ints)))
         values = [int_dot(normal, v) for v in vertex_ints]
         top = values[x_index]
         cut = next((i for i, val in enumerate(values) if val > top), None)
         if cut is not None:
             raise TheoremViolationError(
                 "vertex-figure certificate failed: orbit point %d %s cuts the facet "
-                "%s.v <= %s through x" % (cut, point_str(vertices[cut]),
+                "%s.v <= %s through x" % (cut, point_str(vertex_ints[cut], scale),
                                           point_str(normal), frac_str(Fraction(top, scale))))
         facets.append(Facet(normal=vec(normal), offset=Fraction(top, scale),
                             vertex_indices=tuple(i for i, val in enumerate(values) if val == top)))
@@ -480,7 +475,7 @@ def from_vertex_figure(group: WeylGroup, orbit: Orbit, figure: ExactPolytope) ->
     masks = {(x_index,): (1 << len(facets)) - 1}
     for dim, faces in figure.face_lattice.items():
         for g in faces:
-            mask, through = (1 << len(vertices)) - 1, 0
+            mask, through = (1 << len(vertex_ints)) - 1, 0
             for k in _bits(figure.facet_masks[g.vertex_indices]):
                 mask &= lifted[k][0]
                 through |= lifted[k][1]

@@ -4,15 +4,16 @@ The only action of W in the package is the integer one on Dynkin labels
 (D. M. Snow, "Weyl group orbits", ACM Trans. Math. Software 16, 1990): for
 lambda = Sum_j lambda_j w_j, s_i(lambda) = lambda - lambda_i * (row i of the
 Cartan matrix), because that row is alpha_i in fundamental-weight
-coordinates.  `weyl_orbit` closes W.x once on integer label tuples into an
-`Orbit`, which every later stage reads as it is: `vertex_permutations` steps
-each point's labels and looks the images up, giving the r simple reflections
-as permutations of the vertex indices, through which every orbit of faces
-and of a parabolic subgroup W_J is closed; `reflection_neighbours` finds the
-points s_beta.x, beta a positive root, by the same step with beta's labels in
-place of a Cartan row.  The order |W| is the product of the degrees, read
-off the root heights (Kostant); the same formula on the singular set S of x
-gives |W_S| and so the orbit size |W.x| = |W| / |W_S|.  Nothing enumerates W.
+coordinates.  `weyl_orbit` closes W.x once, by a breadth-first search on
+integer label tuples, into an `Orbit` that every later stage reads as it is:
+the points as integer rows, the r simple reflections as permutations of the
+points, recorded as the search steps, through which every orbit of faces
+and of a parabolic subgroup W_J is closed, and the search tree, whose path
+from a point to x moves it there.  `reflection_neighbours` finds the points
+s_beta.x, beta a positive root, by the same step with beta's labels in place
+of a Cartan row.  The order |W| is the product of the degrees, read off the
+root heights (Kostant); the same formula on the singular set S of x gives
+|W_S| and so the orbit size |W.x| = |W| / |W_S|.  Nothing enumerates W.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from math import prod
 from typing import Sequence
 
 from .errors import CapExceededError, TheoremViolationError
-from .linalg import Vector, dot, int_dot, integral_rows, lincomb, point_str, primitive
+from .linalg import dot, int_dot, integral_rows, lincomb, point_str, primitive
 from .roots import ChamberPoint, RootSystem
 
 Labels = tuple[int, ...]
@@ -85,29 +86,28 @@ def build_weyl_group(rs: RootSystem, cap: int | None = None) -> WeylGroup:
 
 class Orbit:
     """W.x in the lexicographic order of its vectors: point k has the labels
-    `labels[k]` and the vector `vectors[k]` = `ints[k]` / `scale`, the one
-    common denominator; `index` sends labels to k; x is point `x_index`.
-    Its length is the number of points."""
+    `labels[k]` and the vector `ints[k]` / `scale`, the one common
+    denominator; `index` sends labels to k; x is point `x_index`.  `perms[i]`
+    sends k to the index of s_i of point k.  `tree[k]` is (i, j) for the
+    generator s_i and the point j by which the search first reached k, so
+    s_i sends k to j, and None for x.  Its length is the number of points."""
 
-    __slots__ = ("labels", "ints", "scale", "vectors", "index", "x_index")
+    __slots__ = ("labels", "ints", "scale", "index", "x_index", "perms", "tree")
 
     def __init__(self, labels: tuple[Labels, ...], ints: tuple[tuple[int, ...], ...],
-                 scale: int, vectors: tuple[Vector, ...], index: dict[Labels, int],
-                 x_index: int):
-        self.labels, self.ints, self.scale = labels, ints, scale
-        self.vectors, self.index, self.x_index = vectors, index, x_index
-
-    def __eq__(self, other):
-        if type(other) is not Orbit:
-            return NotImplemented
-        return all(getattr(self, a) == getattr(other, a) for a in self.__slots__)
+                 scale: int, index: dict[Labels, int], x_index: int,
+                 perms: tuple[tuple[int, ...], ...], tree: tuple[tuple[int, int] | None, ...]):
+        self.labels, self.ints, self.scale, self.index = labels, ints, scale, index
+        self.x_index, self.perms, self.tree = x_index, perms, tree
 
     def __len__(self) -> int:
         return len(self.labels)
 
 
 def weyl_orbit(group: WeylGroup, x: ChamberPoint, cap: int | None = None) -> Orbit:
-    """The orbit W.x, closed on x's labels scaled to integers.
+    """The orbit W.x, closed on x's labels scaled to integers by one
+    breadth-first search that records each generator's image of each point
+    (a point with lambda_i = 0 is its own s_i-image) and its search tree.
 
     Raises CapExceededError when |W.x| exceeds `cap`, before anything is
     closed; the closure's size must equal |W.x|.
@@ -118,27 +118,33 @@ def weyl_orbit(group: WeylGroup, x: ChamberPoint, cap: int | None = None) -> Orb
         raise CapExceededError("the orbit W.x has %d points, the orbit cap is %d"
                                % (size, cap))
     (start,), scale = integral_rows([x.coords])
-    seen = {start}
-    closed = [start]
-    for labels in closed:
-        for i in range(rs.rank):
+    seen, closed, tree = {start: 0}, [start], [None]
+    images: list[list[int]] = [[] for _ in range(rs.rank)]
+    for k, labels in enumerate(closed):
+        for i, row in enumerate(images):
+            j = k
             if labels[i]:
                 image = _reflect_labels(rs.cartan_matrix, i, labels)
-                if image not in seen:
-                    seen.add(image)
+                j = seen.setdefault(image, len(closed))
+                if j == len(closed):
                     closed.append(image)
+                    tree.append((i, k))
+            row.append(j)
     if len(closed) != size:
         raise TheoremViolationError("orbit closure has %d points, |W|/|W_S| = %d (bug)"
                                     % (len(closed), size))
     # integer points over one common denominator sort as the vectors do
     weights, weight_scale = integral_rows(rs.fundamental_weights)
     columns = tuple(zip(*weights))
-    points = sorted((tuple(int_dot(labels, c) for c in columns), labels) for labels in closed)
-    scale *= weight_scale
-    index = {labels: k for k, (_, labels) in enumerate(points)}
-    return Orbit(labels=tuple(index), ints=tuple(p for p, _ in points), scale=scale,
-                 vectors=tuple(tuple(Fraction(c, scale) for c in p) for p, _ in points),
-                 index=index, x_index=index[start])
+    ints = [tuple(int_dot(labels, c) for c in columns) for labels in closed]
+    # search order k -> sorted order new[k]
+    order = sorted(range(size), key=ints.__getitem__)
+    new = sorted(range(size), key=order.__getitem__)
+    labels = tuple(closed[k] for k in order)
+    return Orbit(labels=labels, ints=tuple(ints[k] for k in order),
+                 scale=scale * weight_scale, index={m: n for n, m in enumerate(labels)},
+                 x_index=new[0], perms=tuple(tuple(new[row[k]] for k in order) for row in images),
+                 tree=tuple(tree[k] and (tree[k][0], new[tree[k][1]]) for k in order))
 
 
 def reflection_neighbours(group: WeylGroup, orbit: Orbit) -> tuple[int, ...]:
@@ -165,7 +171,8 @@ def reflection_neighbours(group: WeylGroup, orbit: Orbit) -> tuple[int, ...]:
         if pairing:
             k = orbit.index.get(tuple(lam - pairing * b for lam, b in zip(labels, root)))
             if k is None:
-                image = rs.reflect(beta, orbit.vectors[orbit.x_index])
+                x = [Fraction(c, orbit.scale) for c in orbit.ints[orbit.x_index]]
+                image = rs.reflect(beta, x)
                 raise TheoremViolationError("reflection image %s of x is not in W.x (bug)"
                                             % point_str(image))
             found.add(k)
@@ -173,16 +180,6 @@ def reflection_neighbours(group: WeylGroup, orbit: Orbit) -> tuple[int, ...]:
 
 
 def vertex_permutations(group: WeylGroup, orbit: Orbit) -> tuple[tuple[int, ...], ...]:
-    """The r simple reflections as permutations of the orbit's points: entry
-    i sends the index of v to that of s_i(v), looked up by its labels.  An
-    image that is not in the orbit raises."""
-    rs = group.root_system
-    perms = []
-    for i in range(rs.rank):
-        images = tuple(orbit.index.get(_reflect_labels(rs.cartan_matrix, i, labels))
-                       for labels in orbit.labels)
-        if None in images:
-            raise TheoremViolationError("s_%d of orbit point %d is not in W.x (bug)"
-                                        % (i + 1, images.index(None)))
-        perms.append(images)
-    return tuple(perms)
+    """The r simple reflections as permutations of the orbit's points, as
+    the closure recorded them (`Orbit.perms`)."""
+    return orbit.perms

@@ -45,7 +45,7 @@ def ascend_one(x0: np.ndarray, u: np.ndarray, seed: int = 0,
 
     With x0 = i*diag(a), u = i*diag(b) and H = V* diag(b) V, mu_u(p) is
     sum_k a_k H_kk.  Each iteration diagonalizes H inside the eigenspaces of
-    x0, checks ||[p, u]||, then tries V <- V cayley(Omega) with
+    x0, checks ||[p, u]|| against 1e-10 ||x0|| ||u||, then tries V <- V cayley(Omega) with
     Omega_kj = -r_kj H_kj / (lambda + |r_kj (H_kk - H_jj)|), r = a_k - a_j.
     """
     n = x0.shape[0]
@@ -60,6 +60,7 @@ def ascend_one(x0: np.ndarray, u: np.ndarray, seed: int = 0,
     blocks = [idx for idx in (np.flatnonzero(a == c) for c in np.unique(a)) if len(idx) > 1]
     weights = b[:, None] * a
     lam = float(np.abs(b).max() * (a.max() - a.min()))
+    size = np.abs(b).max() * np.abs(a).max()
     value = (_abs2(v) * weights).sum()
     prev_spec = sorted_spectrum(start)
     drift = 0.0
@@ -78,7 +79,7 @@ def ascend_one(x0: np.ndarray, u: np.ndarray, seed: int = 0,
         h2 = _abs2(h)
         grad_sq = (r2 * h2).sum()
         grad_norm = np.sqrt(grad_sq)
-        if grad_norm < 1e-10:
+        if grad_norm < 1e-10 * size:
             converged = True
             break
         hd = np.diag(h).real
@@ -91,7 +92,7 @@ def ascend_one(x0: np.ndarray, u: np.ndarray, seed: int = 0,
         terms = r2 * h2 / damp
         pred = terms.sum()
         model = pred - 0.5 * (terms * curv / damp).sum()
-        scale = 1.0 + abs(value)
+        scale = size + abs(value)
         ok = gain >= 1e-4 * pred
         if not ok and pred < 1e-12 * scale:
             cand_grad_sq = (r2 * _abs2(_hermitian(cand, b))).sum()

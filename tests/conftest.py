@@ -22,6 +22,11 @@ def defining_sum(roots, u, v):
     return 2 * sum((dot(a, u) * dot(a, v) for a in roots), Fraction(0))
 
 
+def orbit_vectors(orbit):
+    """The points of a `weyl.Orbit` as exact vectors, from its integer rows."""
+    return tuple(tuple(Fraction(c, orbit.scale) for c in row) for row in orbit.ints)
+
+
 @lru_cache(maxsize=None)
 def get_rs(type_label: str, rank: int):
     return build_root_system(type_label, rank)

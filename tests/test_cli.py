@@ -407,6 +407,20 @@ def test_orbit_cap_exits_1_before_the_orbit_is_closed(capsys):
         "error: the orbit W.x has 4032 points, the orbit cap is 200\n"
 
 
+def test_a2_with_eigenvalue_gaps_1_and_1e8_never_exits_2():
+    """A2 (1, 1e8): the su(n) check's bounds scale with x, so the run passes,
+    or stops with an input error that is true: a unitary conjugate of x0 is
+    skew-Hermitian and traceless up to rounding at the size of x0."""
+    code, text = run(_cfg(command="verify-all", point=("1", "100000000")))
+    assert code in (0, 1), text
+    if code == 1:
+        assert "not skew-Hermitian" not in text and "not traceless" not in text, text
+    else:
+        report = json.loads(text)
+        assert report["bijection_verified"] is True
+        assert all(f["n_converged"] == f["n_seeds"] for f in report["numeric"]["faces"])
+
+
 def test_non_finite_cartan_matrix_exits_2(monkeypatch):
     """Simples with the affine Cartan matrix [[2,-2],[-2,2]] generate infinitely
     many reflection images: the root closure stops and exits 2, not hangs."""

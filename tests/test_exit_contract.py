@@ -43,12 +43,15 @@ def test_verify_all_exits_0_or_1_under_default_caps(case):
 
 @st.composite
 def type_a_points(draw):
-    """Type A of rank 1 to 4, each coordinate 0 or log-uniform in
-    [1e-4, 1e2] to three significant digits, not all 0."""
+    """Type A of rank 1 to 4 at a scale 10^s, s uniform in [-10, 0]: each
+    coordinate 0 or 10^s times a ratio log-uniform in [1, 1e6], to three
+    significant digits, not all 0.  So the coordinates span 1e-10 to 1e6 and
+    their ratios reach 1e6."""
     rank = draw(st.integers(1, 4))
-    exps = draw(st.lists(st.one_of(st.none(), st.floats(-4, 2)), min_size=rank, max_size=rank)
+    scale = draw(st.floats(-10, 0))
+    exps = draw(st.lists(st.one_of(st.none(), st.floats(0, 6)), min_size=rank, max_size=rank)
                 .filter(lambda es: any(e is not None for e in es)))
-    return rank, tuple("0" if e is None else "%.3g" % 10 ** e for e in exps)
+    return rank, tuple("0" if e is None else "%.3g" % 10 ** (scale + e) for e in exps)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=30,
@@ -56,10 +59,12 @@ def type_a_points(draw):
 @given(type_a_points())
 @example((2, ("1", "1000")))  # eigenvalue gaps 1 and 1000
 @example((1, ("1e-4",)))  # a root gap of 1e-4 in the Hessian check
+@example((1, ("1/10000000000",)))  # ||[p, u]|| is below 1e-10 at every start
+@example((2, ("1", "1000000")))  # float rounding of x0's trace is above 1e-9
 def test_type_a_verify_all_exits_0_across_scales(case):
-    """Across four decades of coordinate scale and ratio, the su(n) check
-    converges on every seed and its Hessian check holds: verify-all exits 0
-    with a verified bijection."""
+    """Across sixteen decades of coordinate scale and six of ratio, the su(n)
+    check converges on every seed and its Hessian check holds: verify-all
+    exits 0 with a verified bijection."""
     rank, point = case
     code, text = run(RunConfig(command="verify-all", type_label="A", rank=rank, point=point,
                                fmt="json"))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import defining_sum, get_classification, get_point, get_rs
+from conftest import defining_sum, get_classification, get_point, get_rs, orbit_vectors
 from orbitope import (InvalidInputError, hull, parabolic_report,
                       phi_of_descriptor, psi_of_polytope_face, saturate,
                       support_set, x_connected_subsets)
@@ -230,7 +230,7 @@ def test_parabolic_report_rejects_improper():
 def test_kostant_vertices_equal_orbit():
     cl = get_classification("G", 2, (1, 1))
     from orbitope.weyl import weyl_orbit
-    assert cl.polytope.vertices == weyl_orbit(cl.group, cl.x).vectors
+    assert cl.polytope.vertices == orbit_vectors(weyl_orbit(cl.group, cl.x))
 
 
 def test_exposing_vs_canonical_cone_vector_shadow():

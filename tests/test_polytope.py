@@ -8,7 +8,7 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
-from conftest import defining_sum, get_group, get_oracle, get_point, get_rs
+from conftest import defining_sum, get_group, get_oracle, get_point, get_rs, orbit_vectors
 from orbitope import (CapExceededError, InvalidInputError, act_on_faces, hull,
                       support_set, weyl_orbit)
 from orbitope.linalg import dot, vec
@@ -21,7 +21,7 @@ def _orbit_polytope(label, rank, coords):
     rs = get_rs(label, rank)
     group = get_group(label, rank)
     orbit = weyl_orbit(group, get_point(label, rank, coords))
-    return rs, group, hull(orbit.vectors)
+    return rs, group, hull(orbit_vectors(orbit))
 
 
 def test_unit_square():

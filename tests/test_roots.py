@@ -8,7 +8,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from conftest import defining_sum, get_group, get_oracle, get_point, get_rs
+from conftest import defining_sum, get_group, get_oracle, get_point, get_rs, orbit_vectors
 from orbitope import InvalidInputError, build_root_system, chamber_point
 from orbitope.linalg import (dot, lincomb, solve, transpose, vadd, vec, vscale,
                              zero_vec)
@@ -118,7 +118,7 @@ def test_orbit_barycenter_is_zero():
     """Semisimple case: the W-invariant barycenter of any orbit is the origin."""
     for label, rank, coords in [("A", 2, (1, 1)), ("B", 2, (1, 0)), ("G", 2, (2, 3))]:
         group = get_group(label, rank)
-        orbit = weyl_orbit(group, get_point(label, rank, coords)).vectors
+        orbit = orbit_vectors(weyl_orbit(group, get_point(label, rank, coords)))
         total = zero_vec(get_rs(label, rank).ambient_dim)
         for v in orbit:
             total = vadd(total, v)

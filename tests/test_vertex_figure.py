@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 import orbitope.faces
 import orbitope.numeric
-from conftest import get_classification, get_group, get_rs
+from conftest import get_classification, get_group, get_rs, orbit_vectors
 from orbitope import (InvalidInputError, PolytopeFace, RootSystem, act_on_faces,
                       build_poset, chamber_point, classify_faces, hull, phi_of_descriptor,
                       weyl_orbit)
@@ -103,10 +103,11 @@ def test_neighbour_hull_is_the_whole_figure(case):
     rs, group = get_rs(type_label, rank), get_group(type_label, rank)
     x = chamber_point(rs, coords)
     orbit = weyl_orbit(group, x)
-    x_index = orbit.vectors.index(x.vector)
+    vectors = orbit_vectors(orbit)
+    x_index = vectors.index(x.vector)
     found = reflection_neighbours(group, orbit)
     assert len(found) <= rs.n_positive
-    assert found == tuple(sorted({orbit.vectors.index(RootSystem.reflect(beta, x.vector))
+    assert found == tuple(sorted({vectors.index(RootSystem.reflect(beta, x.vector))
                                   for beta in rs.positive_roots} - {x_index}))
     near = hull(vertex_figure_points(orbit, found))
     whole = hull(vertex_figure_points(orbit, [k for k in range(len(orbit)) if k != x_index]))
@@ -128,8 +129,9 @@ def test_a_neighbour_set_without_s1_x_fails_the_certificate(monkeypatch, type_la
 
     def without_s1_x(group, orbit):
         rs = group.root_system
-        x = orbit.vectors[orbit.x_index]
-        s1_x = orbit.vectors.index(RootSystem.reflect(rs.simple_roots[0], x))
+        vectors = orbit_vectors(orbit)
+        x = vectors[orbit.x_index]
+        s1_x = vectors.index(RootSystem.reflect(rs.simple_roots[0], x))
         found = original(group, orbit)
         assert s1_x in found
         return tuple(i for i in found if i != s1_x)
@@ -162,7 +164,7 @@ def test_facets_through_reads_the_facet_masks_of_the_lattice(case):
     group = get_group(type_label, rank)
     orbit = weyl_orbit(group, chamber_point(get_rs(type_label, rank), coords))
     figure = hull(vertex_figure_points(orbit, reflection_neighbours(group, orbit)))
-    for p in (figure, hull(orbit.vectors)):
+    for p in (figure, hull(orbit_vectors(orbit))):
         for faces in p.face_lattice.values():
             for face in faces:
                 assert p.facets_through(face) == _facets_by_scan(p, face)

@@ -7,12 +7,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import defining_sum, get_group, get_oracle, get_point, get_rs
+from conftest import defining_sum, get_group, get_oracle, get_point, get_rs, orbit_vectors
 from orbitope import (CapExceededError, TheoremViolationError,
                       build_weyl_group, chamber_point, weyl, weyl_orbit)
+from orbitope.cli import RunConfig, build_report
+from orbitope.faces import build_kostant_polytope
 from orbitope.linalg import frac_str, integral_rows, lincomb
 from orbitope.polytope import face_orbit
-from orbitope.weyl import Orbit, reflection_neighbours, vertex_permutations
+from orbitope.weyl import Orbit, reflection_neighbours
 from weyl_oracle import reflection_orbit, reflection_permutations
 
 ORDERS = [("A", 1, 2), ("A", 2, 6), ("A", 3, 24), ("B", 2, 8), ("B", 3, 48),
@@ -103,14 +105,14 @@ def test_orbit_sizes(label, rank, coords, size):
     group = get_group(label, rank)
     x = get_point(label, rank, coords)
     orbit = weyl_orbit(group, x)
-    assert len(orbit) == len(orbit.vectors) == size
-    assert orbit.vectors[orbit.x_index] == x.vector
+    assert len(orbit) == len(orbit.ints) == size
+    assert orbit_vectors(orbit)[orbit.x_index] == x.vector
 
 
 def test_orbit_stable_under_every_generator():
     rs = get_rs("B", 2)
     group = get_group("B", 2)
-    orbit = set(weyl_orbit(group, get_point("B", 2, (1, 1))).vectors)
+    orbit = set(orbit_vectors(weyl_orbit(group, get_point("B", 2, (1, 1)))))
     for i in range(rs.rank):
         assert {rs.reflect(rs.simple_roots[i], v) for v in orbit} == orbit
 
@@ -120,7 +122,7 @@ def test_parabolic_subgroup_orbit():
     group = get_group("A", 2)
     x = get_point("A", 2, (1, 1))
     orbit = weyl_orbit(group, x)
-    perms = vertex_permutations(group, orbit)
+    perms = orbit.perms
     start = (orbit.x_index,)
     assert len(face_orbit([perms[j] for j in (0,)], start)) == 2
     assert len(face_orbit([perms[j] for j in ()], start)) == 1
@@ -139,9 +141,8 @@ def test_enumeration_is_deterministic():
     x = get_point("B", 3, (1, 0, 1))
     g1 = build_weyl_group(rs)
     g2 = build_weyl_group(rs)
-    orbit = weyl_orbit(g1, x)
-    assert orbit == weyl_orbit(g2, x)
-    assert vertex_permutations(g1, orbit) == vertex_permutations(g2, orbit)
+    orbit, again = weyl_orbit(g1, x), weyl_orbit(g2, x)
+    assert all(getattr(orbit, a) == getattr(again, a) for a in Orbit.__slots__)
 
 
 def test_vertex_permutations_compose_correctly():
@@ -150,14 +151,14 @@ def test_vertex_permutations_compose_correctly():
     group = get_group("A", 2)
     oracle = get_oracle("A", 2)
     orbit = weyl_orbit(group, get_point("A", 2, (1, 1)))
-    perms = vertex_permutations(group, orbit)
+    perms, vectors = orbit.perms, orbit_vectors(orbit)
     assert len(perms) == group.root_system.rank
     for w in oracle.words:
-        for i, v in enumerate(orbit.vectors):
+        for i, v in enumerate(vectors):
             j = i
             for k in reversed(w):
                 j = perms[k][j]
-            assert orbit.vectors[j] == oracle.apply(w, v)
+            assert vectors[j] == oracle.apply(w, v)
 
 
 #: rational, singular, non-simply-laced and type E points; E6 needs the Weyl cap raised
@@ -176,22 +177,54 @@ def test_label_action_matches_ambient_reflections(label, rank, coords):
     group = build_weyl_group(rs, cap=10 ** 9)
     x = chamber_point(rs, coords)
     orbit = weyl_orbit(group, x)
-    assert orbit.vectors == reflection_orbit(rs, x.vector)
+    vectors = orbit_vectors(orbit)
+    assert vectors == reflection_orbit(rs, x.vector)
     assert len(orbit) == group.orbit_size(x)
-    assert vertex_permutations(group, orbit) == reflection_permutations(rs, orbit.vectors)
+    assert orbit.perms == reflection_permutations(rs, vectors)
     (x_labels,), label_scale = integral_rows([x.coords])
     assert orbit.labels[orbit.x_index] == x_labels
-    for k, (labels, ints, v) in enumerate(zip(orbit.labels, orbit.ints, orbit.vectors)):
+    for k, (labels, v) in enumerate(zip(orbit.labels, vectors)):
         assert orbit.index[labels] == k
-        assert all(Fraction(n, orbit.scale) == c for n, c in zip(ints, v))
         assert lincomb([Fraction(n, label_scale) for n in labels], rs.fundamental_weights) == v
+
+
+#: one closure per type, E6 past the default Weyl cap
+CLOSURE_CASES = [("A", 3, (1, 1, 1)), ("B", 3, (1, 0, 1)), ("C", 3, (1, 0, 1)),
+                 ("D", 4, (1, 1, 1, 1)), ("F", 4, (1, 0, 0, 1)), ("G", 2, ("3/2", 1)),
+                 ("E", 6, (1, 0, 0, 0, 0, 0))]
+
+
+@pytest.mark.parametrize("label,rank,coords", CLOSURE_CASES,
+                         ids=["%s%d-%s" % (t, r, ",".join(map(str, c)))
+                              for t, r, c in CLOSURE_CASES])
+def test_one_closure_gives_permutations_paths_and_vertex_table(label, rank, coords):
+    """The closure's generator permutations are the ambient reflections'; the
+    search tree's path from each point moves it to x under the ambient
+    reflections; the Kostant polytope's vertices, derived from its integer
+    table, are the ambient orbit, and the report renders them by `frac_str`."""
+    rs = get_rs(label, rank)
+    group = build_weyl_group(rs, cap=10 ** 9)
+    x = chamber_point(rs, coords)
+    expected = reflection_orbit(rs, x.vector)
+    poly = build_kostant_polytope(group, x)
+    orbit = poly.orbit
+    assert orbit.perms == reflection_permutations(rs, expected)
+    for k, v in enumerate(expected):
+        while k != orbit.x_index:
+            i, k = orbit.tree[k]
+            v = rs.reflect(rs.simple_roots[i], v)
+        assert v == x.vector
+    assert poly.vertices == expected
+    report = build_report(RunConfig(command="polytope", type_label=label, rank=rank,
+                                    point=tuple(map(str, coords))))
+    assert report["polytope"]["vertices"] == [[frac_str(c) for c in v] for v in expected]
 
 
 def _without(orbit, k_out):
     """The orbit with point k_out left out of its index."""
-    return Orbit(labels=orbit.labels, ints=orbit.ints, scale=orbit.scale, vectors=orbit.vectors,
+    return Orbit(labels=orbit.labels, ints=orbit.ints, scale=orbit.scale,
                  index={m: k for m, k in orbit.index.items() if k != k_out},
-                 x_index=orbit.x_index)
+                 x_index=orbit.x_index, perms=orbit.perms, tree=orbit.tree)
 
 
 def test_a_reflection_image_missing_from_the_orbit_is_a_violation():
@@ -200,23 +233,14 @@ def test_a_reflection_image_missing_from_the_orbit_is_a_violation():
     rs, group = get_rs("A", 2), get_group("A", 2)
     x = get_point("A", 2, (1, 1))
     orbit = weyl_orbit(group, x)
-    s1_x = orbit.vectors.index(rs.reflect(rs.simple_roots[0], x.vector))
+    vectors = orbit_vectors(orbit)
+    s1_x = vectors.index(rs.reflect(rs.simple_roots[0], x.vector))
     assert s1_x in reflection_neighbours(group, orbit)
     holed = _without(orbit, s1_x)
     with pytest.raises(TheoremViolationError,
                        match=r"^reflection image \(%s\) of x is not in W\.x \(bug\)$"
-                       % ",".join(map(frac_str, orbit.vectors[s1_x]))):
+                       % ",".join(map(frac_str, vectors[s1_x]))):
         reflection_neighbours(group, holed)
-
-
-def test_vertex_permutations_reject_an_orbit_missing_an_image():
-    """A point whose simple-reflection image is not in the orbit's index is
-    a violation (exit 2), not a KeyError."""
-    orbit = weyl_orbit(get_group("A", 2), get_point("A", 2, (1, 0)))
-    holed = _without(orbit, 0)
-    with pytest.raises(TheoremViolationError,
-                       match=r"^s_\d of orbit point \d is not in W\.x \(bug\)$"):
-        vertex_permutations(get_group("A", 2), holed)
 
 
 @pytest.mark.parametrize("type_label,rank,coords,size", [
