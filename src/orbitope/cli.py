@@ -107,10 +107,7 @@ def build_report(config: RunConfig) -> dict:
     x = chamber_point(rs, coords)
     group = build_weyl_group(rs, cap=config.weyl_cap)
 
-    report: dict = {
-        "root_system": rs.name,
-        "point": _vec_strs(x.coords),
-    }
+    report: dict = {"root_system": rs.name, "point": _vec_strs(x.coords)}
 
     if config.command == "polytope":
         poly = build_kostant_polytope(group, x, config.orbit_cap)
@@ -135,9 +132,7 @@ def build_report(config: RunConfig) -> dict:
     for idx, d in enumerate(classification.descriptors):
         if d.improper:
             sigma_class = list(d.sigma.vertex_indices)
-            dim_stratum = None
-            dim_base = None
-            parabolic = None
+            dim_stratum = dim_base = parabolic = None
         else:
             sigma_class = list(classification.matching[d.I])
             dim_stratum = poset.stratum_dims[idx]

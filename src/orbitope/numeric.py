@@ -82,6 +82,10 @@ _ROUND_TOL = 1e-6
 _FD_STEP = 1e-3
 #: differences of x's or u's entries at most this are zero in the Hessian signs
 _ZERO_TOL = 1e-12
+#: largest spread of a Cartan vector's entries over their smallest gap: past it the float
+#: ascent cannot see a small root plane beside a large one (points of A2 to A6 pass at
+#: ratios up to 6e7; some of A3 and A4 stall or end in the wrong chamber from 2e8)
+_GAP_RATIO = 10 ** 7
 
 
 def su_from_cartan(v: Sequence) -> np.ndarray:
@@ -93,6 +97,11 @@ def su_from_cartan(v: Sequence) -> np.ndarray:
         raise InvalidInputError("Cartan vector has an entry beyond the float range") from None
     if abs(a.sum()) > _HERM_TOL * np.abs(a).max():
         raise InvalidInputError("Cartan vector is not traceless")
+    values = sorted(set(map(Fraction, v)))
+    gaps = [q - p for p, q in zip(values, values[1:])]
+    if gaps and sum(gaps) > _GAP_RATIO * min(gaps):
+        raise InvalidInputError("the su(n) check does not resolve this Cartan vector: its entries "
+                                "spread over more than %.0e times their smallest gap" % _GAP_RATIO)
     return 1j * np.diag(a)
 
 
@@ -354,8 +363,7 @@ def hessian_signature(x_crit, u) -> HessianReport:
     a, b = np.array([float(c) for c in x_crit]), np.array([float(c) for c in u])
     n = len(a)
     a_zero, b_zero = _ZERO_TOL * np.abs(a).max(), _ZERO_TOL * np.abs(b).max()
-    blocks = []
-    excluded = []
+    blocks, excluded = [], []
     neg = zero = pos = 0
     for i in range(n):
         for j in range(i + 1, n):
@@ -396,14 +404,13 @@ def hessian_signature(x_crit, u) -> HessianReport:
                          is_max=pos == 0, is_min=neg == 0)
 
 
-def shadows_escape(poly: KostantPolytope, shadows: np.ndarray) -> np.ndarray:
+def shadows_escape(poly: KostantPolytope, shadows: np.ndarray, x_size: float) -> np.ndarray:
     """Whether each shadow lies beyond a facet n . y <= c by over `_INSIDE_TOL` ||x0|| |n|_1."""
     import numpy as np
     normals = np.sort([[float(c) for c in f.normal] for f in poly.facets_through_x], axis=1)
     offsets = np.array([float(f.offset) for f in poly.facets_through_x])
-    slack = _INSIDE_TOL * max(map(abs, poly.vertex_ints[poly.x_index])) / poly.vertex_scale
     return ~(np.sort(shadows, axis=1) @ normals.T
-             <= offsets + slack * np.abs(normals).sum(axis=1)).all(axis=1)
+             <= offsets + _INSIDE_TOL * x_size * np.abs(normals).sum(axis=1)).all(axis=1)
 
 
 def vertex_floats(poly: KostantPolytope) -> np.ndarray:
@@ -444,7 +451,6 @@ def verify_face_numeric(classification: FaceClassification,
         return []
     poly = classification.polytope
     n = rs.rank + 1
-    factor = rs.killing_ratio
     x0 = su_from_cartan(classification.x.vector)
     x_size = np.abs(x0).max()
     us = np.array([su_from_cartan(d.exposing_u) for d in faces])
@@ -453,7 +459,7 @@ def verify_face_numeric(classification: FaceClassification,
     vertices = vertex_floats(poly)
     shadows = np.imag(np.diagonal(np.stack((res.start_points, res.points)), axis1=2, axis2=3))
     escapes = dict(zip(("start", "maximizer"),
-                       shadows_escape(poly, shadows.reshape(-1, n)).reshape(2, -1)))
+                       shadows_escape(poly, shadows.reshape(-1, n), x_size).reshape(2, -1)))
     reports = []
     for f, (d, u) in enumerate(zip(faces, us)):
         lanes = slice(f * seeds, (f + 1) * seeds)
@@ -518,8 +524,8 @@ def verify_face_numeric(classification: FaceClassification,
         reports.append({
             "I": [rs.root_label(i) for i in d.I],
             "n": n,
-            "trace_killing_factor": int(factor),
-            "h_killing": str(factor * h),
+            "trace_killing_factor": int(rs.killing_ratio),
+            "h_killing": str(rs.killing_ratio * h),
             "h_trace": h_trace,
             "n_seeds": seeds,
             "n_converged": int(face.converged_flags.sum()),

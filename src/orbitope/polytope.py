@@ -151,15 +151,14 @@ class KostantPolytope(_Polytope):
 
     faces_through_x = property(lambda self: self._faces)
     facets_through_x = property(lambda self: self._facets)
+    #: entry s sends the index of v to the index of s(v), s simple (`Orbit.perms`)
+    perms = property(lambda self: self.orbit.perms)
 
-    def __init__(self, orbit: Orbit, perms: Sequence[Sequence[int]],
-                 faces_through_x: dict[int, tuple[PolytopeFace, ...]],
+    def __init__(self, orbit: Orbit, faces_through_x: dict[int, tuple[PolytopeFace, ...]],
                  facets_through_x: tuple[Facet, ...], facet_masks: dict[tuple[int, ...], int]):
         super().__init__(orbit.ints, orbit.scale, faces_through_x, facets_through_x, facet_masks)
         self.orbit = orbit
         self.x_index = orbit.x_index
-        #: entry s sends the index of v to the index of s(v), s simple
-        self.perms = perms
         counts = {dim: sum(Fraction(len(orbit), len(f.vertex_indices)) for f in fs)
                   for dim, fs in faces_through_x.items()}
         if any(c.denominator != 1 for c in counts.values()):
@@ -173,7 +172,7 @@ class KostantPolytope(_Polytope):
         vertex k to x along the orbit's search tree (`Orbit.tree`)."""
         while k != self.x_index:
             s, k = self.orbit.tree[k]
-            perm = self.perms[s]
+            perm = self.orbit.perms[s]
             image = [perm[i] for i in image]
         return tuple(image)
 
@@ -440,7 +439,8 @@ def from_vertex_figure(group: WeylGroup, orbit: Orbit, figure: ExactPolytope) ->
     the empty face of the figure, is on every facet through x.  A point
     figure (P a segment) has one facet, its empty face 0.q <= 1.
     """
-    perms = vertex_permutations(group, orbit)
+    # P reads `orbit.perms`; this call keeps the name perfbench traces (ROADMAP item 6)
+    vertex_permutations(group, orbit)
     vertex_ints, scale, x_index = orbit.ints, orbit.scale, orbit.x_index
     x_ints = vertex_ints[x_index]
     bounds = ([(f.normal, f.offset) for f in figure.facets] if figure.affine_dim
@@ -483,8 +483,8 @@ def from_vertex_figure(group: WeylGroup, orbit: Orbit, figure: ExactPolytope) ->
             levels.setdefault(dim + 1, []).append(face)
             masks[face.vertex_indices] = through
     return KostantPolytope(
-        orbit, perms, {dim: tuple(sorted(fs, key=lambda f: f.vertex_indices))
-                       for dim, fs in sorted(levels.items())}, facets_through_x, masks)
+        orbit, {dim: tuple(sorted(fs, key=lambda f: f.vertex_indices))
+                for dim, fs in sorted(levels.items())}, facets_through_x, masks)
 
 
 def support_set(p: _Polytope, u: Sequence) -> tuple[PolytopeFace, Fraction]:

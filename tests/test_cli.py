@@ -410,7 +410,8 @@ def test_orbit_cap_exits_1_before_the_orbit_is_closed(capsys):
 def test_a2_with_eigenvalue_gaps_1_and_1e8_never_exits_2():
     """A2 (1, 1e8): the su(n) check's bounds scale with x, so the run passes,
     or stops with an input error that is true: a unitary conjugate of x0 is
-    skew-Hermitian and traceless up to rounding at the size of x0."""
+    skew-Hermitian and traceless up to rounding at the size of x0, and the
+    gap ratio 1e8 + 1 is past the one the check resolves."""
     code, text = run(_cfg(command="verify-all", point=("1", "100000000")))
     assert code in (0, 1), text
     if code == 1:
@@ -419,6 +420,18 @@ def test_a2_with_eigenvalue_gaps_1_and_1e8_never_exits_2():
         report = json.loads(text)
         assert report["bijection_verified"] is True
         assert all(f["n_converged"] == f["n_seeds"] for f in report["numeric"]["faces"])
+
+
+@pytest.mark.parametrize("point", [("1", "10000000000"), ("1000000", "1/10000")])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_a2_with_gap_ratio_1e10_exits_1_not_2(point, seed):
+    """Eigenvalue gaps 1e10 apart: the float ascent cannot resolve the small
+    root plane beside the large one, so the su(n) check refuses the point
+    as input it does not resolve (exit 1) instead of failing a seed (exit 2)."""
+    code, text = run(_cfg(command="verify-all", point=point, seed=seed))
+    assert (code, text) == (1, "error: the su(n) check does not resolve this Cartan vector: "
+                               "its entries spread over more than 1e+07 times their smallest "
+                               "gap\n")
 
 
 def test_non_finite_cartan_matrix_exits_2(monkeypatch):

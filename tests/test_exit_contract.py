@@ -61,6 +61,7 @@ def type_a_points(draw):
 @example((1, ("1e-4",)))  # a root gap of 1e-4 in the Hessian check
 @example((1, ("1/10000000000",)))  # ||[p, u]|| is below 1e-10 at every start
 @example((2, ("1", "1000000")))  # float rounding of x0's trace is above 1e-9
+@example((1, ("%d/%d" % (10 ** 400 + 1, 10 ** 400),)))  # integer rows past the float range
 def test_type_a_verify_all_exits_0_across_scales(case):
     """Across sixteen decades of coordinate scale and six of ratio, the su(n)
     check converges on every seed and its Hessian check holds: verify-all

@@ -28,6 +28,20 @@ def test_matrix_orbit_point_validation():
         matrix_orbit_point(x0, np.diag([2.0, 1.0, 1.0]).astype(complex))
 
 
+def test_su_from_cartan_bounds_the_gap_ratio():
+    """Entries spreading over exactly `_GAP_RATIO` times their smallest gap
+    are taken; one more unit of spread is an input error, not a float run
+    that might stop in the wrong chamber."""
+    ratio = orbitope.numeric._GAP_RATIO
+    for spread, ok in ((ratio, True), (ratio + 1, False)):
+        v = [Fraction(c) - Fraction(spread + 1, 3) for c in (0, 1, spread)]
+        if ok:
+            assert np.allclose(np.diag(su_from_cartan(v)).imag, [float(c) for c in v])
+        else:
+            with pytest.raises(InvalidInputError, match="does not resolve this Cartan vector"):
+                su_from_cartan(v)
+
+
 def test_random_special_unitary_properties():
     """One element of SU(4) per seed, the same whether drawn alone or in a
     stack, and different for different seeds."""
