@@ -126,9 +126,10 @@ def build_report(config: RunConfig) -> dict:
         return report
     poset = build_poset(classification)
     point_weight = check_integral(rs, x)
+    audit = config.command in ("integrality", "verify-all")
+    descent = config.command == "verify-all" and point_weight.is_integral
 
-    face_rows = []
-    face_weights = {}
+    face_rows, integrality_rows = [], []
     for idx, d in enumerate(classification.descriptors):
         if d.improper:
             sigma_class = list(d.sigma.vertex_indices)
@@ -141,8 +142,14 @@ def build_report(config: RunConfig) -> dict:
         integral = None
         if d.I:
             fw = induce_face_weight(rs, x, d)
-            face_weights[idx] = fw
             integral = fw.is_integral
+            if descent and not d.improper and not integral:
+                raise TheoremViolationError("integrality descent failed on face I=%s" % (fw.I,))
+            if audit:
+                integrality_rows.append({"I": [rs.root_label(i) for i in fw.I],
+                                         "x1_prime": _vec_strs(fw.x1_prime),
+                                         "integral": integral,
+                                         "pairings": _pairing_rows(fw.pairings)})
         face_rows.append({
             "I": [rs.root_label(i) for i in d.I],
             "I_prime": [rs.root_label(i) for i in d.I_prime],
@@ -160,22 +167,12 @@ def build_report(config: RunConfig) -> dict:
     report["bijection_verified"] = classification.bijection_verified
     report["poset_edges"] = [list(e) for e in poset.cover_edges]
 
-    if config.command in ("integrality", "verify-all"):
+    if audit:
         report["integrality"] = {
             "integral": point_weight.is_integral,
             "pairings": _pairing_rows(point_weight.pairings),
-            "faces": [{"I": [rs.root_label(i) for i in fw.I],
-                       "x1_prime": _vec_strs(fw.x1_prime),
-                       "integral": fw.is_integral,
-                       "pairings": _pairing_rows(fw.pairings)}
-                      for idx, fw in sorted(face_weights.items())],
+            "faces": integrality_rows,
         }
-
-    if config.command == "verify-all" and point_weight.is_integral:
-        for idx, fw in face_weights.items():
-            if not classification.descriptors[idx].improper and not fw.is_integral:
-                raise TheoremViolationError(
-                    "integrality descent failed on face I=%s" % (fw.I,))
 
     if config.command in ("verify-numeric", "verify-all") and rs.type_label == "A":
         faces = classification.proper_descriptors[:config.numeric_faces]

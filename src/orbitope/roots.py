@@ -281,7 +281,10 @@ def build_root_system(type_label: str, rank: int) -> RootSystem:
     weights = tuple(lincomb(row, simples) for row in inv_c)
     coweights = tuple(lincomb(column, coroots) for column in transpose(inv_c))
 
-    rs = RootSystem(
+    for i, w in enumerate(weights):
+        if [dot(w, h) for h in coroots] != [int(i == j) for j in range(rank)]:
+            raise TheoremViolationError("fundamental weight duality failed (bug)")
+    return RootSystem(
         type_label=type_label,
         rank=rank,
         ambient_dim=ambient_dim,
@@ -294,11 +297,6 @@ def build_root_system(type_label: str, rank: int) -> RootSystem:
         killing_ratio=_killing_ratio(simples, cartan, coords, range(rank)),
         root_lengths=tuple(dot(a, a) for a in pos_roots),
     )
-    for i in range(rank):
-        for j in range(rank):
-            if dot(rs.fundamental_weights[i], rs.coroot(simples[j])) != (1 if i == j else 0):
-                raise TheoremViolationError("fundamental weight duality failed (bug)")
-    return rs
 
 
 class ChamberPoint(NamedTuple):

@@ -6,12 +6,12 @@ lambda = Sum_j lambda_j w_j, s_i(lambda) = lambda - lambda_i * (row i of the
 Cartan matrix), because that row is alpha_i in fundamental-weight
 coordinates.  `weyl_orbit` closes W.x once, by a breadth-first search on
 integer label tuples, into an `Orbit` that every later stage reads as it is:
-the points as integer rows, the r simple reflections as permutations of the
-points, recorded as the search steps, through which every orbit of faces
-and of a parabolic subgroup W_J is closed, and the search tree, whose path
-from a point to x moves it there.  `reflection_neighbours` finds the points
-s_beta.x, beta a positive root, by the same step with beta's labels in place
-of a Cartan row.  The order |W| is the product of the degrees, read off the
+the points as integer rows, each stepped from its parent's with the labels,
+the r simple reflections as permutations of the points, through which every
+orbit of faces and of a parabolic subgroup W_J is closed, and the search
+tree, whose path from a point to x moves it there.  `reflection_neighbours`
+finds each s_beta.x, beta a positive root, by the same step with beta's
+labels for a Cartan row.  |W| is the product of the degrees, read off the
 root heights (Kostant); the same formula on the singular set S of x gives
 |W_S| and so the orbit size |W.x| = |W| / |W_S|.  Nothing enumerates W.
 """
@@ -107,7 +107,8 @@ class Orbit:
 def weyl_orbit(group: WeylGroup, x: ChamberPoint, cap: int | None = None) -> Orbit:
     """The orbit W.x, closed on x's labels scaled to integers by one
     breadth-first search that records each generator's image of each point
-    (a point with lambda_i = 0 is its own s_i-image) and its search tree.
+    (a point with lambda_i = 0 is its own s_i-image), its search tree and
+    each new point's integer row, its parent's less lambda_i * alpha_i.
 
     Raises CapExceededError when |W.x| exceeds `cap`, before anything is
     closed; the closure's size must equal |W.x|.
@@ -118,7 +119,11 @@ def weyl_orbit(group: WeylGroup, x: ChamberPoint, cap: int | None = None) -> Orb
         raise CapExceededError("the orbit W.x has %d points, the orbit cap is %d"
                                % (size, cap))
     (start,), scale = integral_rows([x.coords])
-    seen, closed, tree = {start: 0}, [start], [None]
+    weights, weight_scale = integral_rows(rs.fundamental_weights)
+    # labels on the weight columns: x's row, then alpha_i's from Cartan row i
+    start_row, *alphas = (tuple(int_dot(row, c) for c in zip(*weights))
+                          for row in (start, *rs.cartan_matrix))
+    seen, closed, tree, ints = {start: 0}, [start], [None], [start_row]
     images: list[list[int]] = [[] for _ in range(rs.rank)]
     for k, labels in enumerate(closed):
         for i, row in enumerate(images):
@@ -129,14 +134,12 @@ def weyl_orbit(group: WeylGroup, x: ChamberPoint, cap: int | None = None) -> Orb
                 if j == len(closed):
                     closed.append(image)
                     tree.append((i, k))
+                    ints.append(tuple(v - labels[i] * a for v, a in zip(ints[k], alphas[i])))
             row.append(j)
     if len(closed) != size:
         raise TheoremViolationError("orbit closure has %d points, |W|/|W_S| = %d (bug)"
                                     % (len(closed), size))
-    # integer points over one common denominator sort as the vectors do
-    weights, weight_scale = integral_rows(rs.fundamental_weights)
-    columns = tuple(zip(*weights))
-    ints = [tuple(int_dot(labels, c) for c in columns) for labels in closed]
+    # integer points over one common denominator sort as the vectors do;
     # search order k -> sorted order new[k]
     order = sorted(range(size), key=ints.__getitem__)
     new = sorted(range(size), key=order.__getitem__)

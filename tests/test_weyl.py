@@ -188,10 +188,12 @@ def test_label_action_matches_ambient_reflections(label, rank, coords):
         assert lincomb([Fraction(n, label_scale) for n in labels], rs.fundamental_weights) == v
 
 
-#: one closure per type, E6 past the default Weyl cap
+#: one closure per type, E6 past the default Weyl cap; E7 and E8 in the
+#: 8-dimensional realization, whose weights are half-integral
 CLOSURE_CASES = [("A", 3, (1, 1, 1)), ("B", 3, (1, 0, 1)), ("C", 3, (1, 0, 1)),
                  ("D", 4, (1, 1, 1, 1)), ("F", 4, (1, 0, 0, 1)), ("G", 2, ("3/2", 1)),
-                 ("E", 6, (1, 0, 0, 0, 0, 0))]
+                 ("E", 6, (1, 0, 0, 0, 0, 0)), ("E", 7, (0, 0, 0, 0, 0, 0, 1)),
+                 ("E", 8, (1, 0, 0, 0, 0, 0, 0, 0))]
 
 
 @pytest.mark.parametrize("label,rank,coords", CLOSURE_CASES,
@@ -200,23 +202,27 @@ CLOSURE_CASES = [("A", 3, (1, 1, 1)), ("B", 3, (1, 0, 1)), ("C", 3, (1, 0, 1)),
 def test_one_closure_gives_permutations_paths_and_vertex_table(label, rank, coords):
     """The closure's generator permutations are the ambient reflections'; the
     search tree's path from each point moves it to x under the ambient
-    reflections; the Kostant polytope's vertices, derived from its integer
-    table, are the ambient orbit, and the report renders them by `frac_str`."""
+    reflections (each tree step is one reflection, and every path ends at x);
+    the Kostant polytope's vertices, derived from its integer table, are the
+    ambient orbit, and the report renders them by `frac_str`."""
     rs = get_rs(label, rank)
     group = build_weyl_group(rs, cap=10 ** 9)
     x = chamber_point(rs, coords)
     expected = reflection_orbit(rs, x.vector)
-    poly = build_kostant_polytope(group, x)
+    poly = build_kostant_polytope(group, x, orbit_cap=len(expected))
     orbit = poly.orbit
     assert orbit.perms == reflection_permutations(rs, expected)
-    for k, v in enumerate(expected):
+    assert expected[orbit.x_index] == x.vector
+    for k, step in enumerate(orbit.tree):
+        assert (step is None) == (k == orbit.x_index)
+        if step is not None:
+            i, j = step
+            assert rs.reflect(rs.simple_roots[i], expected[k]) == expected[j]
         while k != orbit.x_index:
-            i, k = orbit.tree[k]
-            v = rs.reflect(rs.simple_roots[i], v)
-        assert v == x.vector
+            k = orbit.tree[k][1]
     assert poly.vertices == expected
     report = build_report(RunConfig(command="polytope", type_label=label, rank=rank,
-                                    point=tuple(map(str, coords))))
+                                    point=tuple(map(str, coords)), orbit_cap=len(expected)))
     assert report["polytope"]["vertices"] == [[frac_str(c) for c in v] for v in expected]
 
 
