@@ -74,7 +74,7 @@ def verify_face_numeric(classification, faces, seeds: int, seed_base: int) -> li
 def _pairing_rows(rows) -> list[dict]:
     """Report rows of the root pairings of a point or of a face weight."""
     return [{"root": _vec_strs(r.root), "knapp": frac_str(r.knapp),
-             "half": frac_str(r.half_display)} for r in rows]
+             "half": frac_str(r.knapp / 2)} for r in rows]
 
 
 def _check_config(config: RunConfig) -> None:
@@ -144,9 +144,9 @@ def build_report(config: RunConfig) -> dict:
             fw = induce_face_weight(rs, x, d)
             integral = fw.is_integral
             if descent and not d.improper and not integral:
-                raise TheoremViolationError("integrality descent failed on face I=%s" % (fw.I,))
+                raise TheoremViolationError("integrality descent failed on face I=%s" % (d.I,))
             if audit:
-                integrality_rows.append({"I": [rs.root_label(i) for i in fw.I],
+                integrality_rows.append({"I": [rs.root_label(i) for i in d.I],
                                          "x1_prime": _vec_strs(fw.x1_prime),
                                          "integral": integral,
                                          "pairings": _pairing_rows(fw.pairings)})

@@ -46,7 +46,7 @@ from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CapExceededError, InvalidInputError, TheoremViolationError
-from .linalg import (Vector, dot, frac_str, int_dot, int_rank, integral_rows, inverse,
+from .linalg import (Vector, frac_str, int_dot, int_rank, integral_rows, inverse,
                      mat_mul, nullspace, point_str, primitive, rref, transpose,
                      vadd, vec, vscale, vsub, zero_vec)
 from .weyl import Orbit, WeylGroup, vertex_permutations
@@ -76,7 +76,6 @@ class FaceOrbit(NamedTuple):
     """One W-orbit of faces of a fixed dimension, canonical representative first."""
 
     dim: int
-    representative: tuple[int, ...]
     members: tuple[tuple[int, ...], ...]
 
 
@@ -545,6 +544,6 @@ def act_on_faces(perms: Sequence[Sequence[int]],
             if not keys.issuperset(members):
                 raise TheoremViolationError("group action left the faces it acts on (bug)")
             assigned.update(members)
-            orbits.append(FaceOrbit(dim=dim, representative=members[0], members=members))
+            orbits.append(FaceOrbit(dim=dim, members=members))
         out[dim] = tuple(orbits)
     return out

@@ -23,9 +23,12 @@ the Cartan matrix (`killing_ratio_of`).  On the whole system this is
 
 The root system is closed in simple-root coordinates, which are integers: the
 simple reflection s_i sends b to b - (Sum_j b_j C[j][i]) e_i, C the Cartan
-matrix.  A connected simple-root subset is labelled by (r, n, s), its rank, its
-number of positive roots and how many of those are short, which tell the
-Cartan types apart (Bourbaki, Lie Groups and Lie Algebras, Ch. VI, Plates).
+matrix; so are the positive coroots on the simple coroots
+(`positive_coroot_coords`), whose dot product with lambda's Dynkin labels is
+the one source of <lambda, beta^vee>.  A connected simple-root subset is
+labelled by (r, n, s), its rank, its number of positive roots and how many
+of those are short, which tell the Cartan types apart (Bourbaki, Lie Groups
+and Lie Algebras, Ch. VI, Plates).
 """
 
 from __future__ import annotations
@@ -125,6 +128,8 @@ class RootSystem(NamedTuple):
     killing_ratio: Fraction
     #: d(a, a) of each positive root
     root_lengths: tuple[Fraction, ...]
+    #: integer coefficients of each positive coroot on the simple coroots
+    positive_coroot_coords: tuple[tuple[int, ...], ...]
 
     # -- basic queries ------------------------------------------------------
 
@@ -140,9 +145,6 @@ class RootSystem(NamedTuple):
     def dim_group(self) -> int:
         """dim K = rank + 2*|Delta_+| (each root plane Z_alpha is 2-dim)."""
         return self.rank + 2 * self.n_positive
-
-    def all_roots(self) -> tuple[Vector, ...]:
-        return self.positive_roots + tuple(vscale(Fraction(-1), a) for a in self.positive_roots)
 
     @staticmethod
     def coroot(alpha: Vector) -> Vector:
@@ -234,7 +236,9 @@ def build_root_system(type_label: str, rank: int) -> RootSystem:
             (type_label, rank, type_label, list(VALID_RANKS[type_label])))
     ambient_dim, simples = _simple_root_realization(type_label, rank)
 
-    cartan_q = tuple(tuple(2 * dot(a, b) / dot(b, b) for b in simples) for a in simples)
+    simple_lengths = [dot(a, a) for a in simples]  # l_j = d(alpha_j, alpha_j)
+    cartan_q = tuple(tuple(2 * dot(a, b) / lb for b, lb in zip(simples, simple_lengths))
+                     for a in simples)
     if any(c.denominator != 1 for row in cartan_q for c in row):
         raise TheoremViolationError("non-integral Cartan entry (bug in realization)")
     cartan = tuple(tuple(int(c) for c in row) for row in cartan_q)
@@ -272,6 +276,14 @@ def build_root_system(type_label: str, rank: int) -> RootSystem:
                                     % (len(coords), expected, type_label, rank))
 
     pos_roots = tuple(lincomb(b, simples) for b in coords)
+    lengths = tuple(dot(a, a) for a in pos_roots)
+    # beta = Sum_j c_j alpha_j has beta^vee = Sum_j c_j l_j / d(beta, beta) alpha_j^vee
+    ratios = {lb: [(q.numerator, q.denominator) for q in (la / lb for la in simple_lengths)]
+              for lb in set(lengths)}
+    coroot_q = [[divmod(c * num, den) for c, (num, den) in zip(b, ratios[lb])]
+                for b, lb in zip(coords, lengths)]
+    if any(rest for row in coroot_q for _, rest in row):
+        raise TheoremViolationError("non-integral coroot coordinate (bug in realization)")
     coroots = tuple(RootSystem.coroot(a) for a in simples)
 
     # Fundamental weights (dual to simple coroots) and coweights (dual to
@@ -295,7 +307,8 @@ def build_root_system(type_label: str, rank: int) -> RootSystem:
         fundamental_weights=weights,
         fundamental_coweights=coweights,
         killing_ratio=_killing_ratio(simples, cartan, coords, range(rank)),
-        root_lengths=tuple(dot(a, a) for a in pos_roots),
+        root_lengths=lengths,
+        positive_coroot_coords=tuple(tuple(c for c, _ in row) for row in coroot_q),
     )
 
 
@@ -319,10 +332,6 @@ class ChamberPoint(NamedTuple):
     @property
     def regular(self) -> bool:
         return not self.singular_set
-
-    def evaluate_root(self, alpha: Vector) -> Fraction:
-        """-i*alpha(x) in the realization, i.e. d(alpha, X)."""
-        return dot(alpha, self.vector)
 
 
 def chamber_point(rs: RootSystem, coords: Sequence) -> ChamberPoint:
@@ -351,6 +360,6 @@ def chamber_point(rs: RootSystem, coords: Sequence) -> ChamberPoint:
                       singular_set=singular)
     for i, a in enumerate(rs.simple_roots):
         expected_zero = (i in singular)
-        if (pt.evaluate_root(a) == 0) != expected_zero:
+        if (dot(a, pt.vector) == 0) != expected_zero:
             raise TheoremViolationError("singular set inconsistent with realization (bug)")
     return pt

@@ -24,7 +24,7 @@ from math import prod
 from typing import Sequence
 
 from .errors import CapExceededError, TheoremViolationError
-from .linalg import dot, int_dot, integral_rows, lincomb, point_str, primitive
+from .linalg import int_dot, integral_rows, lincomb, point_str
 from .roots import ChamberPoint, RootSystem
 
 Labels = tuple[int, ...]
@@ -156,22 +156,18 @@ def reflection_neighbours(group: WeylGroup, orbit: Orbit) -> tuple[int, ...]:
 
     On Dynkin labels s_beta(lambda) = lambda - <lambda, beta^vee> b, where
     beta = Sum_j c_j alpha_j has the labels b = Sum_j c_j (row j of the
-    Cartan matrix), b_j = <beta, alpha_j^vee>.  With l_j = alpha_j.alpha_j,
-    lambda.alpha_j = lambda_j l_j / 2 and beta.alpha_j = b_j l_j / 2, so
-    <lambda, beta^vee> = 2 lambda.beta / beta.beta is the integer
-    2 Sum_j c_j lambda_j l_j / Sum_j c_j b_j l_j.  Each image is looked up by
-    its labels; one that is not in the orbit raises.
+    Cartan matrix), b_j = <beta, alpha_j^vee>, and <lambda, beta^vee> is lambda
+    dotted with beta's row of `positive_coroot_coords`.  Each image is looked
+    up by its labels; one that is not in the orbit raises.
     """
     rs = group.root_system
     labels = orbit.labels[orbit.x_index]
-    lengths = primitive([dot(a, a) for a in rs.simple_roots])
-    weighted = [lam * ln for lam, ln in zip(labels, lengths)]
     found = set()
-    for beta, coeffs in zip(rs.positive_roots, rs.positive_coords):
-        root = [int_dot(coeffs, column) for column in zip(*rs.cartan_matrix)]
-        pairing = (2 * int_dot(coeffs, weighted)
-                   // int_dot(coeffs, [b * ln for b, ln in zip(root, lengths)]))
+    for beta, coeffs, coroot in zip(rs.positive_roots, rs.positive_coords,
+                                    rs.positive_coroot_coords):
+        pairing = int_dot(coroot, labels)
         if pairing:
+            root = [int_dot(coeffs, column) for column in zip(*rs.cartan_matrix)]
             k = orbit.index.get(tuple(lam - pairing * b for lam, b in zip(labels, root)))
             if k is None:
                 x = [Fraction(c, orbit.scale) for c in orbit.ints[orbit.x_index]]

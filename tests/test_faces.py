@@ -185,14 +185,14 @@ def test_phi_psi_inverse_on_all_classes():
         cl = get_classification(*args)
         for d in cl.proper_descriptors:
             orbit = phi_of_descriptor(cl, d)
-            rep_face = cl.polytope.find_face(orbit.representative)
+            rep_face = cl.polytope.find_face(orbit.members[0])
             assert psi_of_polytope_face(cl, rep_face).I == d.I
 
 
 def test_phi_improper_is_top():
     cl = get_classification("A", 2, (1, 1))
     orbit = phi_of_descriptor(cl, cl.top_descriptor)
-    assert orbit.representative == cl.polytope.top.vertex_indices
+    assert orbit.members == (cl.polytope.top.vertex_indices,)
     assert cl.top_descriptor.improper
 
 

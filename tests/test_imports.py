@@ -3,6 +3,7 @@ names of the numeric check that resolve on first use."""
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -58,3 +59,31 @@ def test_an_unknown_name_is_an_attribute_error():
         orbitope.no_such_name
     with pytest.raises(ImportError):
         from orbitope import no_such_name  # noqa: F401
+
+
+def _unread_imports(path: Path) -> list[str]:
+    """Names a module imports at module level and never reads; a name listed
+    in its `__all__` counts as read."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            read.update(ast.literal_eval(node.value))
+    return ["%s:%d %s" % (path.name, line, name)
+            for name, line in sorted(imported.items(), key=lambda item: item[1])
+            if name not in read]
+
+
+def test_every_module_level_import_is_read():
+    package = Path(orbitope.__file__).resolve().parent
+    unread = [entry for path in sorted(package.glob("*.py")) for entry in _unread_imports(path)]
+    assert unread == []

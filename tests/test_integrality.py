@@ -8,6 +8,7 @@ import pytest
 
 from conftest import defining_sum, get_classification, get_point, get_rs
 from orbitope import InvalidInputError, check_integral, induce_face_weight
+from orbitope.cli import RunConfig, build_report
 from orbitope.linalg import dot, vsub
 from tests_util_det import det
 
@@ -37,10 +38,13 @@ def test_pairing_table_on_simple_roots_recovers_coordinates():
 
 
 def test_half_display_column_is_half():
-    rs = get_rs("G", 2)
-    wd = check_integral(rs, get_point("G", 2, (1, 2)))
-    for r in wd.pairings:
-        assert r.half_display * 2 == r.knapp
+    report = build_report(RunConfig(command="integrality", type_label="G", rank=2,
+                                    point=("1", "2")))["integrality"]
+    tables = [report["pairings"]] + [face["pairings"] for face in report["faces"]]
+    assert len(tables) > 1
+    for table in tables:
+        for row in table:
+            assert Q(row["half"]) * 2 == Q(row["knapp"])
 
 
 def test_grassmannian_point_is_integral():
@@ -107,6 +111,30 @@ def test_defining_equation_holds():
             # each audited value is <x1', a^vee>_F
             for row in fw.pairings:
                 assert row.knapp == defining_sum(roots_i, fw.x1_prime, rs.coroot(row.root))
+
+
+@pytest.mark.parametrize("args", [
+    ("B", 3, (1, 0, 1)), ("C", 3, ("1/2", 0, 3)), ("C", 4, ("1/3", 0, 1, 2)),
+    ("A", 5, (1, 0, 1, 0, 1)), ("D", 5, (0, 1, 0, 0, 1)), ("F", 4, (1, 0, 0, 1)),
+    ("G", 2, ("3/2", 1))])
+def test_face_row_is_killing_ratio_times_the_point_row(args):
+    """Each face row is `killing_ratio` times the point's row on the same
+    root: ratio_c * <x1', beta^vee> with x1' = x1 rescaled by killing_ratio /
+    ratio_c, and x - x1 orthogonal to span(I).  Each point has a face whose
+    I has several components or roots of two lengths.  ROADMAP item 11's mend
+    (one integrality convention for the point and its faces) drops this
+    factor, and this test changes with it."""
+    rs = get_rs(args[0], args[1])
+    x = get_point(*args)
+    point_rows = {r.root: r.knapp for r in check_integral(rs, x).pairings}
+    faces = [d for d in get_classification(*args).descriptors if d.I]
+    assert any(len(rs.components(d.I)) > 1
+               or len({rs.root_lengths[k] for k in d.sub_roots_I}) > 1 for d in faces)
+    for d in faces:
+        rows = induce_face_weight(rs, x, d).pairings
+        assert len(rows) == 2 * len(d.sub_roots_I)
+        for row in rows:
+            assert row.knapp == rs.killing_ratio * point_rows[row.root], (args, d.I, row.root)
 
 
 def test_sub_killing_gram_positive_definite():

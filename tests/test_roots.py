@@ -78,13 +78,25 @@ def test_killing_gram_a2_offdiagonal_by_defining_sum():
 def test_killing_weyl_invariance():
     rs = get_rs("B", 2)
     oracle = get_oracle("B", 2)
-    roots = rs.all_roots()
+    roots = rs.positive_roots
     for w in oracle.words:
-        for a in roots[:4]:
-            for b in roots[:4]:
+        for a in roots:
+            for b in roots:
                 value = defining_sum(rs.positive_roots, oracle.apply(w, a), oracle.apply(w, b))
                 assert value == defining_sum(rs.positive_roots, a, b)
                 assert value == rs.killing_ratio * dot(a, b)
+
+
+@pytest.mark.parametrize("label,rank", PAIRS)
+def test_positive_coroot_coords_are_the_pairings_with_the_fundamental_weights(label, rank):
+    """beta^vee = Sum_j <omega_j, beta^vee> alpha_j^vee, so the table's row of
+    beta holds 2 d(omega_j, beta) / d(beta, beta)."""
+    rs = get_rs(label, rank)
+    assert len(rs.positive_coroot_coords) == rs.n_positive
+    for beta, row in zip(rs.positive_roots, rs.positive_coroot_coords):
+        assert all(isinstance(c, int) for c in row)
+        assert list(row) == [2 * dot(w, beta) / dot(beta, beta)
+                             for w in rs.fundamental_weights]
 
 
 def test_simple_reflection_fixes_hyperplane_and_negates_root():

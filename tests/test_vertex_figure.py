@@ -72,10 +72,10 @@ def _compare_with_full_lattice(type_label, rank, coords):
     orbit_of = {m: o for os in orbits.values() for o in os for m in o.members}
     assert sum(map(len, cl.classes.values())) == sum(map(len, orbits.values()))
     assert sorted(cl.matching.values()) == sorted(
-        o.representative for dim, os in orbits.items() if dim < full.affine_dim for o in os)
+        o.members[0] for dim, os in orbits.items() if dim < full.affine_dim for o in os)
     for d in cl.proper_descriptors:
         orbit = orbit_of[d.sigma.vertex_indices]
-        assert cl.matching[d.I] == orbit.representative
+        assert cl.matching[d.I] == orbit.members[0]
         assert phi_of_descriptor(cl, d).members == tuple(m for m in orbit.members if x in m)
     for faces in poly.faces_through_x.values():
         for face in faces:
