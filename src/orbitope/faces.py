@@ -29,10 +29,9 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .errors import InvalidInputError, TheoremViolationError
-from .linalg import Vector, dot, lincomb
+from .linalg import Vector, closure, dot, lincomb
 from .polytope import (FaceOrbit, KostantPolytope, PolytopeFace, act_on_faces,
-                       face_orbit, from_vertex_figure, hull, support_set,
-                       vertex_figure_points)
+                       from_vertex_figure, hull, support_set, vertex_figure_points)
 from .roots import ChamberPoint, RootSystem
 from .weyl import DEFAULT_ORBIT_CAP, WeylGroup, reflection_neighbours, weyl_orbit
 
@@ -131,13 +130,11 @@ def saturate(rs: RootSystem, x: ChamberPoint,
 
 def largest_x_connected_subset(rs: RootSystem, x: ChamberPoint,
                                subset: Sequence[int]) -> tuple[int, ...]:
-    """Union of those components of the subset containing a nonvanishing root."""
-    singular = set(x.singular_set)
-    keep: list[int] = []
-    for comp in rs.components(subset):
-        if any(i not in singular for i in comp):
-            keep.extend(comp)
-    return tuple(sorted(keep))
+    """Union of those components of the subset containing a nonvanishing root:
+    the closure of its nonsingular nodes under adjacency inside the subset."""
+    nodes = set(subset)
+    return tuple(sorted(closure(nodes.difference(x.singular_set),
+                                lambda i: (j for j in nodes if rs.adjacent(i, j)))))
 
 
 def build_kostant_polytope(group: WeylGroup, x: ChamberPoint,
@@ -169,7 +166,6 @@ def classify_faces(rs: RootSystem, group: WeylGroup, x: ChamberPoint,
         raise InvalidInputError("chamber point belongs to a different root system")
     poly = build_kostant_polytope(group, x, orbit_cap)
     perms = poly.perms
-    x_vertex = (poly.x_index,)
 
     descriptors = []
     for I in x_connected_subsets(rs, x):
@@ -180,7 +176,7 @@ def classify_faces(rs: RootSystem, group: WeylGroup, x: ChamberPoint,
         if sorted(sub_i + sub_ip) != sorted(sub_j):
             raise TheoremViolationError("Delta_J does not split as Delta_I + Delta_I'")
         improper = len(J) == rs.rank
-        sigma_vertices = tuple(v for (v,) in face_orbit([perms[j] for j in J], x_vertex))
+        sigma_vertices = tuple(sorted(closure([poly.x_index], lambda v: (perms[j][v] for j in J))))
         sigma = poly.find_face(sigma_vertices)
         if sigma is None:
             raise TheoremViolationError(

@@ -4,7 +4,8 @@ Vectors are tuples of Fraction, matrices are tuples of row tuples.  Everything
 is pure and deterministic; no floats anywhere.  There is one elimination, the
 fraction-free integer one of `_echelon`: `int_rank` counts its rows, and
 `rref`, with `solve`, `inverse` and `nullspace` on top of it, runs it on rows
-scaled to integers and divides by the pivots only at the end.
+scaled to integers and divides by the pivots only at the end.  `closure` is
+the one search: W_J.x, the face classes and Dynkin components close by it.
 """
 
 from __future__ import annotations
@@ -12,10 +13,11 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
+T = TypeVar("T")
 
 
 def vec(entries: Iterable) -> Vector:
@@ -203,6 +205,18 @@ def integral_rows(m: Sequence[Sequence[Fraction]]) -> tuple[list[tuple[int, ...]
     """The rows of s*m for the least positive integer s making it integral, and s."""
     scale = common_denominator(x for row in m for x in row)
     return [tuple(x.numerator * (scale // x.denominator) for x in row) for row in m], scale
+
+
+def closure(start: Iterable[T], step: Callable[[T], Iterable[T]]) -> set[T]:
+    """The least set that holds `start` and all that `step` yields from a member."""
+    seen = set(start)
+    todo = list(seen)
+    while todo:
+        for image in step(todo.pop()):
+            if image not in seen:
+                seen.add(image)
+                todo.append(image)
+    return seen
 
 
 def frac_str(x: Fraction | int) -> str:

@@ -28,8 +28,9 @@ at most one per positive root, certified against the whole orbit
 them, never built.  The full lattice of `hull` stays as the oracle.
 
 The Weyl group reaches a polytope only through the r simple-reflection
-permutations of its vertices (`act_on_faces`, `face_orbit`) and the orbit's
-search tree, read as paths of simple reflections to x.
+permutations of its vertices, under which `act_on_faces` closes each face
+(`linalg.closure`), and the orbit's search tree, read as paths of simple
+reflections to x.
 
 Every inner product here is the coordinate dot product.  On a Kostant
 polytope that loses nothing: W.x lies in the root span, where W acts by
@@ -46,9 +47,9 @@ from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CapExceededError, InvalidInputError, TheoremViolationError
-from .linalg import (Vector, frac_str, int_dot, int_rank, integral_rows, inverse,
-                     mat_mul, nullspace, point_str, primitive, rref, transpose,
-                     vadd, vec, vscale, vsub, zero_vec)
+from .linalg import (Vector, closure, frac_str, int_dot, int_rank, integral_rows,
+                     inverse, mat_mul, nullspace, point_str, primitive, rref,
+                     transpose, vadd, vec, vscale, vsub, zero_vec)
 from .weyl import Orbit, WeylGroup, vertex_permutations
 
 #: desk-scale guard on hull input size
@@ -365,6 +366,7 @@ def _face_lattice(lifted: Sequence[tuple[int, ...]], facet_rows: Sequence[tuple[
         for i in _bits(fm):
             vertex_facets[i] |= 1 << k
 
+    # Not `linalg.closure`: inline is faster on this hot loop of the E8 0,...,0,1 figure.
     full = (1 << len(lifted)) - 1
     seen = {full}
     queue = [full]
@@ -506,22 +508,6 @@ def support_set(p: _Polytope, u: Sequence) -> tuple[PolytopeFace, Fraction]:
     return face, Fraction(h, u_scale * p.vertex_scale)
 
 
-def face_orbit(perms: Sequence[Sequence[int]],
-               vertex_indices: Iterable[int]) -> tuple[tuple[int, ...], ...]:
-    """The sorted orbit of a vertex set under the group the permutations generate."""
-    start = tuple(sorted(vertex_indices))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        face = frontier.pop()
-        for perm in perms:
-            image = tuple(sorted(perm[i] for i in face))
-            if image not in seen:
-                seen.add(image)
-                frontier.append(image)
-    return tuple(sorted(seen))
-
-
 def act_on_faces(perms: Sequence[Sequence[int]],
                  levels: dict[int, Sequence[PolytopeFace]]) -> dict[int, tuple[FaceOrbit, ...]]:
     """Partition each level of faces into orbits of the group the vertex
@@ -540,7 +526,8 @@ def act_on_faces(perms: Sequence[Sequence[int]],
         for f in levels[dim]:
             if f.vertex_indices in assigned:
                 continue
-            members = face_orbit(perms, f.vertex_indices)
+            members = tuple(sorted(closure([f.vertex_indices], lambda face: (
+                tuple(sorted(perm[i] for i in face)) for perm in perms))))
             if not keys.issuperset(members):
                 raise TheoremViolationError("group action left the faces it acts on (bug)")
             assigned.update(members)

@@ -37,8 +37,8 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import InvalidInputError, TheoremViolationError
-from .linalg import (Vector, dot, inverse, lincomb, transpose, vadd, vec, vscale,
-                     vsub)
+from .linalg import (Vector, closure, dot, inverse, lincomb, transpose, vadd, vec,
+                     vscale, vsub)
 
 #: admissible ranks per Cartan letter (rank 8 is the desk-scale ceiling)
 VALID_RANKS = {
@@ -170,20 +170,10 @@ class RootSystem(NamedTuple):
 
     def components(self, subset: Sequence[int]) -> tuple[tuple[int, ...], ...]:
         """Connected components of a simple-root subset, ordered by least index."""
-        todo = sorted(set(subset))
-        comps: list[tuple[int, ...]] = []
-        while todo:
-            frontier = [todo.pop(0)]
-            comp = set(frontier)
-            while frontier:
-                i = frontier.pop()
-                for j in list(todo):
-                    if self.adjacent(i, j):
-                        todo.remove(j)
-                        comp.add(j)
-                        frontier.append(j)
-            comps.append(tuple(sorted(comp)))
-        return tuple(comps)
+        nodes = set(subset)
+        comps = {tuple(sorted(closure([i], lambda k: (j for j in nodes if self.adjacent(k, j)))))
+                 for i in nodes}
+        return tuple(sorted(comps))
 
     def subsystem_positive(self, subset: Sequence[int]) -> tuple[int, ...]:
         """Indices of positive roots supported on the given simple subset."""
@@ -246,6 +236,7 @@ def build_root_system(type_label: str, rank: int) -> RootSystem:
     # Close the simple roots under the simple reflections in simple-root
     # coordinates; for an irreducible system this BFS reaches the whole root
     # set, which has twice as many roots as the classical positive count.
+    # Not `linalg.closure`: the size guard must stop a non-finite Cartan matrix.
     expected = _POSITIVE_COUNTS[type_label](rank)
     units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
     roots = set(units)

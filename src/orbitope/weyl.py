@@ -125,6 +125,7 @@ def weyl_orbit(group: WeylGroup, x: ChamberPoint, cap: int | None = None) -> Orb
                           for row in (start, *rs.cartan_matrix))
     seen, closed, tree, ints = {start: 0}, [start], [None], [start_row]
     images: list[list[int]] = [[] for _ in range(rs.rank)]
+    # Not `linalg.closure`: one pass records every image, the tree and each row.
     for k, labels in enumerate(closed):
         for i, row in enumerate(images):
             j = k

@@ -8,7 +8,8 @@ from conftest import defining_sum, get_classification, get_point, get_rs, orbit_
 from orbitope import (InvalidInputError, hull, parabolic_report,
                       phi_of_descriptor, psi_of_polytope_face, saturate,
                       support_set, x_connected_subsets)
-from orbitope.linalg import dot
+from orbitope.integrality import induce_face_weight
+from orbitope.linalg import dot, vadd, vsub
 
 
 def test_x_connected_subsets_regular_is_powerset():
@@ -260,3 +261,42 @@ def test_classification_deterministic():
     assert [d.I for d in a.descriptors] == [d.I for d in b.descriptors]
     assert a.matching == b.matching
     assert [d.exposing_u for d in a.descriptors] == [d.exposing_u for d in b.descriptors]
+
+
+#: one point per (type, rank) from A2 to G2, singular and regular alike
+ORBITOPE_FACE_POINTS = [
+    ("A", 2, (1, 1)), ("A", 3, (1, 0, 1)), ("A", 4, (0, 1, 1, 0)),
+    ("A", 5, (1, 0, 1, 0, 1)), ("B", 3, ("1/2", 0, 1)), ("B", 4, (0, 1, 0, 1)),
+    ("C", 3, (1, 0, 1)), ("C", 4, ("1/3", 0, 1, 2)), ("D", 4, (1, 1, 1, 1)),
+    ("D", 5, (0, 1, 0, 0, 1)), ("E", 6, (1, 0, 0, 0, 0, 0)),
+    ("E", 7, (0, 0, 0, 0, 0, 0, 1)), ("F", 4, (1, 0, 0, 1)), ("G", 2, ("3/2", 1)),
+    ("G", 2, (0, 1)),
+]
+
+
+def _reflection_orbit(rs, I, point):
+    """W_I.point, closed by the Fraction reflections in the simple roots of I."""
+    seen = {point}
+    frontier = [point]
+    while frontier:
+        v = frontier.pop()
+        for i in I:
+            image = rs.reflect(rs.simple_roots[i], v)
+            if image not in seen:
+                seen.add(image)
+                frontier.append(image)
+    return seen
+
+
+@pytest.mark.parametrize("label,rank,coords", ORBITOPE_FACE_POINTS)
+def test_every_face_is_a_translated_orbitope_of_its_induced_weight(label, rank, coords):
+    """Every face is a coadjoint orbitope: sigma = W_I.x1 + (x - x1), x1 the
+    induced face weight, closed here by ambient reflections, not labels."""
+    cl = get_classification(label, rank, coords)
+    rs, x = cl.root_system, cl.x.vector
+    for d in cl.descriptors:
+        if not d.I:
+            continue
+        x1 = induce_face_weight(rs, cl.x, d).x1
+        expected = {vadd(v, vsub(x, x1)) for v in _reflection_orbit(rs, d.I, x1)}
+        assert {cl.polytope.vertices[i] for i in d.sigma.vertex_indices} == expected, d.I

@@ -12,8 +12,8 @@ from fractions import Fraction as Q
 
 import pytest
 
-from orbitope.linalg import (dot, frac_str, identity, int_rank, integral_rows, inverse,
-                             nullspace, primitive, rref, solve, vec)
+from orbitope.linalg import (closure, dot, frac_str, identity, int_rank, integral_rows,
+                             inverse, nullspace, primitive, rref, solve, vec)
 from tests_util_det import det, minor_rank
 
 
@@ -183,3 +183,32 @@ def test_integral_rows_share_the_least_scale():
     assert integral_rows([vec([Q(1, 2), 1]), vec([Q(-2, 3), 0])]) == ([(3, 6), (-4, 0)], 6)
     assert integral_rows([vec([1, -2])]) == ([(1, -2)], 1)
     assert integral_rows([]) == ([], 1)
+
+
+def test_closure_of_an_empty_start_is_empty():
+    def step(_):
+        raise AssertionError("step called on an empty closure")
+    assert closure([], step) == set()
+
+
+def test_closure_absorbs_a_step_that_yields_its_argument_and_repeats():
+    # 12 -> 12, 12, 6 -> ... -> 1 -> 1, 1, 0 -> 0, 0, 0
+    assert closure([12], lambda n: (n, n, n // 2)) == {12, 6, 3, 1, 0}
+    assert closure([5, 5, 2], lambda n: (n, n // 2)) == {5, 2, 1, 0}
+
+
+def test_closure_of_a_point_under_a_permutation_is_its_cycle():
+    perm = (1, 2, 3, 0, 5, 4, 6)
+    assert closure([2], lambda i: (perm[i],)) == {0, 1, 2, 3}
+    assert closure([5], lambda i: (perm[i],)) == {4, 5}
+    assert closure([6], lambda i: (perm[i],)) == {6}
+
+
+def test_closure_over_tuples_gives_the_orbits_of_a_square_s_edges_and_diagonals():
+    rotation, flip = (1, 2, 3, 0), (1, 0, 3, 2)
+
+    def step(face):
+        return (tuple(sorted(p[i] for i in face)) for p in (rotation, flip))
+    assert closure([(0, 1)], step) == {(0, 1), (1, 2), (2, 3), (0, 3)}
+    assert closure([(0, 2)], step) == {(0, 2), (1, 3)}
+    assert closure([(0, 1, 2, 3)], step) == {(0, 1, 2, 3)}

@@ -12,8 +12,7 @@ from orbitope import (CapExceededError, TheoremViolationError,
                       build_weyl_group, chamber_point, weyl, weyl_orbit)
 from orbitope.cli import RunConfig, build_report
 from orbitope.faces import build_kostant_polytope
-from orbitope.linalg import frac_str, integral_rows, lincomb
-from orbitope.polytope import face_orbit
+from orbitope.linalg import closure, frac_str, integral_rows, lincomb
 from orbitope.weyl import Orbit, reflection_neighbours
 from weyl_oracle import reflection_orbit, reflection_permutations
 
@@ -123,9 +122,11 @@ def test_parabolic_subgroup_orbit():
     x = get_point("A", 2, (1, 1))
     orbit = weyl_orbit(group, x)
     perms = orbit.perms
-    start = (orbit.x_index,)
-    assert len(face_orbit([perms[j] for j in (0,)], start)) == 2
-    assert len(face_orbit([perms[j] for j in ()], start)) == 1
+
+    def step(J):
+        return lambda v: (perms[j][v] for j in J)
+    assert len(closure([orbit.x_index], step((0,)))) == 2
+    assert closure([orbit.x_index], step(())) == {orbit.x_index}
 
 
 def test_weyl_cap():
