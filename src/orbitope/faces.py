@@ -22,6 +22,11 @@ classification.  W_J.x is the closure of x's vertex index under the
 generator permutations of J; the W_S-classes are closures under those of S
 (`act_on_faces`), and psi and phi read that partition.  The orbit is closed
 once, on integer Dynkin labels (`weyl_orbit`), and every step reads it as is.
+
+The canonical u, the fundamental coweights off J summed, is checked on the
+certified figure at x: every v - x lies in its cone, so with h = max u.q on
+the figure, u exposes no face through x if h > 0, x alone if h < 0, and if
+h = 0 the lift of the figure face u exposes (`KostantPolytope.lifted`).
 """
 
 from __future__ import annotations
@@ -186,10 +191,17 @@ def classify_faces(rs: RootSystem, group: WeylGroup, x: ChamberPoint,
         exposing_u = None
         if not improper:
             u = lincomb([int(i not in J) for i in range(rs.rank)], rs.fundamental_coweights)
-            exposed, _ = support_set(poly, u)
-            if exposed.vertex_indices != sigma_vertices:
+            exposed, h = support_set(poly.figure, u)
+            if h > 0:
+                edge = poly.lifted[exposed.vertex_indices[:1]].vertex_indices  # [x, v]
                 raise TheoremViolationError(
-                    "canonical u does not expose conv(W_J.x) for I=%s" % (I,))
+                    "canonical u does not expose conv(W_J.x) for I=%s: u.(v - x) > 0 at the "
+                    "neighbour v = %d" % (I, next(i for i in edge if i != poly.x_index)))
+            at_x = poly.lifted[exposed.vertex_indices if h == 0 else ()].vertex_indices
+            if at_x != sigma_vertices:
+                raise TheoremViolationError(
+                    "canonical u does not expose conv(W_J.x) for I=%s: it exposes %s, not %s"
+                    % (I, at_x, sigma_vertices))
             exposing_u = u
         descriptors.append(FaceDescriptor(
             I=I, I_prime=i_prime, J=J,

@@ -3,8 +3,8 @@
 Vectors are tuples of Fraction, matrices are tuples of row tuples.  Everything
 is pure and deterministic; no floats anywhere.  There is one elimination, the
 fraction-free integer one of `_echelon`: `int_rank` counts its rows, and
-`rref`, with `solve`, `inverse` and `nullspace` on top of it, runs it on rows
-scaled to integers and divides by the pivots only at the end.  `closure` is
+`rref`, with `solve` and `inverse` on top of it, runs it on rows scaled to
+integers and divides by the pivots only at the end.  `closure` is
 the one search: W_J.x, the face classes and Dynkin components close by it.
 """
 
@@ -164,23 +164,6 @@ def inverse(m: Sequence[Sequence[Fraction]]) -> Matrix:
     if pivots != tuple(range(n)):
         raise ValueError("matrix is singular")
     return tuple(tuple(red[i][n:]) for i in range(n))
-
-
-def nullspace(rows: Sequence[Sequence[Fraction]]) -> tuple[Vector, ...]:
-    """Deterministic basis of the right kernel."""
-    if not rows:
-        return ()
-    ncols = len(rows[0])
-    red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -red[r][f]
-        basis.append(tuple(v))
-    return tuple(basis)
 
 
 def primitive(v: Sequence[Fraction]) -> tuple[int, ...]:

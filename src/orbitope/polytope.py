@@ -23,9 +23,9 @@ A Kostant polytope is held by its orbit (`weyl.Orbit`), whose integer rows are
 its vertex table (`vertices` derives fractions from them on first read), and
 its faces and facets through one vertex x (`KostantPolytope`): they come from
 the vertex figure at x, so `hull` of the neighbours s_beta.x of x builds them,
-at most one per positive root, certified against the whole orbit
-(`from_vertex_figure`); every other face and facet is a W-image of one of
-them, never built.  The full lattice of `hull` stays as the oracle.
+at most one per positive root, certified and kept (`from_vertex_figure`);
+every other face and facet is a W-image of one of them, never built.  The
+full lattice of `hull` and `support_set` over all vertices stay as oracles.
 
 The Weyl group reaches a polytope only through the r simple-reflection
 permutations of its vertices, under which `act_on_faces` closes each face
@@ -48,8 +48,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CapExceededError, InvalidInputError, TheoremViolationError
 from .linalg import (Vector, closure, frac_str, int_dot, int_rank, integral_rows,
-                     inverse, mat_mul, nullspace, point_str, primitive, rref,
-                     transpose, vadd, vec, vscale, vsub, zero_vec)
+                     inverse, mat_mul, point_str, primitive, rref, transpose, vadd,
+                     vec, vscale, vsub, zero_vec)
 from .weyl import Orbit, WeylGroup, vertex_permutations
 
 #: desk-scale guard on hull input size
@@ -143,6 +143,7 @@ class KostantPolytope(_Polytope):
     face through x (`from_vertex_figure` builds those, with their facet
     masks); `facets_through` takes a face through x only.  A vertex set is
     looked up by moving its least vertex to x along the orbit's search tree.
+    It keeps the figure at x (`figure`) and each figure face's lift (`lifted`).
     A face F through x stands for |W.x| / |F| faces of its dimension: each
     face has |F| vertices, and as many faces of a kind pass through every
     vertex as through x.  The f-vector is checked to be integral and to
@@ -155,9 +156,10 @@ class KostantPolytope(_Polytope):
     perms = property(lambda self: self.orbit.perms)
 
     def __init__(self, orbit: Orbit, faces_through_x: dict[int, tuple[PolytopeFace, ...]],
-                 facets_through_x: tuple[Facet, ...], facet_masks: dict[tuple[int, ...], int]):
+                 facets_through_x: tuple[Facet, ...], facet_masks: dict[tuple[int, ...], int],
+                 figure: ExactPolytope, lifted: dict[tuple[int, ...], PolytopeFace]):
         super().__init__(orbit.ints, orbit.scale, faces_through_x, facets_through_x, facet_masks)
-        self.orbit = orbit
+        self.orbit, self.figure, self.lifted = orbit, figure, lifted
         self.x_index = orbit.x_index
         counts = {dim: sum(Fraction(len(orbit), len(f.vertex_indices)) for f in fs)
                   for dim, fs in faces_through_x.items()}
@@ -401,9 +403,8 @@ def vertex_figure_points(orbit: Orbit, neighbours: Sequence[int]) -> list[Vector
     x they generate the cone of P at x: their hull is the vertex figure P/x,
     whose faces are those of P through x (G. M. Ziegler, Lectures on
     Polytopes, 2.1).  Only the neighbours s_beta.x of x are passed
-    (`faces.build_kostant_polytope`), certified against the whole orbit by
-    `from_vertex_figure`.  Raises unless x.x > x.v for each v given, as holds
-    for every v != x on a W-orbit.
+    (`faces.build_kostant_polytope`), and `from_vertex_figure` certifies their
+    hull.  Raises unless x.x > x.v for each v given, true of all v != x in W.x.
     """
     x_ints, scale = orbit.ints[orbit.x_index], orbit.scale
     xx = int_dot(x_ints, x_ints)
@@ -429,15 +430,20 @@ def from_vertex_figure(group: WeylGroup, orbit: Orbit, figure: ExactPolytope) ->
     N.(v - x) = (x.x - x.v)(m.q_v - c) at every orbit point v.  So the figure
     may be the hull of the q_v of any subset of the orbit: it is certified,
     and is then the hull of every q_v, when each N holds on the whole orbit
-    and each v - x lies in the span of the figure.  A failure is a
-    TheoremViolationError naming the first orbit point that breaks it.  The
+    and each v - x lies in the span of the figure, which takes no scan: x
+    and every orbit row, stepped from x by simple roots, lie in the root
+    span R (the fundamental weights are combinations of simple roots), so
+    each q_v lies in R cut by x.q = -1, of dimension rank - 1, which a
+    figure of that dimension spans.  A failure is a TheoremViolationError
+    naming both dimensions, or the first orbit point that cuts a facet.  The
     vertices of a facet are all v on which it is tight, found over the whole
     orbit, since the far vertices of a facet are not neighbours of x and so
     are not vertices of the figure.  A face G of the figure gives the face
     of P through x, of dimension dim G + 1, on the vertices of every facet of
     P whose figure facet contains G (the figure's `facet_masks`), and those
     facets give its facet mask, in `facets_through_x` order; the vertex x,
-    the empty face of the figure, is on every facet through x.  A point
+    the empty face of the figure, is on every facet through x.  `lifted`
+    maps the vertex set of each G, the empty one too, to its face.  A point
     figure (P a segment) has one facet, its empty face 0.q <= 1.
     """
     # P reads `orbit.perms`; this call keeps the name perfbench traces (ROADMAP item 6)
@@ -446,15 +452,10 @@ def from_vertex_figure(group: WeylGroup, orbit: Orbit, figure: ExactPolytope) ->
     x_ints = vertex_ints[x_index]
     bounds = ([(f.normal, f.offset) for f in figure.facets] if figure.affine_dim
               else [(zero_vec(len(x_ints)), Fraction(1))])
-    for z in map(primitive, nullspace(figure.vertex_ints)):
-        zx = int_dot(z, x_ints)
-        off = next((i for i, v in enumerate(vertex_ints) if int_dot(z, v) != zx), None)
-        if off is not None:
-            raise TheoremViolationError(
-                "vertex-figure certificate failed: orbit point %d %s is off the span of "
-                "the figure at x, the hyperplane %s.v = %s" % (
-                    off, point_str(vertex_ints[off], scale), point_str(z),
-                    frac_str(Fraction(zx, scale))))
+    if figure.affine_dim != group.root_system.rank - 1:
+        raise TheoremViolationError(
+            "vertex-figure certificate failed: the figure at x has dimension %d, not "
+            "rank - 1 = %d" % (figure.affine_dim, group.root_system.rank - 1))
     facets = []
     for m, c in bounds:
         normal = primitive(vadd(m, vscale(c / scale, x_ints)))
@@ -471,21 +472,23 @@ def from_vertex_figure(group: WeylGroup, orbit: Orbit, figure: ExactPolytope) ->
 
     facets_through_x = tuple(sorted(facets, key=lambda f: (f.vertex_indices, f.normal)))
     bit = {f: 1 << k for k, f in enumerate(facets_through_x)}
-    lifted = [(vertex_mask(f.vertex_indices), bit[f]) for f in facets]
+    facet_bits = [(vertex_mask(f.vertex_indices), bit[f]) for f in facets]
     levels: dict[int, list[PolytopeFace]] = {0: [PolytopeFace((x_index,), 0)]}
     masks = {(x_index,): (1 << len(facets)) - 1}
+    lifted = {(): levels[0][0]}
     for dim, faces in figure.face_lattice.items():
         for g in faces:
             mask, through = (1 << len(vertex_ints)) - 1, 0
             for k in _bits(figure.facet_masks[g.vertex_indices]):
-                mask &= lifted[k][0]
-                through |= lifted[k][1]
+                mask &= facet_bits[k][0]
+                through |= facet_bits[k][1]
             face = PolytopeFace(_bits(mask), dim + 1)
             levels.setdefault(dim + 1, []).append(face)
             masks[face.vertex_indices] = through
+            lifted[g.vertex_indices] = face
     return KostantPolytope(
         orbit, {dim: tuple(sorted(fs, key=lambda f: f.vertex_indices))
-                for dim, fs in sorted(levels.items())}, facets_through_x, masks)
+                for dim, fs in sorted(levels.items())}, facets_through_x, masks, figure, lifted)
 
 
 def support_set(p: _Polytope, u: Sequence) -> tuple[PolytopeFace, Fraction]:

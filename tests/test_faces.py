@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import defining_sum, get_classification, get_point, get_rs, orbit_vectors
+import orbitope.faces
+from conftest import (defining_sum, get_classification, get_group, get_point, get_rs,
+                      orbit_vectors)
 from orbitope import (InvalidInputError, hull, parabolic_report,
                       phi_of_descriptor, psi_of_polytope_face, saturate,
                       support_set, x_connected_subsets)
+from orbitope.cli import RunConfig, run
 from orbitope.integrality import induce_face_weight
 from orbitope.linalg import dot, vadd, vsub
+from orbitope.roots import VALID_RANKS
+from orbitope.weyl import DEFAULT_ORBIT_CAP
 
 
 def test_x_connected_subsets_regular_is_powerset():
@@ -114,12 +119,75 @@ def test_exposing_vectors_vanish_on_j_and_are_positive_off_j():
             assert value == 0 if i in d.J else value > 0
 
 
+def _admitted_points():
+    """omega_1, omega_r and 1,...,1 of every admitted (type, rank), where
+    the orbit is within the default cap."""
+    for type_label, ranks in VALID_RANKS.items():
+        for rank in ranks:
+            for coords in dict.fromkeys(((1,) + (0,) * (rank - 1), (0,) * (rank - 1) + (1,),
+                                         (1,) * rank)):
+                if get_group(type_label, rank).orbit_size(
+                        get_point(type_label, rank, coords)) <= DEFAULT_ORBIT_CAP:
+                    yield type_label, rank, coords
+
+
 def test_exposedness_exact():
-    for args in [("A", 2, (1, 1)), ("B", 2, (1, 1)), ("G", 2, (1, 0))]:
-        cl = get_classification(*args)
+    """The canonical u, checked on the vertex figure at x, exposes sigma on
+    every vertex of P, for every admitted type."""
+    checked = set()
+    for case in _admitted_points():
+        cl = get_classification(*case)
         for d in cl.proper_descriptors:
             face, _ = support_set(cl.polytope, d.exposing_u)
-            assert face.vertex_indices == d.sigma.vertex_indices
+            assert face.vertex_indices == d.sigma.vertex_indices, (case, d.I)
+        checked.add(case[0])
+    assert checked == set(VALID_RANKS)
+
+
+def _gain_first_j_node(coeffs):
+    coeffs = list(coeffs)
+    if 0 in coeffs:
+        coeffs[coeffs.index(0)] = 1
+    return coeffs
+
+
+def _lose_first_one(coeffs):
+    coeffs = list(coeffs)
+    coeffs[coeffs.index(1)] = 0
+    return coeffs
+
+
+#: per mutation of the canonical u's coefficients on the fundamental
+#: coweights: the mutation, and whether it changes the face exposed for a
+#: given (I, J).  A 1 gained on a node of I' moves nothing, as W_I' fixes x.
+_U_MUTATIONS = {
+    "gains a 1 on its first J node": (_gain_first_j_node, lambda I, J: bool(J) and J[0] in I),
+    "loses its first 1": (_lose_first_one, lambda I, J: True),
+    "negated": (lambda coeffs: [-c for c in coeffs], lambda I, J: True),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(_U_MUTATIONS))
+@pytest.mark.parametrize("case", [("A", 3, (1, 0, 1)), ("D", 4, (1, 1, 1, 1)),
+                                  ("B", 3, (1, 0, 1)), ("F", 4, (1, 0, 0, 1)),
+                                  ("A", 4, (0, 1, 1, 0))],
+                         ids=lambda c: "%s%d %s" % (c[0], c[1], ",".join(map(str, c[2]))))
+def test_a_mutated_canonical_u_exits_2(monkeypatch, case, mutation):
+    """A wrong u fails the check on the vertex figure at the first proper
+    descriptor whose face it changes, naming that I."""
+    mutate, changes = _U_MUTATIONS[mutation]
+    type_label, rank, coords = case
+    rs, x = get_rs(type_label, rank), get_point(type_label, rank, coords)
+    expected = next(I for I in x_connected_subsets(rs, x)
+                    for J in [saturate(rs, x, I)[1]] if len(J) < rank and changes(I, J))
+    original = orbitope.faces.lincomb
+    monkeypatch.setattr(orbitope.faces, "lincomb",
+                        lambda coeffs, vectors: original(mutate(coeffs), vectors))
+    code, text = run(RunConfig(command="verify-all", type_label=type_label, rank=rank,
+                               point=tuple(map(str, coords)), fmt="json"))
+    assert code == 2
+    assert text.startswith("theorem violation: canonical u does not expose conv(W_J.x) "
+                           "for I=%s: " % (expected,))
 
 
 def test_support_function_is_orbit_maximum():

@@ -13,7 +13,7 @@ from fractions import Fraction as Q
 import pytest
 
 from orbitope.linalg import (closure, dot, frac_str, identity, int_rank, integral_rows,
-                             inverse, nullspace, primitive, rref, solve, vec)
+                             inverse, primitive, rref, solve, vec)
 from tests_util_det import det, minor_rank
 
 
@@ -148,16 +148,6 @@ def test_solve_rejects_inconsistent_and_underdetermined():
         solve(((Q(1), Q(0)), (Q(1), Q(0))), (Q(0), Q(1)))
     with pytest.raises(ValueError):
         solve(((Q(1), Q(1)),), (Q(0),))
-
-
-def test_nullspace_orthogonal_to_rows():
-    """rows . v = 0 on an independent basis of n_cols - rank vectors."""
-    for rows, r in zip(MATRICES, RANKS):
-        ns = nullspace(rows)
-        assert len(ns) == len(rows[0]) - r
-        assert minor_rank(ns) == len(ns)
-        for v in ns:
-            assert all(dot(r, v) == 0 for r in rows)
 
 
 def test_primitive_scaling():
