@@ -430,21 +430,21 @@ def from_vertex_figure(group: WeylGroup, orbit: Orbit, figure: ExactPolytope) ->
     N.(v - x) = (x.x - x.v)(m.q_v - c) at every orbit point v.  So the figure
     may be the hull of the q_v of any subset of the orbit: it is certified,
     and is then the hull of every q_v, when each N holds on the whole orbit
-    and each v - x lies in the span of the figure, which takes no scan: x
-    and every orbit row, stepped from x by simple roots, lie in the root
-    span R (the fundamental weights are combinations of simple roots), so
-    each q_v lies in R cut by x.q = -1, of dimension rank - 1, which a
-    figure of that dimension spans.  A failure is a TheoremViolationError
-    naming both dimensions, or the first orbit point that cuts a facet.  The
-    vertices of a facet are all v on which it is tight, found over the whole
-    orbit, since the far vertices of a facet are not neighbours of x and so
-    are not vertices of the figure.  A face G of the figure gives the face
-    of P through x, of dimension dim G + 1, on the vertices of every facet of
-    P whose figure facet contains G (the figure's `facet_masks`), and those
-    facets give its facet mask, in `facets_through_x` order; the vertex x,
-    the empty face of the figure, is on every facet through x.  `lifted`
-    maps the vertex set of each G, the empty one too, to its face.  A point
-    figure (P a segment) has one facet, its empty face 0.q <= 1.
+    and each v - x lies in the span of the figure, which takes no scan:
+    each v - x is an integer combination of simple roots (the closure steps
+    by them), so each q_v lies in the root span R cut by x.q = -1, of
+    dimension rank - 1, which a figure of that dimension spans.  A failure
+    is a TheoremViolationError naming both dimensions, or the first orbit
+    point that cuts a facet.  The vertices of a facet are all v on which it
+    is tight, found over the whole orbit, since the far vertices of a facet
+    are not neighbours of x and so are not vertices of the figure.  A face
+    G of the figure gives the face of P through x, of dimension dim G + 1,
+    on the vertices of every facet of P whose figure facet contains G (the
+    figure's `facet_masks`), and those facets give its facet mask, in
+    `facets_through_x` order; the vertex x, the empty face of the figure, is
+    on every facet through x.  `lifted` maps the vertex set of each G, the
+    empty one too, to its face.  A point figure (P a segment) has one facet,
+    its empty face 0.q <= 1.
     """
     # P reads `orbit.perms`; this call keeps the name perfbench traces (ROADMAP item 6)
     vertex_permutations(group, orbit)
