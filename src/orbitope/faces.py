@@ -27,6 +27,9 @@ The canonical u, the fundamental coweights off J summed, is checked on the
 certified figure at x: every v - x lies in its cone, so with h = max u.q on
 the figure, u exposes no face through x if h > 0, x alone if h < 0, and if
 h = 0 the lift of the figure face u exposes (`KostantPolytope.lifted`).
+That face is sigma, read off the exposure: a vertex set that u exposes is
+a face through x, so sigma is never looked up, and its vertex set is
+checked to be W_J.x.  The improper descriptor's sigma is the top face.
 """
 
 from __future__ import annotations
@@ -182,14 +185,9 @@ def classify_faces(rs: RootSystem, group: WeylGroup, x: ChamberPoint,
             raise TheoremViolationError("Delta_J does not split as Delta_I + Delta_I'")
         improper = len(J) == rs.rank
         sigma_vertices = tuple(sorted(closure([poly.x_index], lambda v: (perms[j][v] for j in J))))
-        sigma = poly.find_face(sigma_vertices)
-        if sigma is None:
-            raise TheoremViolationError(
-                "conv(W_J.x) is not a face of the Kostant polytope for I=%s" % (I,))
-        if sigma.dim != len(I):
-            raise TheoremViolationError("dim sigma = %d but |I| = %d" % (sigma.dim, len(I)))
-        exposing_u = None
-        if not improper:
+        if improper:
+            sigma, exposing_u = poly.top, None
+        else:
             u = lincomb([int(i not in J) for i in range(rs.rank)], rs.fundamental_coweights)
             exposed, h = support_set(poly.figure, u)
             if h > 0:
@@ -197,12 +195,14 @@ def classify_faces(rs: RootSystem, group: WeylGroup, x: ChamberPoint,
                 raise TheoremViolationError(
                     "canonical u does not expose conv(W_J.x) for I=%s: u.(v - x) > 0 at the "
                     "neighbour v = %d" % (I, next(i for i in edge if i != poly.x_index)))
-            at_x = poly.lifted[exposed.vertex_indices if h == 0 else ()].vertex_indices
-            if at_x != sigma_vertices:
-                raise TheoremViolationError(
-                    "canonical u does not expose conv(W_J.x) for I=%s: it exposes %s, not %s"
-                    % (I, at_x, sigma_vertices))
-            exposing_u = u
+            sigma, exposing_u = poly.lifted[exposed.vertex_indices if h == 0 else ()], u
+        if sigma.vertex_indices != sigma_vertices:
+            raise TheoremViolationError(
+                "J = Pi descriptor is not the top face" if improper else
+                "canonical u does not expose conv(W_J.x) for I=%s: it exposes %s, not %s"
+                % (I, sigma.vertex_indices, sigma_vertices))
+        if sigma.dim != len(I):
+            raise TheoremViolationError("dim sigma = %d but |I| = %d" % (sigma.dim, len(I)))
         descriptors.append(FaceDescriptor(
             I=I, I_prime=i_prime, J=J,
             sub_roots_I=sub_i, sub_roots_Iprime=sub_ip, sub_roots_J=sub_j,
@@ -224,13 +224,7 @@ def classify_faces(rs: RootSystem, group: WeylGroup, x: ChamberPoint,
     proper_reps = sorted(least[c] for dim, cs in classes.items()
                          if dim < poly.affine_dim for c in cs)
 
-    matching: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for d in descriptors:
-        if d.improper:
-            if d.sigma.vertex_indices != poly.top.vertex_indices:
-                raise TheoremViolationError("J = Pi descriptor is not the top face")
-            continue
-        matching[d.I] = least[class_of[d.sigma.vertex_indices]]
+    matching = {d.I: least[class_of[d.sigma.vertex_indices]] for d in descriptors if d.proper}
     hit = sorted(matching.values())
     if len(set(hit)) != len(hit):
         raise TheoremViolationError(

@@ -40,9 +40,11 @@ cap are fixed module constants, not settings or arguments.  Each tolerance
 is relative: a point or spectrum is compared at ||x0|| = max |a_k|, a height,
 value or ||[p, u]|| at ||x0|| ||u|| (||u|| = max |b_k|), n . y at ||x0|| |n|_1.
 
-numpy is imported inside the functions that use it, so importing the package
-(and every run that never reaches the numeric check) does not load it, and a
-type-A run loads numpy's core only, never `numpy.random` or `numpy.ma`.
+This module imports numpy at its top, and nothing imports this module until
+a run reaches the su(n) check: `cli.verify_face_numeric` and the package's
+`__getattr__` import it on first use.  So importing the package, and every
+run that never reaches the check, loads neither, and a type-A run loads
+numpy's core only, never `numpy.random` or `numpy.ma`.
 Every lane of a run, in whatever groups of faces, starts from its one seeded
 Haar draw (`haar_starts`), whose Gaussians come from the standard library's
 `random.Random(seed)`; the eigenspaces of x0 come from its distinct diagonal
@@ -51,8 +53,11 @@ values sorted in Python, since `np.unique` loads `numpy.ma`.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import InvalidInputError, TheoremViolationError
 from .faces import FaceClassification, FaceDescriptor
@@ -90,7 +95,6 @@ _GAP_RATIO = 10 ** 7
 
 def su_from_cartan(v: Sequence) -> np.ndarray:
     """The diagonal skew-Hermitian matrix i*diag(v) for a realization vector."""
-    import numpy as np
     try:
         a = np.array([float(Fraction(c)) for c in v])
     except OverflowError:
@@ -108,7 +112,6 @@ def su_from_cartan(v: Sequence) -> np.ndarray:
 def sorted_spectrum(p: np.ndarray) -> np.ndarray:
     """Eigenvalues of -i*p (real for skew-Hermitian p), ascending; per
     matrix for a stack."""
-    import numpy as np
     return np.linalg.eigvalsh(-1j * p)
 
 
@@ -117,9 +120,6 @@ def random_special_unitaries(n: int, seeds: Sequence[int]) -> np.ndarray:
     complex Gaussian matrix with the phases of R's diagonal moved into Q, and
     the first column divided by the determinant.  Each seed's 2 n^2
     Gaussians, real parts first, come from `random.Random(seed)`."""
-    import random
-
-    import numpy as np
     draws = []
     for s in seeds:
         gauss = random.Random(s).gauss
@@ -135,7 +135,6 @@ def random_special_unitaries(n: int, seeds: Sequence[int]) -> np.ndarray:
 def matrix_orbit_point(x0: np.ndarray, g: np.ndarray) -> np.ndarray:
     """The point g x0 g^{-1} of the matrix orbit, validated; for a stack of
     g, the stack of points."""
-    import numpy as np
     p = g @ x0 @ g.conj().swapaxes(-1, -2)
     tol = _HERM_TOL * np.abs(x0).max()
     if np.abs(p + p.conj().swapaxes(-1, -2)).max() > tol:
@@ -178,7 +177,6 @@ def _heights(p: np.ndarray, d: np.ndarray) -> np.ndarray:
     stack, for diagonal u = diag(d) (one d, or one per point).  The diagonal
     of p u is p_ii d_i: the other terms of each matmul sum are exact zeros,
     so this and trace(p @ u) share bits."""
-    import numpy as np
     return -np.real((np.diagonal(p, axis1=-2, axis2=-1) * d).sum(axis=-1))
 
 
@@ -236,7 +234,6 @@ def ascend(x0: np.ndarray, u: np.ndarray, seeds: Iterable[int],
     call gives the bits of its 2-D call, so each lane follows exactly the
     arithmetic of an ascent run on its own.
     """
-    import numpy as np
     n = x0.shape[0]
     us = u[None] if u.ndim == 2 else u
     for uf in us:
@@ -359,7 +356,6 @@ def hessian_signature(x_crit, u) -> HessianReport:
     rotation angle of about `_FD_STEP`) should be -s/r; the reported error is
     |second difference - eigenvalue| / max(1, |eigenvalue|).
     """
-    import numpy as np
     a, b = np.array([float(c) for c in x_crit]), np.array([float(c) for c in u])
     n = len(a)
     a_zero, b_zero = _ZERO_TOL * np.abs(a).max(), _ZERO_TOL * np.abs(b).max()
@@ -406,7 +402,6 @@ def hessian_signature(x_crit, u) -> HessianReport:
 
 def shadows_escape(poly: KostantPolytope, shadows: np.ndarray, x_size: float) -> np.ndarray:
     """Whether each shadow lies beyond a facet n . y <= c by over `_INSIDE_TOL` ||x0|| |n|_1."""
-    import numpy as np
     normals = np.sort([[float(c) for c in f.normal] for f in poly.facets_through_x], axis=1)
     offsets = np.array([float(f.offset) for f in poly.facets_through_x])
     return ~(np.sort(shadows, axis=1) @ normals.T
@@ -417,7 +412,6 @@ def vertex_floats(poly: KostantPolytope) -> np.ndarray:
     """The vertices of P as a float table, from the integer rows in one
     division: over Python ints, each quotient is correctly rounded, so the
     bits are those of float(Fraction) per coordinate at every size."""
-    import numpy as np
     return (np.array(poly.vertex_ints, dtype=object) / poly.vertex_scale).astype(float)
 
 
@@ -437,7 +431,6 @@ def verify_face_numeric(classification: FaceClassification,
     signs, all at the module's fixed tolerances.  The first face with a mismatch raises
     TheoremViolationError with a counterexample summary.
     """
-    import numpy as np
     rs = classification.root_system
     if rs.type_label != "A":
         raise InvalidInputError("numeric verification is realized for type A only")

@@ -29,8 +29,8 @@ full lattice of `hull` and `support_set` over all vertices stay as oracles.
 
 The Weyl group reaches a polytope only through the r simple-reflection
 permutations of its vertices, under which `act_on_faces` closes each face
-(`linalg.closure`), and the orbit's search tree, read as paths of simple
-reflections to x.
+(`linalg.closure`) and the orbit's labels walk each vertex to x, one simple
+reflection at a time.
 
 Every inner product here is the coordinate dot product.  On a Kostant
 polytope that loses nothing: W.x lies in the root span, where W acts by
@@ -142,7 +142,7 @@ class KostantPolytope(_Polytope):
     W is transitive on the vertices, so every face of P is a W-image of a
     face through x (`from_vertex_figure` builds those, with their facet
     masks); `facets_through` takes a face through x only.  A vertex set is
-    looked up by moving its least vertex to x along the orbit's search tree.
+    looked up by moving its least vertex to x by the labels (`_to_x`).
     It keeps the figure at x (`figure`) and each figure face's lift (`lifted`).
     A face F through x stands for |W.x| / |F| faces of its dimension: each
     face has |F| vertices, and as many faces of a kind pass through every
@@ -171,11 +171,12 @@ class KostantPolytope(_Polytope):
 
     def _to_x(self, k: int, image: Iterable[int]) -> tuple[int, ...]:
         """The image of a vertex list under the simple reflections that move
-        vertex k to x along the orbit's search tree (`Orbit.tree`)."""
+        vertex k to x, each s_i for the first i with a negative label: x is
+        the one point of W.x with none."""
         while k != self.x_index:
-            s, k = self.orbit.tree[k]
+            s = next(i for i, c in enumerate(self.orbit.labels[k]) if c < 0)
             perm = self.orbit.perms[s]
-            image = [perm[i] for i in image]
+            k, image = perm[k], [perm[i] for i in image]
         return tuple(image)
 
     @cached_property

@@ -320,10 +320,6 @@ class ChamberPoint(NamedTuple):
         return ("ChamberPoint(coords=%r, vector=%r, singular_set=%r)"
                 % (self.coords, self.vector, self.singular_set))
 
-    @property
-    def regular(self) -> bool:
-        return not self.singular_set
-
 
 def chamber_point(rs: RootSystem, coords: Sequence) -> ChamberPoint:
     """Validate fundamental-weight coordinates and build the chamber point.

@@ -7,9 +7,11 @@ Cartan matrix), because that row is alpha_i in fundamental-weight
 coordinates.  `weyl_orbit` closes W.x once, by a breadth-first search on
 integer label tuples, into an `Orbit` that every later stage reads as it is:
 the points as integer rows, each stepped from its parent's with the labels,
-the r simple reflections as permutations of the points, through which every
-orbit of faces and of a parabolic subgroup W_J is closed, and the search
-tree, whose path from a point to x moves it there.  `reflection_neighbours`
+and the r simple reflections as permutations of the points, through which
+every orbit of faces and of a parabolic subgroup W_J is closed; s_i for a
+negative label lambda_i takes a point one step closer to x, the only
+dominant point of W.x (J. E. Humphreys, Introduction to Lie Algebras and
+Representation Theory, 10.3 and 13.2).  `reflection_neighbours`
 finds each s_beta.x, beta a positive root, by the same step with beta's
 labels for a Cartan row.  |W| is the product of the degrees, read off the
 root heights (Kostant); the same formula on the singular set S of x gives
@@ -87,18 +89,17 @@ def build_weyl_group(rs: RootSystem, cap: int | None = None) -> WeylGroup:
 class Orbit:
     """W.x in the lexicographic order of its vectors: point k has the labels
     `labels[k]` and the vector `ints[k]` / `scale`, the one common
-    denominator; `index` sends labels to k; x is point `x_index`.  `perms[i]`
-    sends k to the index of s_i of point k.  `tree[k]` is (i, j) for the
-    generator s_i and the point j by which the search first reached k, so
-    s_i sends k to j, and None for x.  Its length is the number of points."""
+    denominator; `index` sends labels to k; x is point `x_index`, the one
+    point with no negative label.  `perms[i]` sends k to the index of s_i of
+    point k.  Its length is the number of points."""
 
-    __slots__ = ("labels", "ints", "scale", "index", "x_index", "perms", "tree")
+    __slots__ = ("labels", "ints", "scale", "index", "x_index", "perms")
 
     def __init__(self, labels: tuple[Labels, ...], ints: tuple[tuple[int, ...], ...],
                  scale: int, index: dict[Labels, int], x_index: int,
-                 perms: tuple[tuple[int, ...], ...], tree: tuple[tuple[int, int] | None, ...]):
+                 perms: tuple[tuple[int, ...], ...]):
         self.labels, self.ints, self.scale, self.index = labels, ints, scale, index
-        self.x_index, self.perms, self.tree = x_index, perms, tree
+        self.x_index, self.perms = x_index, perms
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -107,8 +108,8 @@ class Orbit:
 def weyl_orbit(group: WeylGroup, x: ChamberPoint, cap: int | None = None) -> Orbit:
     """The orbit W.x, closed on x's labels scaled to integers by one
     breadth-first search that records each generator's image of each point
-    (a point with lambda_i = 0 is its own s_i-image), its search tree and
-    each new point's integer row, its parent's less lambda_i * alpha_i.
+    (a point with lambda_i = 0 is its own s_i-image) and each new point's
+    integer row, its parent's less lambda_i * alpha_i.
 
     Raises CapExceededError when |W.x| exceeds `cap`, before anything is
     closed; the closure's size must equal |W.x|.
@@ -123,9 +124,9 @@ def weyl_orbit(group: WeylGroup, x: ChamberPoint, cap: int | None = None) -> Orb
     # labels on the weight columns: x's row, then alpha_i's from Cartan row i
     start_row, *alphas = (tuple(int_dot(row, c) for c in zip(*weights))
                           for row in (start, *rs.cartan_matrix))
-    seen, closed, tree, ints = {start: 0}, [start], [None], [start_row]
+    seen, closed, ints = {start: 0}, [start], [start_row]
     images: list[list[int]] = [[] for _ in range(rs.rank)]
-    # Not `linalg.closure`: one pass records every image, the tree and each row.
+    # Not `linalg.closure`: one pass records every image and each row.
     for k, labels in enumerate(closed):
         for i, row in enumerate(images):
             j = k
@@ -134,7 +135,6 @@ def weyl_orbit(group: WeylGroup, x: ChamberPoint, cap: int | None = None) -> Orb
                 j = seen.setdefault(image, len(closed))
                 if j == len(closed):
                     closed.append(image)
-                    tree.append((i, k))
                     ints.append(tuple(v - labels[i] * a for v, a in zip(ints[k], alphas[i])))
             row.append(j)
     if len(closed) != size:
@@ -147,8 +147,7 @@ def weyl_orbit(group: WeylGroup, x: ChamberPoint, cap: int | None = None) -> Orb
     labels = tuple(closed[k] for k in order)
     return Orbit(labels=labels, ints=tuple(ints[k] for k in order),
                  scale=scale * weight_scale, index={m: n for n, m in enumerate(labels)},
-                 x_index=new[0], perms=tuple(tuple(new[row[k]] for k in order) for row in images),
-                 tree=tuple(tree[k] and (tree[k][0], new[tree[k][1]]) for k in order))
+                 x_index=new[0], perms=tuple(tuple(new[row[k]] for k in order) for row in images))
 
 
 def reflection_neighbours(group: WeylGroup, orbit: Orbit) -> tuple[int, ...]:

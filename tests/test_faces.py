@@ -190,6 +190,47 @@ def test_a_mutated_canonical_u_exits_2(monkeypatch, case, mutation):
                            "for I=%s: " % (expected,))
 
 
+_SIGMA_CASES = [("A", 3, (1, 0, 1)), ("D", 4, (1, 1, 1, 1)), ("B", 3, (1, 0, 1))]
+
+
+def _verify_all(type_label, rank, coords):
+    return run(RunConfig(command="verify-all", type_label=type_label, rank=rank,
+                         point=tuple(map(str, coords)), fmt="json"))
+
+
+@pytest.mark.parametrize("case", _SIGMA_CASES,
+                         ids=lambda c: "%s%d %s" % (c[0], c[1], ",".join(map(str, c[2]))))
+def test_a_w_j_orbit_shrunk_to_x_is_not_the_exposed_face(monkeypatch, case):
+    """With every W_J.x shrunk to {x}, the first I whose W_J.x has more than
+    one point fails: u exposes its true sigma, not (x,)."""
+    cl = get_classification(*case)
+    d = next(d for d in cl.descriptors if len(d.sigma.vertex_indices) > 1)
+    assert d.proper
+    original = orbitope.faces.closure
+    monkeypatch.setattr(orbitope.faces, "closure", lambda start, step: (
+        set(start) if isinstance(start, list) and len(start) == 1 else original(start, step)))
+    code, text = _verify_all(*case)
+    assert code == 2
+    assert text == ("theorem violation: canonical u does not expose conv(W_J.x) for I=%s: "
+                    "it exposes %s, not (%d,)\n"
+                    % (d.I, d.sigma.vertex_indices, cl.polytope.x_index))
+
+
+@pytest.mark.parametrize("case", _SIGMA_CASES,
+                         ids=lambda c: "%s%d %s" % (c[0], c[1], ",".join(map(str, c[2]))))
+def test_a_w_pi_orbit_missing_a_vertex_is_not_the_top_face(monkeypatch, case):
+    """With W_Pi.x one vertex short, the improper descriptor is not the top face."""
+    size = len(get_classification(*case).polytope.vertex_ints)
+    original = orbitope.faces.closure
+
+    def short(start, step):
+        found = original(start, step)
+        return sorted(found)[:-1] if len(found) == size else found
+
+    monkeypatch.setattr(orbitope.faces, "closure", short)
+    assert _verify_all(*case) == (2, "theorem violation: J = Pi descriptor is not the top face\n")
+
+
 def test_support_function_is_orbit_maximum():
     """h_P(u) = max over the Weyl orbit of <., u> for any u in t."""
     import random

@@ -4,9 +4,11 @@ names of the numeric check that resolve on first use."""
 from __future__ import annotations
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -52,6 +54,18 @@ def test_every_exported_name_resolves():
     from orbitope import AscentResult, ascend, numeric
     assert ascend is numeric.ascend
     assert AscentResult is numeric.AscentResult
+
+
+def test_the_numeric_annotations_resolve():
+    """The annotations of every public function and class of `numeric` name
+    what its module binds, numpy's `np` included."""
+    from orbitope import numeric
+    public = [obj for name, obj in sorted(vars(numeric).items())
+              if not name.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
+              and obj.__module__ == numeric.__name__]
+    assert len(public) > 5
+    for obj in public:
+        typing.get_type_hints(obj)
 
 
 def test_an_unknown_name_is_an_attribute_error():

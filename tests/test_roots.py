@@ -123,7 +123,6 @@ def test_chamber_point_singular_set_and_rational_strings():
     x = chamber_point(rs, ["3/2", "0"])
     assert x.singular_set == (1,)
     assert x.coords == (Q(3, 2), Q(0))
-    assert not x.regular
 
 
 def test_orbit_barycenter_is_zero():

@@ -12,7 +12,7 @@ from orbitope import (CapExceededError, TheoremViolationError,
                       build_weyl_group, chamber_point, weyl, weyl_orbit)
 from orbitope.cli import RunConfig, build_report
 from orbitope.faces import build_kostant_polytope
-from orbitope.linalg import closure, frac_str, integral_rows, lincomb
+from orbitope.linalg import closure, frac_str, int_dot, integral_rows, lincomb
 from orbitope.weyl import Orbit, reflection_neighbours
 from weyl_oracle import reflection_orbit, reflection_permutations
 
@@ -202,10 +202,13 @@ CLOSURE_CASES = [("A", 3, (1, 1, 1)), ("B", 3, (1, 0, 1)), ("C", 3, (1, 0, 1)),
                               for t, r, c in CLOSURE_CASES])
 def test_one_closure_gives_permutations_paths_and_vertex_table(label, rank, coords):
     """The closure's generator permutations are the ambient reflections'; the
-    search tree's path from each point moves it to x under the ambient
-    reflections (each tree step is one reflection, and every path ends at x);
-    the Kostant polytope's vertices, derived from its integer table, are the
-    ambient orbit, and the report renders them by `frac_str`."""
+    label walk from each point v moves it to x under the ambient reflections
+    (each step reflects in a simple root on which the current point's label is
+    negative, and the walk ends at x), in #{beta in Delta+ : <v, beta^vee> < 0}
+    steps, a count that no choice of steps changes, and it is the walk the
+    polytope moves vertex sets by; the Kostant polytope's vertices, derived
+    from its integer table, are the ambient orbit, and the report renders them
+    by `frac_str`."""
     rs = get_rs(label, rank)
     group = build_weyl_group(rs, cap=10 ** 9)
     x = chamber_point(rs, coords)
@@ -214,13 +217,18 @@ def test_one_closure_gives_permutations_paths_and_vertex_table(label, rank, coor
     orbit = poly.orbit
     assert orbit.perms == reflection_permutations(rs, expected)
     assert expected[orbit.x_index] == x.vector
-    for k, step in enumerate(orbit.tree):
-        assert (step is None) == (k == orbit.x_index)
-        if step is not None:
-            i, j = step
+    for v in range(len(orbit)):
+        inversions = sum(1 for coroot in rs.positive_coroot_coords
+                         if int_dot(coroot, orbit.labels[v]) < 0)
+        k, moved, steps = v, list(range(len(orbit))), 0
+        while any(c < 0 for c in orbit.labels[k]):
+            i = next(i for i, c in enumerate(orbit.labels[k]) if c < 0)
+            j = orbit.perms[i][k]
             assert rs.reflect(rs.simple_roots[i], expected[k]) == expected[j]
-        while k != orbit.x_index:
-            k = orbit.tree[k][1]
+            k, moved, steps = j, [orbit.perms[i][m] for m in moved], steps + 1
+        assert k == orbit.x_index
+        assert steps == inversions
+        assert poly._to_x(v, range(len(orbit))) == tuple(moved)
     assert poly.vertices == expected
     report = build_report(RunConfig(command="polytope", type_label=label, rank=rank,
                                     point=tuple(map(str, coords)), orbit_cap=len(expected)))
@@ -231,7 +239,7 @@ def _without(orbit, k_out):
     """The orbit with point k_out left out of its index."""
     return Orbit(labels=orbit.labels, ints=orbit.ints, scale=orbit.scale,
                  index={m: k for m, k in orbit.index.items() if k != k_out},
-                 x_index=orbit.x_index, perms=orbit.perms, tree=orbit.tree)
+                 x_index=orbit.x_index, perms=orbit.perms)
 
 
 def test_a_reflection_image_missing_from_the_orbit_is_a_violation():
