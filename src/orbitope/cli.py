@@ -8,12 +8,17 @@ diagnostic (an internal cross-check failed, i.e. a bug).
 
 Each run is one process and pays for everything this module imports, so it
 imports the exact layers only; `numeric`, with numpy behind it, is imported
-when a type A run reaches the su(n) check.
+when a type A run reaches the su(n) check.  The console script and
+`python -m orbitope.cli` both run `entry()`, which calls `main()` and then
+freezes the heap before exit, so the interpreter's shutdown collections do
+not walk the modules, numpy and the report; `main`, `run` and `build_report`
+are the in-process API and leave the collector as they found it.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from fractions import Fraction
@@ -306,5 +311,18 @@ def main(argv=None) -> int:
     return code
 
 
+def entry() -> None:
+    """The process entry of `orbitope` and of `python -m orbitope.cli`.
+
+    Once the report is written, `gc.freeze()` moves every live object to the
+    permanent generation, so the interpreter's shutdown collections skip
+    them; reference counting still frees them as the modules are cleared.
+    The freeze allocates nothing, and in-process callers of `main` never
+    reach it."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

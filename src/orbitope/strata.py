@@ -81,10 +81,6 @@ def build_poset(classification: FaceClassification) -> StratumPoset:
         dims = stratum_dim(rs, d)
         s_dims[idx] = dims.stratum
         b_dims[idx] = dims.base
-        # root-space bookkeeping of H_F = Z_F . K_F . K'_F, dim K_F = dim F
-        outside = rs.n_positive - len(d.sub_roots_J)
-        if rs.dim_group != d.dim_ZF + d.dim_face + d.dim_KprimeF + 2 * outside:
-            raise TheoremViolationError("dim K bookkeeping failed for I=%s" % (d.I,))
 
     order = frozenset((i, j) for i in range(n) for j in range(n) if rel[i][j])
     for i, j in order:

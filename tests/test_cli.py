@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
@@ -14,7 +15,9 @@ import pytest
 import orbitope.cli
 import orbitope.numeric
 import orbitope.polytope
-from orbitope.cli import RunConfig, main, run
+from orbitope.cli import RunConfig, main, parse_config, run
+
+_ROOT = Path(__file__).resolve().parents[1]
 
 
 def _cfg(**kw):
@@ -479,3 +482,34 @@ def test_runs_without_the_numeric_check_do_not_import_numpy():
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.stderr.split()[-2:] == ["0", "False"], proc.stderr
+
+
+def test_main_in_process_leaves_the_heap_unfrozen(capsys):
+    """Only the process entry freezes the heap; `main` called in process
+    leaves the collector's permanent generation as it was."""
+    before = gc.get_freeze_count()
+    assert main(["verify-all", "--type", "B", "--rank", "2", "--point", "1,1"]) == 0
+    capsys.readouterr()
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-all", "--type", "D", "--rank", "4", "--point", "1,1,1,1", "--format", "json"],
+    ["verify-all", "--type", "A", "--rank", "3", "--point", "1,2"]])
+def test_the_process_entry_prints_what_run_returns(argv):
+    """`python -m orbitope.cli` goes through `entry()`: the same stdout,
+    stderr and exit code as `run` in process."""
+    code, text = run(parse_config(argv))
+    env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-m", "orbitope.cli"] + argv, env=env,
+                          capture_output=True, timeout=120)
+    assert proc.returncode == code
+    assert (proc.stdout, proc.stderr) == ((text.encode(), b"") if code == 0 else
+                                          (b"", text.encode()))
+    assert code in (0, 1) and (code == 0 or "expected 3 coordinates for A3, got 2" in text)
+
+
+def test_the_console_script_is_the_process_entry():
+    """`orbitope` and `python -m orbitope.cli` share `entry()`."""
+    text = (_ROOT / "pyproject.toml").read_text()
+    assert 'orbitope = "orbitope.cli:entry"' in text.splitlines()

@@ -231,6 +231,31 @@ def test_a_w_pi_orbit_missing_a_vertex_is_not_the_top_face(monkeypatch, case):
     assert _verify_all(*case) == (2, "theorem violation: J = Pi descriptor is not the top face\n")
 
 
+_BIJECTION_CASES = _SIGMA_CASES + [("F", 4, (1, 0, 0, 1))]
+
+
+@pytest.mark.parametrize("case", _BIJECTION_CASES,
+                         ids=lambda c: "%s%d %s" % (c[0], c[1], ",".join(map(str, c[2]))))
+def test_a_dropped_x_connected_subset_leaves_phi_not_surjective(monkeypatch, case):
+    """Without its first proper subset, I = (), the list of x-connected
+    subsets misses the vertex class."""
+    original = orbitope.faces.x_connected_subsets
+    monkeypatch.setattr(orbitope.faces, "x_connected_subsets",
+                        lambda rs, x: original(rs, x)[1:])
+    assert _verify_all(*case) == (2, "theorem violation: descriptors do not exhaust the "
+                                     "polytope face classes (phi not surjective)\n")
+
+
+@pytest.mark.parametrize("case", _BIJECTION_CASES,
+                         ids=lambda c: "%s%d %s" % (c[0], c[1], ",".join(map(str, c[2]))))
+def test_a_psi_onto_the_vertex_class_breaks_the_round_trip(monkeypatch, case):
+    """A psi that returns the vertex-class descriptor for every face is
+    caught at the first descriptor past it, I = (0,)."""
+    monkeypatch.setattr(orbitope.faces, "psi_of_polytope_face",
+                        lambda classification, sigma: classification.descriptor_by_I(()))
+    assert _verify_all(*case) == (2, "theorem violation: psi(phi([F])) != [F] for I=(0,)\n")
+
+
 def test_support_function_is_orbit_maximum():
     """h_P(u) = max over the Weyl orbit of <., u> for any u in t."""
     import random
