@@ -9,10 +9,9 @@ diagnostic (an internal cross-check failed, i.e. a bug).
 Each run is one process and pays for everything this module imports, so it
 imports the exact layers only; `numeric`, with numpy behind it, is imported
 when a type A run reaches the su(n) check.  The console script and
-`python -m orbitope.cli` both run `entry()`, which calls `main()` and then
-freezes the heap before exit, so the interpreter's shutdown collections do
-not walk the modules, numpy and the report; `main`, `run` and `build_report`
-are the in-process API and leave the collector as they found it.
+`python -m orbitope.cli` both run `entry()`, which freezes the heap after
+`main()` so that the interpreter's shutdown collections skip it; `main`,
+`run` and `build_report` are the in-process API and never freeze.
 """
 
 from __future__ import annotations

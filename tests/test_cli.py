@@ -493,20 +493,22 @@ def test_main_in_process_leaves_the_heap_unfrozen(capsys):
     assert gc.get_freeze_count() == before
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify-all", "--type", "D", "--rank", "4", "--point", "1,1,1,1", "--format", "json"],
-    ["verify-all", "--type", "A", "--rank", "3", "--point", "1,2"]])
-def test_the_process_entry_prints_what_run_returns(argv):
+@pytest.mark.parametrize("argv,expected_code,expected_text", [
+    (["verify-all", "--type", "D", "--rank", "4", "--point", "1,1,1,1", "--format", "json"],
+     0, '"bijection_verified": true'),
+    (["verify-all", "--type", "A", "--rank", "3", "--point", "1,2"],
+     1, "expected 3 coordinates for A3, got 2")])
+def test_the_process_entry_prints_what_run_returns(argv, expected_code, expected_text):
     """`python -m orbitope.cli` goes through `entry()`: the same stdout,
     stderr and exit code as `run` in process."""
     code, text = run(parse_config(argv))
+    assert code == expected_code and expected_text in text
     env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
     proc = subprocess.run([sys.executable, "-m", "orbitope.cli"] + argv, env=env,
                           capture_output=True, timeout=120)
     assert proc.returncode == code
     assert (proc.stdout, proc.stderr) == ((text.encode(), b"") if code == 0 else
                                           (b"", text.encode()))
-    assert code in (0, 1) and (code == 0 or "expected 3 coordinates for A3, got 2" in text)
 
 
 def test_the_console_script_is_the_process_entry():
