@@ -20,20 +20,23 @@ through x to another can be corrected to fix x.)  Neither fact uses
 x-connectedness, so the polytope side stays independent of the
 classification.  W_J.x is the closure of x's vertex index under the
 generator permutations of J; the W_S-classes are closures under those of S
-(`act_on_faces`), and psi and phi read that partition.  The orbit is closed
-once, on integer Dynkin labels (`weyl_orbit`), and every step reads it as is.
+(`act_on_faces`): phi sends a descriptor to its sigma's class, and psi looks
+a face's class up.  The orbit is closed once, on integer Dynkin labels
+(`weyl_orbit`), and every step reads it as is.
 
 The canonical u, the fundamental coweights off J summed, is checked on the
 certified figure at x: every v - x lies in its cone, so with h = max u.q on
 the figure, u exposes no face through x if h > 0, x alone if h < 0, and if
 h = 0 the lift of the figure face u exposes (`KostantPolytope.lifted`).
 That face is sigma, read off the exposure: a vertex set that u exposes is
-a face through x, so sigma is never looked up, and its vertex set is
-checked to be W_J.x.  The improper descriptor's sigma is the top face.
+a face through x, so sigma is never looked up, and its vertex set is checked
+to be W_J.x (the top face for the improper descriptor).  I and J are then
+read off sigma, and P's f-vector is counted from the descriptors.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import NamedTuple, Sequence
 
 from .errors import InvalidInputError, TheoremViolationError
@@ -41,7 +44,7 @@ from .linalg import Vector, closure, dot, lincomb
 from .polytope import (FaceOrbit, KostantPolytope, PolytopeFace, act_on_faces,
                        from_vertex_figure, hull, support_set, vertex_figure_points)
 from .roots import ChamberPoint, RootSystem
-from .weyl import DEFAULT_ORBIT_CAP, WeylGroup, reflection_neighbours, weyl_orbit
+from .weyl import DEFAULT_ORBIT_CAP, WeylGroup, _order, reflection_neighbours, weyl_orbit
 
 
 class FaceDescriptor(NamedTuple):
@@ -104,9 +107,11 @@ class FaceClassification(NamedTuple):
 
 
 def is_x_connected(rs: RootSystem, x: ChamberPoint, subset: Sequence[int]) -> bool:
-    """Every connected component of the subset sees a root with alpha(x) != 0,
-    so the subset is its own `largest_x_connected_subset`."""
-    return largest_x_connected_subset(rs, x, subset) == tuple(sorted(set(subset)))
+    """Every connected component of the subset sees a root with alpha(x) != 0:
+    its nonsingular nodes close under adjacency inside it to the whole subset."""
+    nodes = set(subset)
+    return closure(nodes.difference(x.singular_set),
+                   lambda i: (j for j in nodes if rs.adjacent(i, j))) == nodes
 
 
 def x_connected_subsets(rs: RootSystem, x: ChamberPoint) -> tuple[tuple[int, ...], ...]:
@@ -115,12 +120,8 @@ def x_connected_subsets(rs: RootSystem, x: ChamberPoint) -> tuple[tuple[int, ...
     The empty set is x-connected by definition, so the list never is empty;
     for a full x the whole of Pi is always the last entry.
     """
-    out = []
-    for mask in range(1 << rs.rank):
-        subset = tuple(i for i in range(rs.rank) if mask & (1 << i))
-        if is_x_connected(rs, x, subset):
-            out.append(subset)
-    return tuple(sorted(out, key=lambda s: (len(s), s)))
+    return tuple(s for k in range(rs.rank + 1) for s in combinations(range(rs.rank), k)
+                 if is_x_connected(rs, x, s))
 
 
 def saturate(rs: RootSystem, x: ChamberPoint,
@@ -129,20 +130,9 @@ def saturate(rs: RootSystem, x: ChamberPoint,
     I = tuple(sorted(I))
     if not is_x_connected(rs, x, I):
         raise InvalidInputError("subset %s is not x-connected" % (I,))
-    singular = set(x.singular_set)
-    i_prime = tuple(i for i in range(rs.rank)
-                    if i not in I and i in singular
-                    and all(not rs.adjacent(i, j) for j in I))
+    i_prime = tuple(i for i in x.singular_set
+                    if i not in I and not any(rs.adjacent(i, j) for j in I))
     return i_prime, tuple(sorted(I + i_prime))
-
-
-def largest_x_connected_subset(rs: RootSystem, x: ChamberPoint,
-                               subset: Sequence[int]) -> tuple[int, ...]:
-    """Union of those components of the subset containing a nonvanishing root:
-    the closure of its nonsingular nodes under adjacency inside the subset."""
-    nodes = set(subset)
-    return tuple(sorted(closure(nodes.difference(x.singular_set),
-                                lambda i: (j for j in nodes if rs.adjacent(i, j)))))
 
 
 def build_kostant_polytope(group: WeylGroup, x: ChamberPoint,
@@ -166,6 +156,18 @@ def classify_faces(rs: RootSystem, group: WeylGroup, x: ChamberPoint,
                    orbit_cap: int = DEFAULT_ORBIT_CAP) -> FaceClassification:
     """Classify all faces of conv(K.x) up to conjugation and verify the
     bijection with Weyl classes of Kostant-polytope faces.
+
+    Sigma = conv(W_I.x) is read twice more.  The facet normals through sigma
+    span the orthogonal complement of its direction space span Delta_I in the
+    root span, so the simple roots orthogonal to all of them are I (for J = Pi
+    there are none, and I = Pi).  The simple reflections mapping sigma onto
+    itself are J: its barycenter is b = x - proj_{span Delta_J} x = x - sum_J
+    c_j alpha_j, c_j >= 0, so <b, alpha_i> is 0 on J, >= <x, alpha_i> > 0 off S,
+    and > 0 on S - J, whose nodes are adjacent to some j in I with c_j > 0 (x
+    is nonzero on j's component of I, and an irreducible inverse Cartan matrix
+    is entrywise positive).  So b is dominant with zero set J, and sigma's
+    stabilizer, which fixes b, is W_J (Humphreys, Reflection Groups and
+    Coxeter Groups, 1.12).
 
     Any failed cross-check raises TheoremViolationError: the statements being
     checked are theorems, so a failure is an implementation bug by definition.
@@ -203,6 +205,17 @@ def classify_faces(rs: RootSystem, group: WeylGroup, x: ChamberPoint,
                 % (I, sigma.vertex_indices, sigma_vertices))
         if sigma.dim != len(I):
             raise TheoremViolationError("dim sigma = %d but |I| = %d" % (sigma.dim, len(I)))
+        normals = [f.normal for f in poly.facets_through(sigma)]
+        if I != tuple(i for i, a in enumerate(rs.simple_roots)
+                      if not any(dot(a, n) for n in normals)):
+            raise TheoremViolationError(
+                "Z_K(sigma-perp) root data disagrees with the descriptor (I=%s)" % (I,))
+        in_sigma = set(sigma_vertices)  # a permutation maps sigma into itself iff onto it
+        stabilizer = tuple(i for i, perm in enumerate(perms)
+                           if in_sigma.issuperset(map(perm.__getitem__, sigma_vertices)))
+        if stabilizer != J:
+            raise TheoremViolationError("the simple reflections stabilizing sigma are %s, "
+                                        "not J=%s (I=%s)" % (stabilizer, J, I))
         descriptors.append(FaceDescriptor(
             I=I, I_prime=i_prime, J=J,
             sub_roots_I=sub_i, sub_roots_Iprime=sub_ip, sub_roots_J=sub_j,
@@ -215,23 +228,24 @@ def classify_faces(rs: RootSystem, group: WeylGroup, x: ChamberPoint,
 
     classes = act_on_faces([perms[s] for s in x.singular_set], poly.faces_through_x)
     class_of = {m: c for cs in classes.values() for c in cs for m in c.members}
-    # A W-class's members through vertex 0 are the images of its members
-    # through x under any element taking x to vertex 0, and its least member
-    # contains vertex 0.
-    to_0 = poly.x_to_vertex_0
-    least = {c: min(tuple(sorted(to_0[i] for i in m)) for m in c.members)
-             for cs in classes.values() for c in cs}
-    proper_reps = sorted(least[c] for dim, cs in classes.items()
-                         if dim < poly.affine_dim for c in cs)
-
-    matching = {d.I: least[class_of[d.sigma.vertex_indices]] for d in descriptors if d.proper}
-    hit = sorted(matching.values())
+    proper = [d for d in descriptors if d.proper]
+    hit = [class_of[d.sigma.vertex_indices] for d in proper]
     if len(set(hit)) != len(hit):
         raise TheoremViolationError(
             "two descriptors land in one polytope face class (phi not injective)")
-    if hit != proper_reps:
+    if set(hit) != {c for dim, cs in classes.items() if dim < poly.affine_dim for c in cs}:
         raise TheoremViolationError(
             "descriptors do not exhaust the polytope face classes (phi not surjective)")
+    counts = tuple(sum(group.order // _order(rs, d.J) for d in descriptors if len(d.I) == k)
+                   for k in range(poly.affine_dim + 1))
+    if counts != poly.f_vector():
+        raise TheoremViolationError("face counts |W|/|W_J| by |I| are %s, but the f-vector is %s"
+                                    % (counts, poly.f_vector()))
+    # A W-class's least member contains vertex 0: it is the least image of a
+    # member through x under an element taking x to vertex 0.
+    to_0 = poly.x_to_vertex_0
+    matching = {d.I: min(tuple(sorted(to_0[i] for i in m)) for m in c.members)
+                for d, c in zip(proper, hit)}
 
     classification = FaceClassification(
         x=x, group=group, polytope=poly, descriptors=tuple(descriptors),
@@ -252,15 +266,8 @@ def classify_faces(rs: RootSystem, group: WeylGroup, x: ChamberPoint,
 def psi_of_polytope_face(classification: FaceClassification,
                          sigma: PolytopeFace) -> FaceDescriptor:
     """Map a proper polytope face to its descriptor: move it to a face
-    through x, find its W_S-class, and the descriptor whose sigma is in it.
-
-    Also re-derives (I, J) from the roots vanishing on the orthogonal
-    complement of the descriptor's face sigma and cross-checks it.  That
-    complement, taken in the direction space of P, is spanned by the normals
-    of the facets through sigma, because sigma is the intersection of those
-    facets.
-    """
-    rs = classification.root_system
+    through x, take its W_S-class, and return the proper descriptor whose
+    sigma is in it; `classify_faces` read that descriptor's I and J off sigma."""
     poly = classification.polytope
     key = tuple(sorted(sigma.vertex_indices))
     through_x = poly.face_at_x(key)
@@ -275,14 +282,6 @@ def psi_of_polytope_face(classification: FaceClassification,
         raise TheoremViolationError(
             "no Weyl conjugate of the face matches a descriptor "
             "(every face class must arise from an x-connected subset)")
-    normals = [f.normal for f in poly.facets_through(found.sigma)]
-    E = tuple(i for i in range(rs.rank)
-              if all(dot(rs.simple_roots[i], n) == 0 for n in normals))
-    I = largest_x_connected_subset(rs, classification.x, E)
-    _, J = saturate(rs, classification.x, I)
-    if I != found.I or J != found.J:
-        raise TheoremViolationError(
-            "Z_K(sigma-perp) root data disagrees with the descriptor (I=%s)" % (found.I,))
     return found
 
 

@@ -256,6 +256,68 @@ def test_a_psi_onto_the_vertex_class_breaks_the_round_trip(monkeypatch, case):
     assert _verify_all(*case) == (2, "theorem violation: psi(phi([F])) != [F] for I=(0,)\n")
 
 
+def _case_id(case):
+    return "%s%d %s" % (case[0], case[1], ",".join(map(str, case[2])))
+
+
+#: singular points, where I = () has I' = S, the singular set, so J != I
+_J_CASES = [("A", 3, (1, 0, 1)), ("B", 3, (1, 0, 1)), ("F", 4, (1, 0, 0, 1)),
+            ("A", 4, (0, 1, 1, 0))]
+
+
+@pytest.mark.parametrize("case", _J_CASES + [("D", 4, (1, 1, 1, 1))], ids=_case_id)
+def test_a_repeated_x_connected_subset_leaves_phi_not_injective(monkeypatch, case):
+    """With its second subset listed twice, two descriptors share one class."""
+    original = orbitope.faces.x_connected_subsets
+    monkeypatch.setattr(orbitope.faces, "x_connected_subsets",
+                        lambda rs, x: (lambda s: s[:2] + s[1:])(original(rs, x)))
+    assert _verify_all(*case) == (2, "theorem violation: two descriptors land in one "
+                                     "polytope face class (phi not injective)\n")
+
+
+@pytest.mark.parametrize("case,root", [
+    pytest.param(("A", 3, (1, 0, 1)), 1, id="A3 1,0,1 alpha2"),
+    pytest.param(("B", 3, (1, 0, 1)), 1, id="B3 1,0,1 alpha2"),
+    pytest.param(("A", 4, (0, 1, 1, 0)), 0, id="A4 0,1,1,0 alpha1")])
+def test_a_stray_orthogonal_root_breaks_the_root_data_of_the_vertex(monkeypatch, case, root):
+    """A singular simple root that looks orthogonal to every facet normal
+    joins the roots read off the vertex x, so I=() fails at once."""
+    simple = get_rs(*case[:2]).simple_roots[root]
+    original = orbitope.faces.dot
+    monkeypatch.setattr(orbitope.faces, "dot",
+                        lambda a, b: 0 if a == simple else original(a, b))
+    assert _verify_all(*case) == (2, "theorem violation: Z_K(sigma-perp) root data disagrees "
+                                     "with the descriptor (I=())\n")
+
+
+@pytest.mark.parametrize("case,stabilizer", [
+    pytest.param(case, stabilizer, id=_case_id(case))
+    for case, stabilizer in zip(_J_CASES, [(1,), (1,), (1, 2), (0, 3)])])
+def test_a_saturation_that_drops_i_prime_fails_the_stabilizer_of_sigma(monkeypatch, case,
+                                                                      stabilizer):
+    """With J := I, sigma = conv(W_I.x) is unchanged, and so is the face that
+    u exposes, but I' still maps sigma onto itself: the vertex's stabilizer
+    is the singular set, not J = ()."""
+    monkeypatch.setattr(orbitope.faces, "saturate", lambda rs, x, I: ((), tuple(sorted(I))))
+    assert _verify_all(*case) == (2, "theorem violation: the simple reflections stabilizing "
+                                     "sigma are %s, not J=() (I=())\n" % (stabilizer,))
+
+
+@pytest.mark.parametrize("case,counts", [
+    pytest.param(case, counts, id=_case_id(case)) for case, counts in zip(_J_CASES, [
+        (24, 24, 14, 1), (48, 48, 26, 1), (1152, 1152, 672, 240, 1), (120, 120, 60, 10, 1)])])
+def test_class_sizes_over_w_i_miss_the_f_vector(monkeypatch, case, counts):
+    """|W|/|W_I| in place of |W|/|W_J| overcounts the classes whose I' is
+    not empty, the vertices first."""
+    cl = get_classification(*case)
+    I_of = {d.J: d.I for d in cl.descriptors}
+    original = orbitope.faces._order
+    monkeypatch.setattr(orbitope.faces, "_order", lambda rs, J: original(rs, I_of[J]))
+    assert _verify_all(*case) == (2, "theorem violation: face counts |W|/|W_J| by |I| are %s, "
+                                     "but the f-vector is %s\n"
+                                  % (counts, cl.polytope.f_vector()))
+
+
 def test_support_function_is_orbit_maximum():
     """h_P(u) = max over the Weyl orbit of <., u> for any u in t."""
     import random
