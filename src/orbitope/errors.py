@@ -12,7 +12,7 @@ class InvalidInputError(OrbitopeError):
 
 
 class CapExceededError(InvalidInputError):
-    """A desk-scale guard was hit (Weyl order or hull point cap)."""
+    """A desk-scale guard was hit (Weyl order or orbit size cap)."""
 
 
 class TheoremViolationError(OrbitopeError):

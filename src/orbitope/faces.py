@@ -144,8 +144,8 @@ def build_kostant_polytope(group: WeylGroup, x: ChamberPoint,
     Every edge of P at the dominant x ends at some s_beta.x, so at most
     |Delta+| points give the whole figure; that fact is not trusted, as
     `from_vertex_figure` checks the hull against every orbit point.  A
-    neighbour set has at most 120 points, within `hull`'s own cap, so
-    `orbit_cap` bounds only the orbit.
+    neighbour set has at most 120 points, so `orbit_cap` bounds the orbit
+    and nothing bounds the hull's input.
     """
     orbit = weyl_orbit(group, x, cap=orbit_cap)
     figure = hull(vertex_figure_points(orbit, reflection_neighbours(group, orbit)))
@@ -182,9 +182,9 @@ def classify_faces(rs: RootSystem, group: WeylGroup, x: ChamberPoint,
         i_prime, J = saturate(rs, x, I)
         sub_i = rs.subsystem_positive(I)
         sub_ip = rs.subsystem_positive(i_prime)
+        # Delta_J = Delta_I + Delta_I': a root's support is connected, and
+        # `saturate` puts no node adjacent to I into I'.
         sub_j = rs.subsystem_positive(J)
-        if sorted(sub_i + sub_ip) != sorted(sub_j):
-            raise TheoremViolationError("Delta_J does not split as Delta_I + Delta_I'")
         improper = len(J) == rs.rank
         sigma_vertices = tuple(sorted(closure([poly.x_index], lambda v: (perms[j][v] for j in J))))
         if improper:
@@ -267,7 +267,8 @@ def psi_of_polytope_face(classification: FaceClassification,
                          sigma: PolytopeFace) -> FaceDescriptor:
     """Map a proper polytope face to its descriptor: move it to a face
     through x, take its W_S-class, and return the proper descriptor whose
-    sigma is in it; `classify_faces` read that descriptor's I and J off sigma."""
+    sigma is in it; `classify_faces` read that descriptor's I and J off sigma.
+    There is one, as every classification passed phi's surjectivity check."""
     poly = classification.polytope
     key = tuple(sorted(sigma.vertex_indices))
     through_x = poly.face_at_x(key)
@@ -276,13 +277,8 @@ def psi_of_polytope_face(classification: FaceClassification,
     if through_x.dim == poly.affine_dim:
         raise InvalidInputError("psi is defined on proper faces only")
     cls = classification.class_of[through_x.vertex_indices]
-    found = next((d for d in classification.proper_descriptors
-                  if classification.class_of[d.sigma.vertex_indices] is cls), None)
-    if found is None:
-        raise TheoremViolationError(
-            "no Weyl conjugate of the face matches a descriptor "
-            "(every face class must arise from an x-connected subset)")
-    return found
+    return next(d for d in classification.proper_descriptors
+                if classification.class_of[d.sigma.vertex_indices] is cls)
 
 
 def phi_of_descriptor(classification: FaceClassification,

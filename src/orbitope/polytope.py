@@ -46,14 +46,11 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import CapExceededError, InvalidInputError, TheoremViolationError
+from .errors import InvalidInputError, TheoremViolationError
 from .linalg import (Vector, closure, frac_str, int_dot, int_rank, integral_rows,
                      inverse, mat_mul, point_str, primitive, rref, transpose, vadd,
                      vec, vscale, vsub, zero_vec)
 from .weyl import Orbit, WeylGroup, vertex_permutations
-
-#: desk-scale guard on hull input size
-DEFAULT_HULL_CAP = 200
 
 
 class PolytopeFace(NamedTuple):
@@ -205,19 +202,18 @@ class KostantPolytope(_Polytope):
         return self._f_vector
 
 
-def hull(points: Sequence[Sequence], cap: int = DEFAULT_HULL_CAP) -> ExactPolytope:
+def hull(points: Sequence[Sequence]) -> ExactPolytope:
     """Exact convex hull with complete face lattice.
 
     Points are deduplicated; the polytope is processed inside its affine hull,
-    so lower-dimensional inputs are graded correctly.  Rejects more than `cap`
-    points (desk-scale guard); a single repeated point yields the degenerate
-    vertex-only polytope.
+    so lower-dimensional inputs are graded correctly.  A single repeated point
+    yields the degenerate vertex-only polytope.  Every kept inequality must
+    be tight on a facet and on nothing more: the face lattice has exactly one
+    face of dimension d - 1 per kept inequality.
     """
     pts: list[Vector] = list(dict.fromkeys(vec(p) for p in points))
     if not pts:
         raise InvalidInputError("hull of an empty point set")
-    if len(pts) > cap:
-        raise CapExceededError("hull input has %d points, cap is %d" % (len(pts), cap))
     if any(len(p) != len(pts[0]) for p in pts):
         raise InvalidInputError("points have mixed dimensions")
 
@@ -268,22 +264,21 @@ def hull(points: Sequence[Sequence], cap: int = DEFAULT_HULL_CAP) -> ExactPolyto
         normal = primitive([-int_dot(row, a) for row in to_normal])
         vidx = tuple(sorted(old_to_new[i] for i in tight if i in old_to_new))
         values = [int_dot(normal, v) for v in vertex_ints]
-        top = values[vidx[0]]
-        if max(values) > top:
-            raise TheoremViolationError("facet normal conversion failed (bug)")
+        top = max(values)
         if tuple(i for i, val in enumerate(values) if val == top) != vidx:
-            raise TheoremViolationError("facet tight set mismatch (bug)")
+            raise TheoremViolationError("facet normal conversion failed (bug)")
         facets.append((Facet(normal=vec(normal), offset=Fraction(top, vertex_scale),
                              vertex_indices=vidx), a))
     facets.sort(key=lambda fa: (fa[0].vertex_indices, fa[0].normal))
 
     lattice, facet_masks = _face_lattice([rows[i] for i in vertex_ids], [a for _, a in facets],
                                          [vertex_mask(f.vertex_indices) for f, _ in facets], d)
-    poly = ExactPolytope(vertex_ints, vertex_scale, lattice,
-                         tuple(f for f, _ in facets), facet_masks)
+    if len(lattice.get(d - 1, ())) != len(facets):
+        raise TheoremViolationError("a kept inequality of the hull is not a facet (bug)")
     if tuple(f.vertex_indices for f in lattice[0]) != tuple((i,) for i in range(len(vertex_ids))):
         raise TheoremViolationError("0-faces do not match the vertex set (bug)")
-    return poly
+    return ExactPolytope(vertex_ints, vertex_scale, lattice,
+                         tuple(f for f, _ in facets), facet_masks)
 
 
 def vertex_mask(indices: Iterable[int]) -> int:

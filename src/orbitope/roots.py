@@ -29,6 +29,12 @@ the one source of <lambda, beta^vee>.  A connected simple-root subset is
 labelled by (r, n, s), its rank, its number of positive roots and how many
 of those are short, which tell the Cartan types apart (Bourbaki, Lie Groups
 and Lie Algebras, Ch. VI, Plates).
+
+These tables depend only on the (type, rank) pair, so the test suite, not a
+run, asserts their facts over all 31 admitted pairs: integral Cartan entries
+and coroot coordinates, one-signed roots with connected supports, the
+classical root counts, weights dual to the simple coroots, and a type with
+the right root counts for every connected subset (`component_type`).
 """
 
 from __future__ import annotations
@@ -200,9 +206,6 @@ class RootSystem(NamedTuple):
             letter = "F"
         else:
             letter = "B" if s == r else "C"
-        if n != _POSITIVE_COUNTS[letter](r):
-            raise TheoremViolationError("component %s has %d positive roots, %d short: "
-                                        "no Cartan type of rank %d (bug)" % (tuple(comp), n, s, r))
         return "%s%d" % (letter, r)
 
     def _path_order(self, comp: tuple[int, ...], degrees: dict[int, int]) -> list[int]:
@@ -229,8 +232,6 @@ def build_root_system(type_label: str, rank: int) -> RootSystem:
     simple_lengths = [dot(a, a) for a in simples]  # l_j = d(alpha_j, alpha_j)
     cartan_q = tuple(tuple(2 * dot(a, b) / lb for b, lb in zip(simples, simple_lengths))
                      for a in simples)
-    if any(c.denominator != 1 for row in cartan_q for c in row):
-        raise TheoremViolationError("non-integral Cartan entry (bug in realization)")
     cartan = tuple(tuple(int(c) for c in row) for row in cartan_q)
 
     # Close the simple roots under the simple reflections in simple-root
@@ -255,26 +256,15 @@ def build_root_system(type_label: str, rank: int) -> RootSystem:
                 "finite type (bug in realization)" % (2 * expected, type_label, rank))
 
     # Keep the nonnegative coordinate vectors; each root is one sign.
-    coords: list[tuple[int, ...]] = []
-    for b in roots:
-        if all(c >= 0 for c in b):
-            coords.append(b)
-        elif not all(c <= 0 for c in b):
-            raise TheoremViolationError("root with mixed-sign expansion (bug in realization)")
-    coords.sort(key=lambda b: (sum(b), b))
-    if len(coords) != expected:
-        raise TheoremViolationError("positive root count %d != classical %d for %s%d (bug)"
-                                    % (len(coords), expected, type_label, rank))
+    coords = sorted((b for b in roots if all(c >= 0 for c in b)), key=lambda b: (sum(b), b))
 
     pos_roots = tuple(lincomb(b, simples) for b in coords)
     lengths = tuple(dot(a, a) for a in pos_roots)
     # beta = Sum_j c_j alpha_j has beta^vee = Sum_j c_j l_j / d(beta, beta) alpha_j^vee
     ratios = {lb: [(q.numerator, q.denominator) for q in (la / lb for la in simple_lengths)]
               for lb in set(lengths)}
-    coroot_q = [[divmod(c * num, den) for c, (num, den) in zip(b, ratios[lb])]
-                for b, lb in zip(coords, lengths)]
-    if any(rest for row in coroot_q for _, rest in row):
-        raise TheoremViolationError("non-integral coroot coordinate (bug in realization)")
+    coroot_coords = tuple(tuple(c * num // den for c, (num, den) in zip(b, ratios[lb]))
+                          for b, lb in zip(coords, lengths))
     coroots = tuple(RootSystem.coroot(a) for a in simples)
 
     # Fundamental weights (dual to simple coroots) and coweights (dual to
@@ -283,10 +273,6 @@ def build_root_system(type_label: str, rank: int) -> RootSystem:
     inv_c = inverse(cartan_q)
     weights = tuple(lincomb(row, simples) for row in inv_c)
     coweights = tuple(lincomb(column, coroots) for column in transpose(inv_c))
-
-    for i, w in enumerate(weights):
-        if [dot(w, h) for h in coroots] != [int(i == j) for j in range(rank)]:
-            raise TheoremViolationError("fundamental weight duality failed (bug)")
     return RootSystem(
         type_label=type_label,
         rank=rank,
@@ -299,7 +285,7 @@ def build_root_system(type_label: str, rank: int) -> RootSystem:
         fundamental_coweights=coweights,
         killing_ratio=_killing_ratio(simples, cartan, coords, range(rank)),
         root_lengths=lengths,
-        positive_coroot_coords=tuple(tuple(c for c, _ in row) for row in coroot_q),
+        positive_coroot_coords=coroot_coords,
     )
 
 
@@ -343,10 +329,5 @@ def chamber_point(rs: RootSystem, coords: Sequence) -> ChamberPoint:
                 "point is not full: the simple factor on {%s} acts trivially "
                 "(reduce to the other factors first)"
                 % ",".join(rs.root_label(i) for i in comp))
-    pt = ChamberPoint(root_system=rs, coords=cs, vector=lincomb(cs, rs.fundamental_weights),
-                      singular_set=singular)
-    for i, a in enumerate(rs.simple_roots):
-        expected_zero = (i in singular)
-        if (dot(a, pt.vector) == 0) != expected_zero:
-            raise TheoremViolationError("singular set inconsistent with realization (bug)")
-    return pt
+    return ChamberPoint(root_system=rs, coords=cs, vector=lincomb(cs, rs.fundamental_weights),
+                        singular_set=singular)

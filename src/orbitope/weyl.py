@@ -16,6 +16,8 @@ finds each s_beta.x, beta a positive root, by the same step with beta's
 labels for a Cartan row.  |W| is the product of the degrees, read off the
 root heights (Kostant); the same formula on the singular set S of x gives
 |W_S| and so the orbit size |W.x| = |W| / |W_S|.  Nothing enumerates W.
+That the label action is the ambient one is asserted by the test suite over
+all 31 admitted (type, rank) pairs, not at run time.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from math import prod
 from typing import Sequence
 
 from .errors import CapExceededError, TheoremViolationError
-from .linalg import int_dot, integral_rows, lincomb, point_str
+from .linalg import int_dot, integral_rows, point_str
 from .roots import ChamberPoint, RootSystem
 
 Labels = tuple[int, ...]
@@ -70,19 +72,14 @@ class WeylGroup:
 def build_weyl_group(rs: RootSystem, cap: int | None = None) -> WeylGroup:
     """The Weyl group of a root system, from its simple reflections.
 
-    Rejects groups larger than `cap` when one is given, and checks the label
-    action against the ambient reflections on every fundamental weight.
+    Rejects groups larger than `cap` when one is given.  The label step s_i
+    agrees with the ambient reflection on every fundamental weight, which the
+    test suite asserts over all 31 admitted pairs.
     """
     group = WeylGroup(rs)
     if cap is not None and group.order > cap:
         raise CapExceededError("Weyl group of %s has more than %d elements; "
                                "raise the cap to proceed" % (rs.name, cap))
-    units = [tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)]
-    for i, alpha in enumerate(rs.simple_roots):
-        for unit, weight in zip(units, rs.fundamental_weights):
-            moved = _reflect_labels(rs.cartan_matrix, i, unit)
-            if lincomb(moved, rs.fundamental_weights) != rs.reflect(alpha, weight):
-                raise TheoremViolationError("generator action mismatch (bug)")
     return group
 
 

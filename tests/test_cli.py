@@ -379,15 +379,17 @@ def test_branched_diagrams_verify(type_label, rank, point, weyl_cap):
 
 
 def test_corrupted_generator_exits_2(monkeypatch):
-    """A label step that disagrees with the ambient reflection on a
-    fundamental weight is an internal cross-check failure: exit 2, not 1."""
+    """A label step s_i that applies s_(i+1) closes a wrong orbit, on which
+    an orbit point lies no lower than x: an internal cross-check failure,
+    exit 2, not 1."""
     from orbitope import weyl
     original = weyl._reflect_labels
     monkeypatch.setattr(weyl, "_reflect_labels",
                         lambda cartan, i, labels: original(cartan, (i + 1) % len(labels), labels))
     code, text = run(_cfg())
     assert code == 2
-    assert "generator action mismatch" in text
+    assert text == ("theorem violation: x.x <= x.v at the orbit point (2,0,-2): x is not a "
+                    "vertex (ext P = W.x failed)\n")
 
 
 def test_orbit_count_mismatch_exits_2(monkeypatch):
@@ -450,8 +452,8 @@ def test_non_finite_cartan_matrix_exits_2(monkeypatch):
 
 
 def test_verify_all_never_enumerates_the_group(monkeypatch):
-    """W acts only on Dynkin labels: the ambient reflection runs r * r times,
-    in the group's check on the fundamental weights, never per orbit point."""
+    """W acts only on Dynkin labels: the ambient reflection never runs, not
+    even per generator."""
     from orbitope.roots import RootSystem
     from orbitope.weyl import WeylGroup
     assert not hasattr(WeylGroup, "elements")
@@ -469,7 +471,7 @@ def test_verify_all_never_enumerates_the_group(monkeypatch):
                               point=tuple(point.split(","))))
         assert code == 0, text
         assert json.loads(text)["bijection_verified"] is True
-        assert len(calls) == rank * rank
+        assert calls == []
 
 
 def test_runs_without_the_numeric_check_do_not_import_numpy():

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as Q
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -19,6 +20,9 @@ from orbitope import (CapExceededError, build_poset, build_weyl_group,
                       chamber_point, check_integral, classify_faces, hull,
                       induce_face_weight, parabolic_report, weyl_orbit)
 from orbitope.linalg import vec
+from orbitope.roots import VALID_RANKS
+
+PAIRS = [(t, r) for t in sorted(VALID_RANKS) for r in VALID_RANKS[t]]
 
 
 def _monotone_chain(points):
@@ -102,12 +106,17 @@ def test_classify_f4_singular_points():
                     assert induce_face_weight(rs, x, d).is_integral
 
 
-def test_f4_regular_orbit_exceeds_hull_cap():
+def test_f4_regular_orbit_exceeds_the_orbit_cap():
     rs = get_rs("F", 4)
     group = get_group("F", 4)
     x = get_point("F", 4, (1, 1, 1, 1))
-    with pytest.raises(CapExceededError):
+    with pytest.raises(CapExceededError, match="has 1152 points, the orbit cap is 200"):
         classify_faces(rs, group, x)
+
+
+def _root_counts(lengths):
+    """The number of roots of the given lengths, and of the short ones."""
+    return len(lengths), sum(1 for length in lengths if length < max(lengths))
 
 
 def test_component_types_of_full_diagrams():
@@ -124,6 +133,17 @@ def test_component_types_of_full_diagrams():
             ("B", 4, (1, 2, 3), "B3"), ("C", 4, (1, 2, 3), "C3"), ("C", 4, (2, 3), "B2"),
             ("G", 2, (1,), "A1")]:
         assert get_rs(label, rank).component_type(comp) == expected, (label, rank, comp)
+    # every connected subset of every admitted diagram is labelled by a type
+    # with its numbers of positive roots and of short ones
+    for label, rank in PAIRS:
+        rs = get_rs(label, rank)
+        for comp in (c for k in range(1, rank + 1) for c in combinations(range(rank), k)
+                     if len(rs.components(c)) == 1):
+            name = rs.component_type(comp)
+            labelled = get_rs(name[0], int(name[1:]))
+            lengths = [rs.root_lengths[k] for k in rs.subsystem_positive(comp)]
+            assert _root_counts(lengths) == _root_counts(labelled.root_lengths), \
+                (label, rank, comp, name)
 
 
 def test_random_rational_points_bijection_property():

@@ -16,7 +16,7 @@ PAIRS = [(t, r) for t in sorted(VALID_RANKS) for r in VALID_RANKS[t]]
 @st.composite
 def cases(draw):
     """A pair and a dominant point with at most two nonzero coordinates, so
-    that most orbits stay under the hull cap."""
+    that most orbits stay under the orbit cap."""
     type_label, rank = draw(st.sampled_from(PAIRS))
     support = draw(st.sets(st.integers(0, rank - 1), max_size=2))
     point = ["0"] * rank

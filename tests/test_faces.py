@@ -158,12 +158,15 @@ def _lose_first_one(coeffs):
 
 
 #: per mutation of the canonical u's coefficients on the fundamental
-#: coweights: the mutation, and whether it changes the face exposed for a
-#: given (I, J).  A 1 gained on a node of I' moves nothing, as W_I' fixes x.
+#: coweights: the mutation, whether it changes the face exposed for a given
+#: (I, J), and how the message goes on.  A 1 gained on a node of I' moves
+#: nothing, as W_I' fixes x.  A negated u exposes no face through x.
 _U_MUTATIONS = {
-    "gains a 1 on its first J node": (_gain_first_j_node, lambda I, J: bool(J) and J[0] in I),
-    "loses its first 1": (_lose_first_one, lambda I, J: True),
-    "negated": (lambda coeffs: [-c for c in coeffs], lambda I, J: True),
+    "gains a 1 on its first J node": (_gain_first_j_node, lambda I, J: bool(J) and J[0] in I,
+                                      "it exposes "),
+    "loses its first 1": (_lose_first_one, lambda I, J: True, "it exposes "),
+    "negated": (lambda coeffs: [-c for c in coeffs], lambda I, J: True,
+                "u.(v - x) > 0 at the neighbour v = "),
 }
 
 
@@ -175,7 +178,7 @@ _U_MUTATIONS = {
 def test_a_mutated_canonical_u_exits_2(monkeypatch, case, mutation):
     """A wrong u fails the check on the vertex figure at the first proper
     descriptor whose face it changes, naming that I."""
-    mutate, changes = _U_MUTATIONS[mutation]
+    mutate, changes, tail = _U_MUTATIONS[mutation]
     type_label, rank, coords = case
     rs, x = get_rs(type_label, rank), get_point(type_label, rank, coords)
     expected = next(I for I in x_connected_subsets(rs, x)
@@ -187,7 +190,7 @@ def test_a_mutated_canonical_u_exits_2(monkeypatch, case, mutation):
                                point=tuple(map(str, coords)), fmt="json"))
     assert code == 2
     assert text.startswith("theorem violation: canonical u does not expose conv(W_J.x) "
-                           "for I=%s: " % (expected,))
+                           "for I=%s: %s" % (expected, tail))
 
 
 _SIGMA_CASES = [("A", 3, (1, 0, 1)), ("D", 4, (1, 1, 1, 1)), ("B", 3, (1, 0, 1))]

@@ -17,11 +17,13 @@ from orbitope.weyl import weyl_orbit
 
 PAIRS = [(t, r) for t in sorted(VALID_RANKS) for r in VALID_RANKS[t]]
 
-POSITIVE_COUNTS = [
-    ("A", 2, 3), ("G", 2, 6), ("B", 3, 9), ("A", 1, 1), ("A", 4, 10),
-    ("B", 2, 4), ("C", 3, 9), ("D", 4, 12), ("F", 4, 24),
-    ("E", 6, 36), ("E", 7, 63), ("E", 8, 120),
-]
+#: the classical |Delta+| of each type (Bourbaki, Lie Groups and Lie
+#: Algebras, Ch. VI, Plates I-IX)
+_CLASSICAL_COUNTS = {"A": lambda n: n * (n + 1) // 2, "B": lambda n: n * n,
+                     "C": lambda n: n * n, "D": lambda n: n * (n - 1),
+                     "E": {6: 36, 7: 63, 8: 120}.get, "F": lambda n: 24, "G": lambda n: 6}
+
+POSITIVE_COUNTS = [(t, r, _CLASSICAL_COUNTS[t](r)) for t, r in PAIRS]
 
 
 @pytest.mark.parametrize("label,rank,count", POSITIVE_COUNTS)
@@ -36,11 +38,27 @@ def test_invalid_pairs_rejected(label, rank):
         build_root_system(label, rank)
 
 
-@pytest.mark.parametrize("label,rank", [("A", 2), ("B", 3), ("G", 2), ("D", 4), ("F", 4)])
+@pytest.mark.parametrize("label,rank", PAIRS)
 def test_root_expansions_are_signed_integer(label, rank):
+    """Every root of the closure of the simple roots has one sign and a
+    connected support: the positive roots and their negatives are closed
+    under the simple reflections, so the closure holds nothing else."""
     rs = get_rs(label, rank)
     for coeffs in rs.positive_coords:
         assert all(c >= 0 for c in coeffs) and any(coeffs)
+        assert len(rs.components([i for i, c in enumerate(coeffs) if c])) == 1
+    roots = set(rs.positive_coords) | {tuple(-c for c in b) for b in rs.positive_coords}
+    for b in roots:
+        for i in range(rank):
+            pairing = sum(bj * rs.cartan_matrix[j][i] for j, bj in enumerate(b))
+            assert b[:i] + (b[i] - pairing,) + b[i + 1:] in roots
+
+
+@pytest.mark.parametrize("label,rank", PAIRS)
+def test_cartan_entries_are_the_integral_pairings_of_the_simple_roots(label, rank):
+    rs = get_rs(label, rank)
+    assert [[2 * dot(a, b) / dot(b, b) for b in rs.simple_roots] for a in rs.simple_roots] \
+        == [list(row) for row in rs.cartan_matrix]
 
 
 def test_cartan_matrix_a2():
@@ -137,13 +155,16 @@ def test_orbit_barycenter_is_zero():
 
 
 def test_fundamental_weight_coweight_duality():
-    rs = get_rs("F", 4)
-    for i, w in enumerate(rs.fundamental_weights):
-        for j, a in enumerate(rs.simple_roots):
-            assert dot(w, rs.coroot(a)) == (1 if i == j else 0)
-    for i, w in enumerate(rs.fundamental_coweights):
-        for j, a in enumerate(rs.simple_roots):
-            assert dot(w, a) == (1 if i == j else 0)
+    """On every admitted pair; so alpha_j vanishes on a chamber point x
+    exactly when x's coordinate j is 0."""
+    for label, rank in PAIRS:
+        rs = get_rs(label, rank)
+        for i, w in enumerate(rs.fundamental_weights):
+            for j, a in enumerate(rs.simple_roots):
+                assert dot(w, rs.coroot(a)) == (1 if i == j else 0), (label, rank)
+        for i, w in enumerate(rs.fundamental_coweights):
+            for j, a in enumerate(rs.simple_roots):
+                assert dot(w, a) == (1 if i == j else 0), (label, rank)
 
 
 def _units(m):

@@ -32,7 +32,7 @@ from orbitope import (InvalidInputError, PolytopeFace, RootSystem, act_on_faces,
                       weyl_orbit)
 from orbitope.cli import RunConfig, run
 from orbitope.numeric import shadows_escape
-from orbitope.polytope import DEFAULT_HULL_CAP, vertex_figure_points
+from orbitope.polytope import vertex_figure_points
 from orbitope.weyl import reflection_neighbours
 from weyl_oracle import reflection_permutations
 
@@ -219,6 +219,9 @@ def test_facets_through_needs_a_face_through_x():
         poly.facets_through(away)
 
 
+#: the largest orbit drawn, so that the full lattice's hull stays small
+_MAX_ORBIT = 200
+
 _SMALL_PAIRS = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
                 ("C", 3), ("C", 4), ("D", 4), ("F", 4), ("G", 2)]
 
@@ -230,7 +233,7 @@ def _full_points(draw):
                            min_size=rank, max_size=rank))
     assume(any(labels))
     assume(get_group(type_label, rank).orbit_size(
-        chamber_point(get_rs(type_label, rank), labels)) <= DEFAULT_HULL_CAP)
+        chamber_point(get_rs(type_label, rank), labels)) <= _MAX_ORBIT)
     return type_label, rank, tuple(str(c) for c in labels)
 
 

@@ -13,8 +13,11 @@ from orbitope import (CapExceededError, TheoremViolationError,
 from orbitope.cli import RunConfig, build_report
 from orbitope.faces import build_kostant_polytope
 from orbitope.linalg import closure, frac_str, int_dot, integral_rows, lincomb
+from orbitope.roots import VALID_RANKS
 from orbitope.weyl import Orbit, reflection_neighbours
 from weyl_oracle import reflection_orbit, reflection_permutations
+
+PAIRS = [(t, r) for t in sorted(VALID_RANKS) for r in VALID_RANKS[t]]
 
 ORDERS = [("A", 1, 2), ("A", 2, 6), ("A", 3, 24), ("B", 2, 8), ("B", 3, 48),
           ("C", 3, 48), ("G", 2, 12), ("D", 4, 192), ("F", 4, 1152)]
@@ -160,6 +163,18 @@ def test_vertex_permutations_compose_correctly():
             for k in reversed(w):
                 j = perms[k][j]
             assert vectors[j] == oracle.apply(w, v)
+
+
+@pytest.mark.parametrize("label,rank", PAIRS)
+def test_the_label_step_is_the_ambient_reflection_on_every_fundamental_weight(label, rank):
+    """s_i on the labels of w_j is s_i(w_j) = w_j - delta_ij alpha_i, as the
+    ambient reflection gives it."""
+    rs = get_rs(label, rank)
+    for i, alpha in enumerate(rs.simple_roots):
+        for j, weight in enumerate(rs.fundamental_weights):
+            unit = tuple(int(k == j) for k in range(rank))
+            moved = weyl._reflect_labels(rs.cartan_matrix, i, unit)
+            assert lincomb(moved, rs.fundamental_weights) == rs.reflect(alpha, weight), (i, j)
 
 
 #: rational, singular, non-simply-laced and type E points; E6 needs the Weyl cap raised
