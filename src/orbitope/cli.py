@@ -33,13 +33,6 @@ from .weyl import DEFAULT_ORBIT_CAP, build_weyl_group
 
 COMMANDS = ("faces", "polytope", "strata", "integrality", "verify-numeric", "verify-all")
 
-#: Most seeded ascents per face, and most (face, seed) lanes of one lockstep:
-#: `numeric.ascend` holds about ten stacked (lanes, n, n) complex arrays at
-#: once; at rank 8 (n = 9) a lane takes 81 * 16 B = 1.3 KB in each, so
-#: 10 000 lanes need about 130 MB.  A run hands its faces to `numeric` in
-#: groups that keep within this many lanes.
-MAX_NUMERIC_SEEDS = 10_000
-
 
 class RunConfig(NamedTuple):
     command: str
@@ -49,7 +42,6 @@ class RunConfig(NamedTuple):
     fmt: str = "text"
     out: str | None = None
     seed: int = 0
-    numeric_seeds: int = 20
     numeric_faces: int = 5
     orbit_cap: int = DEFAULT_ORBIT_CAP
     weyl_cap: int | None = None
@@ -59,20 +51,14 @@ def _vec_strs(v) -> list[str]:
     return [frac_str(c) for c in v]
 
 
-def verify_face_numeric(classification, faces, seeds: int, seed_base: int) -> list[dict]:
-    """`numeric.verify_face_numeric` on groups of faces of at most
-    `MAX_NUMERIC_SEEDS` lanes in all, every group from the one Haar draw of
-    the run's seeds.  `numeric` is imported on the first call, so only a run
-    that reaches the su(n) check loads it and numpy."""
+def verify_face_numeric(classification, faces, seed_base: int) -> list[dict]:
+    """`numeric.verify_face_numeric` at its 20 seeds per face.  `numeric` is
+    imported on the first call, so only a run that reaches the su(n) check
+    loads it and numpy."""
     if not faces:
         return []
     from . import numeric
-    group = max(1, MAX_NUMERIC_SEEDS // seeds)
-    draw = numeric.haar_starts(numeric.su_from_cartan(classification.x.vector),
-                               range(seed_base, seed_base + seeds))
-    return [report for i in range(0, len(faces), group)
-            for report in numeric.verify_face_numeric(classification, faces[i:i + group],
-                                                      seeds, seed_base, draw)]
+    return numeric.verify_face_numeric(classification, faces, seed_base=seed_base)
 
 
 def _pairing_rows(rows) -> list[dict]:
@@ -82,17 +68,12 @@ def _pairing_rows(rows) -> list[dict]:
 
 
 def _check_config(config: RunConfig) -> None:
-    """Reject seed, count and cap settings outside their range before any
-    work; an unset Weyl cap means no cap."""
-    for flag, value, low, high in (("--seed", config.seed, 0, None),
-                                   ("--numeric-seeds", config.numeric_seeds, 1, MAX_NUMERIC_SEEDS),
-                                   ("--numeric-faces", config.numeric_faces, 0, None),
-                                   ("--orbit-cap", config.orbit_cap, 0, None),
-                                   ("--weyl-cap", config.weyl_cap, 0, None)):
-        if value is not None and value < low:
-            raise InvalidInputError("%s must be at least %d, got %d" % (flag, low, value))
-        if high is not None and value > high:
-            raise InvalidInputError("%s must be at most %d, got %d" % (flag, high, value))
+    """Reject negative seed, count and cap settings before any work; an
+    unset Weyl cap means no cap."""
+    for flag, value in (("--seed", config.seed), ("--numeric-faces", config.numeric_faces),
+                        ("--orbit-cap", config.orbit_cap), ("--weyl-cap", config.weyl_cap)):
+        if value is not None and value < 0:
+            raise InvalidInputError("%s must be at least 0, got %d" % (flag, value))
 
 
 def build_report(config: RunConfig) -> dict:
@@ -183,8 +164,7 @@ def build_report(config: RunConfig) -> dict:
         report["numeric"] = {
             "trace_killing_factor": int(rs.killing_ratio),
             "seed": config.seed,
-            "faces": verify_face_numeric(classification, faces, config.numeric_seeds,
-                                         config.seed),
+            "faces": verify_face_numeric(classification, faces, config.seed),
         }
     return report
 
@@ -280,7 +260,6 @@ def _build_parser() -> _Parser:
     parser.add_argument("--format", dest="fmt", choices=("text", "json"))
     parser.add_argument("--out", help="write the report to a file")
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--numeric-seeds", type=int)
     parser.add_argument("--numeric-faces", type=int,
                         help="number of face classes to verify numerically")
     parser.add_argument("--orbit-cap", type=int, help="maximum Weyl orbit size |W.x|")

@@ -45,8 +45,8 @@ a run reaches the su(n) check: `cli.verify_face_numeric` and the package's
 `__getattr__` import it on first use.  So importing the package, and every
 run that never reaches the check, loads neither, and a type-A run loads
 numpy's core only, never `numpy.random` or `numpy.ma`.
-Every lane of a run, in whatever groups of faces, starts from its one seeded
-Haar draw (`haar_starts`), whose Gaussians come from the standard library's
+Every lane of a run starts from the run's one seeded Haar draw
+(`haar_starts`), whose Gaussians come from the standard library's
 `random.Random(seed)`; the eigenspaces of x0 come from its distinct diagonal
 values sorted in Python, since `np.unique` loads `numpy.ma`.
 """
@@ -207,16 +207,14 @@ def haar_starts(x0: np.ndarray, seeds: Sequence[int]) -> tuple[np.ndarray, np.nd
     return g, matrix_orbit_point(x0, g)
 
 
-def ascend(x0: np.ndarray, u: np.ndarray, seeds: Iterable[int],
-           draw: tuple[np.ndarray, np.ndarray] | None = None) -> AscentResult:
+def ascend(x0: np.ndarray, u: np.ndarray, seeds: Iterable[int]) -> AscentResult:
     """Maximize mu_u over the orbit of x0 from one Haar-random start per seed,
     by a damped, saddle-free Riemannian Newton ascent run on all lanes in
     lockstep.
 
     u is one nonzero diagonal matrix or a stack (F, n, n) of them.  Each
     (u, seed) pair is a lane, face-major; the start frames are drawn once,
-    `haar_starts(x0, seeds)` unless given as `draw`, and every u ascends
-    from all of them.
+    by `haar_starts(x0, seeds)`, and every u ascends from all of them.
 
     With x0 = i*diag(a), u = i*diag(b) and p = V x0 V*, each iteration turns
     V inside the eigenspaces of x0 until the diagonal blocks of
@@ -244,7 +242,7 @@ def ascend(x0: np.ndarray, u: np.ndarray, seeds: Iterable[int],
         raise InvalidInputError("the ascent needs at least one seed")
     if min(seeds) < 0:
         raise InvalidInputError("seeds must be nonnegative, got %d" % min(seeds))
-    frames, starts = haar_starts(x0, seeds) if draw is None else draw
+    frames, starts = haar_starts(x0, seeds)
     v = np.tile(frames, (len(us), 1, 1))
     starts = np.tile(starts, (len(us), 1, 1))
     a = np.diag(x0).imag
@@ -416,20 +414,20 @@ def vertex_floats(poly: KostantPolytope) -> np.ndarray:
 
 
 def verify_face_numeric(classification: FaceClassification,
-                        faces: Sequence[FaceDescriptor], seeds: int = 20, seed_base: int = 0,
-                        draw: tuple[np.ndarray, np.ndarray] | None = None) -> list[dict]:
+                        faces: Sequence[FaceDescriptor], seeds: int = 20,
+                        seed_base: int = 0) -> list[dict]:
     """Cross-validate face classes on the su(n) realization: one report per
     descriptor of `faces`, in their order.
 
     Every descriptor is validated before any ascent.  One lockstep `ascend`
-    then runs each face's exposing vector from every seed, starting from
-    `draw` if it is given (the run's `haar_starts`), and the faces are
-    checked in order: convergence (which is criticality), the achieved value
-    against the exact support value h = u . x, spectral invariance along the
-    ascent, momentum containment of all Cartan projections, the value
-    ceiling, membership of the maximizers in sigma, and the Hessian block
-    signs, all at the module's fixed tolerances.  The first face with a mismatch raises
-    TheoremViolationError with a counterexample summary.
+    then runs each face's exposing vector from every seed, all from one
+    Haar draw, and the faces are checked in order: convergence (which is
+    criticality), the achieved value against the exact support value
+    h = u . x, spectral invariance along the ascent, momentum containment of
+    all Cartan projections, the value ceiling, membership of the maximizers
+    in sigma, and the Hessian block signs, all at the module's fixed
+    tolerances.  The first face with a mismatch raises TheoremViolationError
+    with a counterexample summary.
     """
     rs = classification.root_system
     if rs.type_label != "A":
@@ -447,7 +445,7 @@ def verify_face_numeric(classification: FaceClassification,
     x0 = su_from_cartan(classification.x.vector)
     x_size = np.abs(x0).max()
     us = np.array([su_from_cartan(d.exposing_u) for d in faces])
-    res = ascend(x0, us, range(seed_base, seed_base + seeds), draw)
+    res = ascend(x0, us, range(seed_base, seed_base + seeds))
     # the float data of P and the u-free checks, once for every lane
     vertices = vertex_floats(poly)
     shadows = np.imag(np.diagonal(np.stack((res.start_points, res.points)), axis1=2, axis2=3))

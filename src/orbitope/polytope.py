@@ -161,7 +161,9 @@ class KostantPolytope(_Polytope):
         counts = {dim: sum(Fraction(len(orbit), len(f.vertex_indices)) for f in fs)
                   for dim, fs in faces_through_x.items()}
         if any(c.denominator != 1 for c in counts.values()):
-            raise TheoremViolationError("face counts %s are not integers (bug)" % (counts,))
+            shown = "{%s}" % ", ".join("%d: %s" % (dim, frac_str(c))
+                                       for dim, c in counts.items())
+            raise TheoremViolationError("face counts %s are not integers (bug)" % shown)
         if sum((-1) ** dim * c for dim, c in counts.items()) != 1:
             raise TheoremViolationError("f-vector fails Euler-Poincare (bug)")
         self._f_vector = tuple(int(counts[dim]) for dim in sorted(counts))
@@ -249,6 +251,8 @@ def hull(points: Sequence[Sequence]) -> ExactPolytope:
         for i in tight:
             active_per_point[i].append(a)
     vertex_ids = [i for i in range(len(pts)) if int_rank(active_per_point[i]) == d]
+    if not vertex_ids:
+        raise TheoremViolationError("the double description left no vertex (bug)")
     vertex_ids.sort(key=lambda i: pts[i])
     old_to_new = {old: new for new, old in enumerate(vertex_ids)}
 

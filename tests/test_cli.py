@@ -111,8 +111,7 @@ def test_integrality_command_sections():
 
 
 def test_verify_numeric_requires_type_a():
-    code, text = run(_cfg(command="verify-numeric", type_label="B",
-                          point=("1", "1"), numeric_seeds=2))
+    code, text = run(_cfg(command="verify-numeric", type_label="B", point=("1", "1")))
     assert code == 1
 
 
@@ -131,7 +130,7 @@ def test_verify_numeric_rejects_non_a_before_classifying(capsys, monkeypatch):
 def test_unattainable_tolerance_exits_2(monkeypatch):
     """A forced cross-check failure must surface as the theorem-violation code."""
     monkeypatch.setattr(orbitope.numeric, "_GRAD_TOL", 1e-31)
-    code, text = run(_cfg(command="verify-numeric", numeric_seeds=1, numeric_faces=1))
+    code, text = run(_cfg(command="verify-numeric", numeric_faces=1))
     assert code == 2
     assert "theorem violation" in text
 
@@ -179,7 +178,7 @@ def test_each_failed_cross_check_exits_2_with_its_message(branch, monkeypatch):
     name, patch, line = _FAILURE_BRANCHES[branch]
     module = orbitope.cli if name == "induce_face_weight" else orbitope.numeric
     monkeypatch.setattr(module, name, patch(getattr(module, name)))
-    code, text = run(_cfg(command="verify-all", numeric_seeds=2, numeric_faces=1))
+    code, text = run(_cfg(command="verify-all", numeric_faces=1))
     assert code == 2
     assert text.startswith("theorem violation: ") and line in text, text
 
@@ -191,41 +190,18 @@ def test_a_run_draws_the_numeric_start_points_once(monkeypatch):
     original = orbitope.numeric.haar_starts
     monkeypatch.setattr(orbitope.numeric, "haar_starts",
                         lambda *args: draws.append(args) or original(*args))
-    code, text = run(_cfg(command="verify-numeric", rank=3, point=("1", "1", "1"),
-                          numeric_seeds=2))
+    code, text = run(_cfg(command="verify-numeric", rank=3, point=("1", "1", "1")))
     assert code == 0
     assert len(json.loads(text)["numeric"]["faces"]) == 5
     assert len(draws) == 1
 
 
-def test_numeric_faces_in_groups_give_the_same_report(monkeypatch):
-    """A run hands its faces to `numeric` in groups of at most
-    MAX_NUMERIC_SEEDS lanes; the grouping leaves the report as it was."""
-    cfg = _cfg(command="verify-numeric", rank=3, point=("1", "1", "1"), numeric_seeds=20)
-    whole = run(cfg)
-    groups = []
-    original = orbitope.numeric.verify_face_numeric
-    monkeypatch.setattr(orbitope.numeric, "verify_face_numeric",
-                        lambda cl, faces, *args: groups.append(len(faces))
-                        or original(cl, faces, *args))
-    monkeypatch.setattr(orbitope.cli, "MAX_NUMERIC_SEEDS", 40)
-    assert run(cfg) == whole
-    assert whole[0] == 0 and groups == [2, 2, 1]
-
-
-def test_a_run_in_groups_draws_the_numeric_start_points_once(monkeypatch):
-    """With faces in three groups, every group ascends from the run's one
-    Haar draw."""
-    draws = []
-    original = orbitope.numeric.haar_starts
-    monkeypatch.setattr(orbitope.numeric, "haar_starts",
-                        lambda *args: draws.append(args) or original(*args))
-    monkeypatch.setattr(orbitope.cli, "MAX_NUMERIC_SEEDS", 40)
-    code, text = run(_cfg(command="verify-numeric", rank=3, point=("1", "1", "1"),
-                          numeric_seeds=20))
+@pytest.mark.parametrize("command", ["verify-all", "verify-numeric"])
+def test_every_numeric_face_runs_20_seeds(command):
+    """The seed count is a constant of the check: 20 ascents per face."""
+    code, text = run(_cfg(command=command, rank=3, point=("1", "1", "1")))
     assert code == 0
-    assert len(json.loads(text)["numeric"]["faces"]) == 5
-    assert len(draws) == 1
+    assert [f["n_seeds"] for f in json.loads(text)["numeric"]["faces"]] == [20] * 5
 
 
 @pytest.mark.parametrize("type_label,rank,point", [
@@ -257,7 +233,7 @@ def test_verify_all_non_a_omits_numeric():
 
 
 def test_verify_all_json_deterministic_and_roundtrips():
-    cfg = _cfg(command="verify-all", numeric_seeds=4)
+    cfg = _cfg(command="verify-all")
     code1, t1 = run(cfg)
     code2, t2 = run(cfg)
     assert code1 == code2 == 0
@@ -299,26 +275,10 @@ def _exits_1_with_one_error_line(capsys, argv):
 _A2 = ["verify-all", "--type", "A", "--rank", "2", "--point", "1,1"]
 
 
-def test_zero_numeric_seeds_exits_1(capsys):
-    line = _exits_1_with_one_error_line(capsys, _A2 + ["--numeric-seeds", "0"])
-    assert "--numeric-seeds" in line
-
-
-def test_huge_numeric_seeds_exits_1_before_numpy_is_imported():
-    """A seed count past the bound is an input error, not a MemoryError in
-    the stacked ascent."""
-    script = ("import sys\n"
-              "from orbitope.cli import main\n"
-              "code = main(['verify-all', '--type', 'A', '--rank', '2', '--point', '1,1',\n"
-              "             '--numeric-seeds', str(10**11)])\n"
-              "print(code, 'numpy' in sys.modules, file=sys.stderr)\n")
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=120)
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 2, proc.stderr
-    assert lines[0] == "error: --numeric-seeds must be at most 10000, got 100000000000"
-    assert lines[1] == "1 False"
+def test_numeric_seeds_flag_is_gone_exits_1(capsys):
+    """The seed count is no setting: the old flag is an unknown argument."""
+    line = _exits_1_with_one_error_line(capsys, _A2 + ["--numeric-seeds", "4"])
+    assert line == "error: unrecognized arguments: --numeric-seeds 4"
 
 
 def test_negative_orbit_cap_exits_1(capsys):

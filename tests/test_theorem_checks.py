@@ -84,9 +84,10 @@ def _with_extra_ray(extra):
     return patch
 
 
-def _off_by_one_at_the_corner(mat_mul):
-    def patched(a, b):
-        rows = [list(row) for row in mat_mul(a, b)]
+def _off_by_one_at_the_corner(matrix_op):
+    """`matrix_op` with 1 added to entry [0][0] of the matrix it returns."""
+    def patched(*args):
+        rows = [list(row) for row in matrix_op(*args)]
         rows[0][0] += 1
         return tuple(map(tuple, rows))
     return patched
@@ -107,8 +108,7 @@ _MUTATIONS = {
     "a 2-face through x loses a vertex": (
         orbitope.polytope.KostantPolytope, "__init__",
         _changing_faces_through_x(_drop_a_vertex_of_the_first_2_face),
-        {D4: "face counts {0: Fraction(192, 1), 1: Fraction(384, 1), 2: Fraction(1232, 5), "
-             "3: Fraction(48, 1), 4: Fraction(1, 1)} are not integers (bug)"}),
+        {D4: "face counts {0: 192, 1: 384, 2: 1232/5, 3: 48, 4: 1} are not integers (bug)"}),
     "double description adds a negated ray": (
         orbitope.polytope, "_dd_rays", _with_extra_ray(lambda rays: tuple(-c for c in rays[0])),
         {A3: "double description produced a cut inequality (bug)"}),
@@ -122,6 +122,10 @@ _MUTATIONS = {
     "the normal conversion is off by one": (
         orbitope.polytope, "mat_mul", _off_by_one_at_the_corner,
         dict.fromkeys((A3, D4, B3_REGULAR), "facet normal conversion failed (bug)")),
+    # read by the double description and by the normal conversion
+    "the inverse is off by one": (
+        orbitope.polytope, "inverse", _off_by_one_at_the_corner,
+        dict.fromkeys((A3, D4, F4), "the double description left no vertex (bug)")),
     "the face lattice drops a vertex": (
         orbitope.polytope, "_face_lattice", _drop_first_0_face,
         {A3: "0-faces do not match the vertex set (bug)"}),
@@ -209,6 +213,8 @@ REGISTRY = {
     "a kept inequality of the hull is not a facet (bug)":
         (_here("double description adds the sum of two rays", A3),),
     "0-faces do not match the vertex set (bug)": (_here("the face lattice drops a vertex", A3),),
+    "the double description left no vertex (bug)":
+        tuple(_here("the inverse is off by one", c) for c in (A3, D4, F4)),
     "lifted cone is not pointed (bug)": (_here("rank is capped at 1", A3),),
     "face dimension disagrees with its vertex rank (bug)":
         (_here("rank overcounts two lifted vertices", A3),),
